@@ -47,7 +47,7 @@ func (v *Volume) WriteFile(ctx context.Context, path string, data []byte) error 
 func (v *Volume) writeFileLocked(ctx context.Context, comps []string, data []byte) error {
 	root := v.root
 	dirComps, name := comps[:len(comps)-1], comps[len(comps)-1]
-	chain, err := v.walkLocked(ctx, root, dirComps)
+	chain, err := v.walk(ctx, root, dirComps)
 	if err != nil {
 		return err
 	}
@@ -83,14 +83,14 @@ func (v *Volume) writeFileLocked(ctx context.Context, comps []string, data []byt
 	}
 
 	var ino Inode
-	v.writeContentUnlocked(cur, data, oldIno, &ino)
-	ver, hash, err := v.writeInodeUnlocked(cur, &ino, oldVer)
+	v.writeContent(cur, data, oldIno, &ino)
+	ver, hash, err := v.writeInode(cur, &ino, oldVer)
 	if err != nil {
 		return err
 	}
 	e := &parent.entries[idx]
 	e.Ver, e.Hash, e.Size = ver, hash, ino.Size
-	return v.commitChainLocked(ctx, root, chain)
+	return v.commitChain(ctx, root, chain)
 }
 
 // ReadFile returns the file's full content.
@@ -116,25 +116,32 @@ func (v *Volume) readFile(ctx context.Context, path string, comps []string) ([]b
 	}
 	v.mu.Lock()
 	defer v.mu.Unlock()
-	chain, err := v.walkLocked(ctx, root, comps[:len(comps)-1])
-	if err != nil {
-		return nil, err
-	}
-	parent := &chain[len(chain)-1]
-	idx := findEntry(parent.entries, comps[len(comps)-1])
-	if idx < 0 {
-		return nil, fmt.Errorf("%w: %s", ErrNotExist, path)
-	}
-	e := &parent.entries[idx]
-	if e.IsDir {
-		return nil, fmt.Errorf("%w: %s", ErrIsDir, path)
-	}
-	cur := parent.cur.child(e, e.Name)
-	ino, err := v.readInode(ctx, cur, e.Ver, e.Hash)
+	cur, ino, err := v.fileAt(ctx, root, path, comps)
 	if err != nil {
 		return nil, err
 	}
 	return v.readContent(ctx, cur, &ino)
+}
+
+// fileAt walks to the file at comps (path names it in errors) and returns
+// its cursor and verified inode. v.mu is held.
+func (v *Volume) fileAt(ctx context.Context, root *RootBlock, path string, comps []string) (pathCursor, Inode, error) {
+	chain, err := v.walk(ctx, root, comps[:len(comps)-1])
+	if err != nil {
+		return pathCursor{}, Inode{}, err
+	}
+	parent := &chain[len(chain)-1]
+	idx := findEntry(parent.entries, comps[len(comps)-1])
+	if idx < 0 {
+		return pathCursor{}, Inode{}, fmt.Errorf("%w: %s", ErrNotExist, path)
+	}
+	e := &parent.entries[idx]
+	if e.IsDir {
+		return pathCursor{}, Inode{}, fmt.Errorf("%w: %s", ErrIsDir, path)
+	}
+	cur := parent.cur.child(e, e.Name)
+	ino, err := v.readInode(ctx, cur, e.Ver, e.Hash)
+	return cur, ino, err
 }
 
 // Mkdir creates a directory (parents must exist).
@@ -150,7 +157,7 @@ func (v *Volume) Mkdir(ctx context.Context, path string) error {
 	defer v.mu.Unlock()
 	root := v.root
 	dirComps, name := comps[:len(comps)-1], comps[len(comps)-1]
-	chain, err := v.walkLocked(ctx, root, dirComps)
+	chain, err := v.walk(ctx, root, dirComps)
 	if err != nil {
 		return err
 	}
@@ -169,13 +176,13 @@ func (v *Volume) Mkdir(ctx context.Context, path string) error {
 	cur := parent.cur.child(&parent.entries[idx], name)
 
 	ino := Inode{IsDir: true, NextSlot: 1}
-	ver, hash, err := v.writeInodeUnlocked(cur, &ino, 0)
+	ver, hash, err := v.writeInode(cur, &ino, 0)
 	if err != nil {
 		return err
 	}
 	parent.entries[idx].Ver = ver
 	parent.entries[idx].Hash = hash
-	return v.commitChainLocked(ctx, root, chain)
+	return v.commitChain(ctx, root, chain)
 }
 
 // MkdirAll creates a directory and any missing parents.
@@ -223,7 +230,7 @@ func (v *Volume) ReadDir(ctx context.Context, path string) ([]FileInfo, error) {
 	}
 	v.mu.Lock()
 	defer v.mu.Unlock()
-	chain, err := v.walkLocked(ctx, root, splitPath(path))
+	chain, err := v.walk(ctx, root, splitPath(path))
 	if err != nil {
 		return nil, err
 	}
@@ -247,7 +254,7 @@ func (v *Volume) Stat(ctx context.Context, path string) (FileInfo, error) {
 	}
 	v.mu.Lock()
 	defer v.mu.Unlock()
-	chain, err := v.walkLocked(ctx, root, comps[:len(comps)-1])
+	chain, err := v.walk(ctx, root, comps[:len(comps)-1])
 	if err != nil {
 		return FileInfo{}, err
 	}
@@ -274,7 +281,7 @@ func (v *Volume) Remove(ctx context.Context, path string) error {
 	v.mu.Lock()
 	defer v.mu.Unlock()
 	root := v.root
-	chain, err := v.walkLocked(ctx, root, comps[:len(comps)-1])
+	chain, err := v.walk(ctx, root, comps[:len(comps)-1])
 	if err != nil {
 		return err
 	}
@@ -305,7 +312,7 @@ func (v *Volume) Remove(ctx context.Context, path string) error {
 		v.removeBlock(cur.blockKey(uint64(i+1), ver))
 	}
 	parent.entries = append(parent.entries[:idx], parent.entries[idx+1:]...)
-	return v.commitChainLocked(ctx, root, chain)
+	return v.commitChain(ctx, root, chain)
 }
 
 // Rename moves a file or directory. The moved object's blocks keep their
@@ -327,7 +334,7 @@ func (v *Volume) Rename(ctx context.Context, oldPath, newPath string) error {
 	// Validate the destination before touching the source, so a failed
 	// rename never unlinks anything.
 	newName := newComps[len(newComps)-1]
-	preChain, err := v.walkLocked(ctx, root, newComps[:len(newComps)-1])
+	preChain, err := v.walk(ctx, root, newComps[:len(newComps)-1])
 	if err != nil {
 		return err
 	}
@@ -335,7 +342,7 @@ func (v *Volume) Rename(ctx context.Context, oldPath, newPath string) error {
 		return fmt.Errorf("%w: %s", ErrExist, newPath)
 	}
 
-	oldChain, err := v.walkLocked(ctx, root, oldComps[:len(oldComps)-1])
+	oldChain, err := v.walk(ctx, root, oldComps[:len(oldComps)-1])
 	if err != nil {
 		return err
 	}
@@ -350,12 +357,12 @@ func (v *Volume) Rename(ctx context.Context, oldPath, newPath string) error {
 
 	// Remove from the old parent and commit that chain first.
 	oldParent.entries = append(oldParent.entries[:oldIdx], oldParent.entries[oldIdx+1:]...)
-	if err := v.commitChainLocked(ctx, root, oldChain); err != nil {
+	if err := v.commitChain(ctx, root, oldChain); err != nil {
 		return err
 	}
 
 	// Insert into the new parent with the original key encoding frozen.
-	newChain, err := v.walkLocked(ctx, root, newComps[:len(newComps)-1])
+	newChain, err := v.walk(ctx, root, newComps[:len(newComps)-1])
 	if err != nil {
 		return err
 	}
@@ -373,25 +380,7 @@ func (v *Volume) Rename(ctx context.Context, oldPath, newPath string) error {
 		OrigRemainder: remainder,
 	}
 	newParent.entries = append(newParent.entries, entry)
-	return v.commitChainLocked(ctx, root, newChain)
-}
-
-// walkLocked and friends assume v.mu is held; the exported read methods
-// take the lock to serialize against the single writer in this process.
-func (v *Volume) walkLocked(ctx context.Context, root *RootBlock, comps []string) ([]step, error) {
-	return v.walk(ctx, root, comps)
-}
-
-func (v *Volume) writeContentUnlocked(cur pathCursor, data []byte, old, ino *Inode) {
-	v.writeContent(cur, data, old, ino)
-}
-
-func (v *Volume) writeInodeUnlocked(cur pathCursor, ino *Inode, oldVer uint32) (uint32, [32]byte, error) {
-	return v.writeInode(cur, ino, oldVer)
-}
-
-func (v *Volume) commitChainLocked(ctx context.Context, root *RootBlock, chain []step) error {
-	return v.commitChain(ctx, root, chain)
+	return v.commitChain(ctx, root, newChain)
 }
 
 // FlushAfter exposes the write-back delay for callers pacing Sync calls.

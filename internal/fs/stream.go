@@ -58,7 +58,7 @@ var segBufPool = sync.Pool{
 }
 
 // StreamStats describes a finished (or in-progress) stream, for callers
-// that report TTFB and sustained throughput (d2ctl cat -v, d2bench).
+// that report TTFB and sustained throughput (d2ctl cat -v, the bench harness).
 type StreamStats struct {
 	// TTFB is the delay from ReadStream returning to the first byte
 	// handed to the consumer (zero until the first Read).
@@ -160,7 +160,7 @@ func (v *Volume) ReadStream(ctx context.Context, path string) (io.ReadCloser, er
 	if sp != nil {
 		sp.Annotate("path", path)
 	}
-	cur, ino, err := v.resolveFile(sctx, comps)
+	cur, ino, err := v.resolveFile(sctx, path, comps)
 	if err != nil {
 		sp.EndErr(err)
 		return nil, err
@@ -204,33 +204,14 @@ func (v *Volume) ReadStream(ctx context.Context, path string) (io.ReadCloser, er
 
 // resolveFile walks to the file at comps and returns its cursor and
 // verified inode.
-func (v *Volume) resolveFile(ctx context.Context, comps []string) (pathCursor, Inode, error) {
+func (v *Volume) resolveFile(ctx context.Context, path string, comps []string) (pathCursor, Inode, error) {
 	root, err := v.currentRoot(ctx)
 	if err != nil {
 		return pathCursor{}, Inode{}, err
 	}
 	v.mu.Lock()
 	defer v.mu.Unlock()
-	chain, err := v.walk(ctx, root, comps[:len(comps)-1])
-	if err != nil {
-		return pathCursor{}, Inode{}, err
-	}
-	parent := &chain[len(chain)-1]
-	name := comps[len(comps)-1]
-	idx := findEntry(parent.entries, name)
-	if idx < 0 {
-		return pathCursor{}, Inode{}, fmt.Errorf("%w: %s", ErrNotExist, name)
-	}
-	e := &parent.entries[idx]
-	if e.IsDir {
-		return pathCursor{}, Inode{}, fmt.Errorf("%w: %s", ErrIsDir, name)
-	}
-	cur := parent.cur.child(e, name)
-	ino, err := v.readInode(ctx, cur, e.Ver, e.Hash)
-	if err != nil {
-		return pathCursor{}, Inode{}, err
-	}
-	return cur, ino, nil
+	return v.fileAt(ctx, root, path, comps)
 }
 
 // prefetch is the pipeline driver: it walks segments in order, acquiring

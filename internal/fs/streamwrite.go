@@ -35,7 +35,7 @@ func (v *Volume) WriteStream(ctx context.Context, path string) (io.WriteCloser, 
 		sp.EndErr(err)
 		return nil, err
 	}
-	cur, _, err := v.resolveFile(sctx, comps)
+	cur, _, err := v.resolveFile(sctx, path, comps)
 	if err != nil {
 		sp.EndErr(err)
 		return nil, err

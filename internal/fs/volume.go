@@ -459,7 +459,8 @@ type step struct {
 
 // walk resolves the directory chain for the given components, loading
 // entries at every level. It returns the chain of directories; comps must
-// all be directories.
+// all be directories. v.mu is held: the exported methods take it to
+// serialize against the single writer in this process.
 func (v *Volume) walk(ctx context.Context, root *RootBlock, comps []string) ([]step, error) {
 	cur := newCursor(v.volID)
 	chain := []step{{cur: cur, ino: root.Root, entryIdx: -1}}
@@ -617,7 +618,7 @@ func (v *Volume) loadEntries(ctx context.Context, cur pathCursor, ino *Inode) ([
 
 // writeContent writes content blocks for a file or directory, queuing
 // removals of the previous version's blocks, and fills the inode's
-// content fields.
+// content fields. v.mu is held.
 func (v *Volume) writeContent(cur pathCursor, data []byte, old *Inode, ino *Inode) {
 	// Queue removal of superseded content blocks.
 	if old != nil {
@@ -648,7 +649,8 @@ func (v *Volume) writeContent(cur pathCursor, data []byte, old *Inode, ino *Inod
 }
 
 // writeInode serializes an inode, queues the block write, removes the old
-// version, and returns the new version hash and content hash.
+// version, and returns the new version hash and content hash. v.mu is
+// held.
 func (v *Volume) writeInode(cur pathCursor, ino *Inode, oldVer uint32) (uint32, [32]byte, error) {
 	data := encodeInode(ino)
 	ver := versionHash(data)
@@ -663,6 +665,7 @@ func (v *Volume) writeInode(cur pathCursor, ino *Inode, oldVer uint32) (uint32, 
 // entries are re-encoded, its inode rewritten, and its parent's entry
 // updated; the root block is finally re-signed and written in place (§3:
 // every write updates all metadata blocks along the path to the root).
+// v.mu is held.
 func (v *Volume) commitChain(ctx context.Context, root *RootBlock, chain []step) error {
 	for i := len(chain) - 1; i >= 1; i-- {
 		s := &chain[i]

@@ -2,15 +2,12 @@ package node
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
-	"os"
 	"testing"
 	"time"
 
 	"github.com/defragdht/d2/internal/keys"
 	"github.com/defragdht/d2/internal/obs"
-	"github.com/defragdht/d2/internal/obs/history"
 	"github.com/defragdht/d2/internal/obs/tracing"
 	"github.com/defragdht/d2/internal/transport"
 )
@@ -30,7 +27,6 @@ import (
 // per whole-file read.
 func BenchmarkBatchedRead(b *testing.B) {
 	const blocks = 64
-	var snaps []obs.Snapshot
 	b.Run("transport=mem", func(b *testing.B) {
 		// 100µs simulated one-way delay: without it every mem call is a
 		// function call and the latency numbers say nothing about RPC
@@ -41,77 +37,14 @@ func BenchmarkBatchedRead(b *testing.B) {
 		c := newClient(b, net, nodes)
 		defer c.Close()
 		benchPlacements(b, c, blocks)
-		snaps = append(snaps, c.Metrics().Snapshot())
 	})
-	var traceSink *tracing.Sink
-	var healthEngine *history.Engine
 	b.Run("transport=tcp", func(b *testing.B) {
 		nodes, cleanup := startTCPRing(b, 16)
 		defer cleanup()
 		c := newTCPClient(b, nodes)
 		defer c.Close()
-		// D2_BENCH_TRACE turns on 1-in-64 head sampling so the run leaves
-		// real traces behind; with it unset the tracer stays configured but
-		// idle, which is the zero-alloc path the bench numbers must hold on.
-		if os.Getenv("D2_BENCH_TRACE") != "" {
-			c.Tracer().SetSampleEvery(64)
-		}
-		// D2_BENCH_HEALTH brackets the TCP run with health-engine samples,
-		// so the final summary carries true per-second rates over the run.
-		if os.Getenv("D2_BENCH_HEALTH") != "" {
-			healthEngine = history.New(history.Config{
-				Registry: c.Metrics(), Node: "bench-tcp-client",
-			})
-			healthEngine.Tick(time.Now())
-		}
 		benchPlacements(b, c, blocks)
-		snaps = append(snaps, c.Metrics().Snapshot())
-		traceSink = c.Tracer().Sink()
 	})
-	// D2_BENCH_METRICS names a file to receive the merged client-side
-	// metric snapshot; d2bench -metrics embeds it in BENCH_<n>.json so a
-	// perf result carries its RPC and byte counts.
-	if path := os.Getenv("D2_BENCH_METRICS"); path != "" && len(snaps) > 0 {
-		data, err := json.MarshalIndent(obs.MergeAll(snaps...), "", "  ")
-		if err == nil {
-			err = os.WriteFile(path, data, 0o644)
-		}
-		if err != nil {
-			b.Errorf("write metrics snapshot: %v", err)
-		}
-	}
-	// D2_BENCH_TRACE names a file to receive the TCP client's sampled spans
-	// as Chrome trace-event JSON (Perfetto-loadable); d2bench -trace embeds
-	// the raw span form in BENCH_<n>.json.
-	if path := os.Getenv("D2_BENCH_TRACE"); path != "" && traceSink != nil {
-		f, err := os.Create(path)
-		if err == nil {
-			err = tracing.WriteChromeTrace(f, traceSink.Spans())
-			if cerr := f.Close(); err == nil {
-				err = cerr
-			}
-		}
-		if err != nil {
-			b.Errorf("write trace spans: %v", err)
-		}
-	}
-	// D2_BENCH_HEALTH names a file to receive the final cluster-health
-	// summary (status document + derived run rates); d2bench -health embeds
-	// it in BENCH_<n>.json next to the metrics snapshot.
-	if path := os.Getenv("D2_BENCH_HEALTH"); path != "" && healthEngine != nil {
-		healthEngine.Tick(time.Now())
-		doc := struct {
-			Status history.Status `json:"status"`
-			Rates  history.Rates  `json:"rates"`
-		}{healthEngine.Status(), healthEngine.Rates()}
-		data, err := json.MarshalIndent(doc, "", "  ")
-		if err == nil {
-			err = os.WriteFile(path, data, 0o644)
-		}
-		if err != nil {
-			b.Errorf("write health summary: %v", err)
-		}
-	}
 }
 
 func benchPlacements(b *testing.B, c *Client, blocks int) {

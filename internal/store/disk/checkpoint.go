@@ -90,6 +90,7 @@ func (s *Store) Checkpoint() error {
 	}
 
 	// Swap writers and snapshot the index.
+	snaps := make([]ckptSnap, 0, s.Len())
 	s.mu.Lock()
 	if s.closed {
 		s.mu.Unlock()
@@ -102,8 +103,7 @@ func (s *Store) Checkpoint() error {
 	s.files[walSeq] = walFile
 	s.man = rotMan
 	s.seq = segSeq
-	snaps := make([]ckptSnap, 0, s.tree.Len())
-	s.tree.AscendRange(keys.Zero, keys.MaxKey, func(k keys.Key, e *entry) bool {
+	s.Ascend(func(k keys.Key, e *entry) bool {
 		snaps = append(snaps, ckptSnap{k: k, e: e, v: *e})
 		return true
 	})
@@ -150,12 +150,12 @@ func (s *Store) Checkpoint() error {
 	s.segBytes = segInfo.Size()
 	for i := range snaps {
 		sn := &snaps[i]
-		if sn.v.isPointer() {
+		if sn.v.IsPointer() {
 			continue
 		}
-		if cur, ok := s.tree.Get(sn.k); ok && cur == sn.e {
-			cur.file = segSeq
-			cur.off = sn.segOff
+		if cur, ok := s.Peek(sn.k); ok && cur == sn.e {
+			cur.Payload.file = segSeq
+			cur.Payload.off = sn.segOff
 		}
 	}
 	var dead []uint64
@@ -201,26 +201,26 @@ func (s *Store) writeSegment(segSeq uint64, snaps []ckptSnap, readFiles map[uint
 	var recBuf, payload []byte
 	for i := range snaps {
 		sn := &snaps[i]
-		if sn.v.isPointer() {
-			recBuf = appendPointer(recBuf[:0], sn.k, sn.v.ptr, sn.v.size, sn.v.ptrSince)
+		if sn.v.IsPointer() {
+			recBuf = appendPointer(recBuf[:0], sn.k, sn.v.Pointer, sn.v.Size, sn.v.PointerSince)
 		} else {
-			n := int(sn.v.length)
+			n := int(sn.v.Payload.length)
 			if cap(payload) < n {
 				payload = make([]byte, n)
 			}
 			payload = payload[:n]
 			if n > 0 {
-				src := readFiles[sn.v.file]
+				src := readFiles[sn.v.Payload.file]
 				if src == nil {
 					s.m.readErrors.Inc()
 					continue
 				}
-				if _, err := src.ReadAt(payload, sn.v.off); err != nil {
+				if _, err := src.ReadAt(payload, sn.v.Payload.off); err != nil {
 					s.m.readErrors.Inc()
 					continue
 				}
 			}
-			recBuf = appendPut(recBuf[:0], sn.k, sn.v.expires, payload)
+			recBuf = appendPut(recBuf[:0], sn.k, sn.v.Expires, payload)
 			sn.segOff = off + putPayloadOff
 		}
 		if _, err := f.Write(recBuf); err != nil {

@@ -1,9 +1,10 @@
 // Package disk is D2's durable local block store: a write-ahead log with
 // group-commit fsync, immutable segment files produced by checkpointing,
-// and an in-memory ordered index (the shared B-tree, holding file
-// offsets instead of payloads) so the range scans migration and load
-// balancing depend on stay fast. It implements store.Engine; the paper's
-// D2-Store sat on BerkeleyDB, this plays that role natively.
+// and the in-memory ordered index it shares with the memory engine
+// (store.Index, holding file locations instead of payloads) so the range
+// scans migration and load balancing depend on stay fast. It implements
+// store.Engine; the paper's D2-Store sat on BerkeleyDB, this plays that
+// role natively.
 //
 // Every mutation is appended to the active WAL before it is applied to
 // the index; a put's payload is thereafter served straight from the log
@@ -27,7 +28,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"github.com/defragdht/d2/internal/btree"
 	"github.com/defragdht/d2/internal/keys"
 	"github.com/defragdht/d2/internal/obs"
 	"github.com/defragdht/d2/internal/store"
@@ -66,20 +66,16 @@ func (o *Options) applyDefaults() {
 	}
 }
 
-// entry is one index slot: where a block's payload lives on disk plus
-// the metadata range scans and expiry need without touching the disk.
-type entry struct {
+// loc is where a data entry's payload lives on disk.
+type loc struct {
 	file   uint64 // seq of the WAL/segment file holding the payload
 	off    int64  // payload offset within that file
 	length uint32 // payload length
-	size   int64  // logical size (pointers: the pointed-to size)
-
-	expires  int64          // TTL deadline, unixnano (0 = none)
-	ptr      transport.Addr // non-empty = pointer entry, no payload
-	ptrSince int64          // unixnano
 }
 
-func (e *entry) isPointer() bool { return e.ptr != "" }
+// entry is one slot of the shared index, holding a file location in
+// place of the payload.
+type entry = store.Entry[loc]
 
 // RecoveryStats describes what Open rebuilt from disk.
 type RecoveryStats struct {
@@ -100,11 +96,10 @@ type Store struct {
 	dir string
 	opt Options
 
-	mu    sync.RWMutex
-	tree  btree.Tree[*entry]
-	bytes int64
-	ttls  int
-	ptrs  int
+	// mu guards the index and files, man, segBytes, w, seq and closed.
+	mu sync.RWMutex
+	// The shared index serves every read-side Engine method.
+	*store.Index[loc]
 
 	files    map[uint64]*os.File // open handles: segment + WAL files
 	man      manifest            // current durable manifest
@@ -140,6 +135,7 @@ func Open(dir string, opt Options) (*Store, error) {
 		opt:   opt,
 		files: map[uint64]*os.File{},
 	}
+	s.Index = store.NewIndex(&s.mu, s.readPayload)
 	s.m = newMetrics(opt.Metrics, s)
 
 	man, ok, err := readManifest(dir)
@@ -200,8 +196,8 @@ func Open(dir string, opt Options) (*Store, error) {
 	}
 
 	// Count the live state recovery produced.
-	s.tree.AscendRange(keys.Zero, keys.MaxKey, func(_ keys.Key, e *entry) bool {
-		if e.isPointer() {
+	s.Ascend(func(_ keys.Key, e *entry) bool {
+		if e.IsPointer() {
 			s.rec.Pointers++
 		} else {
 			s.rec.Blocks++
@@ -358,70 +354,24 @@ func (s *Store) replayFile(seq uint64, name string, magic [8]byte, truncate bool
 
 // applyRecord replays one decoded record into the index. Records were
 // logged only when they applied live, so replay applies them
-// unconditionally, in order.
+// unconditionally, in order. Open has exclusive access: no lock needed.
 func (s *Store) applyRecord(file uint64, recOff int64, rec record) {
 	switch rec.op {
 	case opPut:
-		e := &entry{
-			file:    file,
-			off:     recOff + recHeadSize + int64(rec.payloadOff),
-			length:  uint32(rec.payloadLen),
-			size:    int64(rec.payloadLen),
-			expires: rec.expires,
-		}
-		s.setEntry(rec.key, e)
+		s.Set(rec.key, &entry{
+			Payload: loc{file, recOff + recHeadSize + int64(rec.payloadOff), uint32(rec.payloadLen)},
+			Size:    int64(rec.payloadLen),
+			Expires: rec.expires,
+		})
 	case opPointer:
-		e := &entry{size: rec.size, ptr: rec.addr, ptrSince: rec.since}
-		s.setEntry(rec.key, e)
+		s.Set(rec.key, &entry{Size: rec.size, Pointer: rec.addr, PointerSince: rec.since})
 	case opDelete:
-		if prev, ok := s.tree.Delete(rec.key); ok {
-			s.dropCounts(prev)
-		}
+		s.Drop(rec.key)
 	case opRefresh:
-		if e, ok := s.tree.Get(rec.key); ok {
-			s.retime(e, rec.expires)
+		if e, ok := s.Peek(rec.key); ok {
+			s.Retime(e, rec.expires)
 		}
 	}
-}
-
-// setEntry installs e under k, maintaining the accounting counters.
-// Callers hold the write lock (or have exclusive access during replay).
-func (s *Store) setEntry(k keys.Key, e *entry) {
-	if prev, had := s.tree.Set(k, e); had {
-		s.dropCounts(prev)
-	}
-	if e.isPointer() {
-		s.ptrs++
-	} else {
-		s.bytes += e.size
-	}
-	if e.expires != 0 {
-		s.ttls++
-	}
-}
-
-// dropCounts reverses setEntry's accounting for a removed entry.
-func (s *Store) dropCounts(e *entry) {
-	if e.isPointer() {
-		s.ptrs--
-	} else {
-		s.bytes -= e.size
-	}
-	if e.expires != 0 {
-		s.ttls--
-	}
-}
-
-// retime changes an entry's TTL deadline, maintaining the ttls counter.
-func (s *Store) retime(e *entry, expires int64) {
-	if (e.expires != 0) != (expires != 0) {
-		if expires != 0 {
-			s.ttls++
-		} else {
-			s.ttls--
-		}
-	}
-	e.expires = expires
 }
 
 // crc is a local alias so replay reads naturally.
@@ -450,220 +400,152 @@ func (s *Store) putBuf(b []byte) {
 	s.encPool.Put(&b)
 }
 
-// Put stores block data, replacing any previous entry. The record is in
-// the WAL — and, under FsyncAlways, fsynced — before Put returns.
-func (s *Store) Put(k keys.Key, data []byte, ttl time.Duration, now time.Time) {
-	var expires int64
-	if ttl > 0 {
-		expires = now.Add(ttl).UnixNano()
-	}
-	buf := appendPut(s.getBuf(), k, expires, data)
+// logTx is handed to a logged mutation: its log method appends one
+// record to the active WAL.
+type logTx struct {
+	s   *Store
+	w   *walWriter // writer and commit sequence of the last record logged
+	seq uint64
+}
 
-	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
-		s.putBuf(buf)
-		return
-	}
-	start, seq, err := s.w.append(buf)
+// log appends rec to the active WAL, returning the record's start offset.
+// A failed append is counted and reported as ok=false.
+func (tx *logTx) log(rec []byte) (start int64, ok bool) {
+	start, seq, err := tx.s.w.append(rec)
 	if err != nil {
-		s.m.walErrors.Inc()
-		s.mu.Unlock()
-		s.putBuf(buf)
-		return
+		tx.s.m.walErrors.Inc()
+		return 0, false
 	}
-	s.setEntry(k, &entry{
-		file:    s.w.seq,
-		off:     start + putPayloadOff,
-		length:  uint32(len(data)),
-		size:    int64(len(data)),
-		expires: expires,
-	})
-	w := s.w
-	walSize := w.off
+	tx.w, tx.seq = tx.s.w, seq
+	return start, true
+}
+
+// logged is the engine's one write path. Under the write lock, on an open
+// store, apply decides whether the mutation takes effect, logs its
+// record(s) through tx and changes the index; then — outside the lock —
+// buf (the record's encode buffer) is recycled and the caller waits for
+// the group commit covering the last record logged. A closed store runs
+// nothing.
+func (s *Store) logged(buf []byte, apply func(tx *logTx)) {
+	tx := logTx{s: s}
+	var walSize int64
+	s.mu.Lock()
+	if !s.closed {
+		apply(&tx)
+		walSize = s.w.off
+	}
 	s.mu.Unlock()
 	s.putBuf(buf)
-	_ = w.wait(seq)
-	s.maybeCheckpoint(walSize)
+	if tx.w != nil {
+		_ = tx.w.wait(tx.seq)
+		s.maybeCheckpoint(walSize)
+	}
+}
+
+// Put stores block data, replacing any previous entry. The record is in
+// the WAL — and, under FsyncAlways, fsynced — before Put returns; from
+// then on the payload is served from the log file at that offset.
+func (s *Store) Put(k keys.Key, data []byte, ttl time.Duration, now time.Time) {
+	expires := store.Deadline(ttl, now)
+	rec := appendPut(s.getBuf(), k, expires, data)
+	s.logged(rec, func(tx *logTx) {
+		if start, ok := tx.log(rec); ok {
+			s.Set(k, &entry{
+				Payload: loc{s.w.seq, start + putPayloadOff, uint32(len(data))},
+				Size:    int64(len(data)),
+				Expires: expires,
+			})
+		}
+	})
 }
 
 // PutPointer installs a pointer entry unless data is already present.
 func (s *Store) PutPointer(k keys.Key, target transport.Addr, size int64, now time.Time) {
-	buf := appendPointer(s.getBuf(), k, target, size, now.UnixNano())
-
-	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
-		s.putBuf(buf)
-		return
-	}
-	if prev, ok := s.tree.Get(k); ok && !prev.isPointer() {
-		s.mu.Unlock()
-		s.putBuf(buf)
-		return // real data wins over a pointer
-	}
-	_, seq, err := s.w.append(buf)
-	if err != nil {
-		s.m.walErrors.Inc()
-		s.mu.Unlock()
-		s.putBuf(buf)
-		return
-	}
-	s.setEntry(k, &entry{size: size, ptr: target, ptrSince: now.UnixNano()})
-	w := s.w
-	s.mu.Unlock()
-	s.putBuf(buf)
-	_ = w.wait(seq)
+	since := now.UnixNano()
+	rec := appendPointer(s.getBuf(), k, target, size, since)
+	s.logged(rec, func(tx *logTx) {
+		if !s.AdmitsPointer(k) {
+			return
+		}
+		if _, ok := tx.log(rec); ok {
+			s.Set(k, &entry{Size: size, Pointer: target, PointerSince: since})
+		}
+	})
 }
 
 // Delete removes the entry under k immediately. The deletion is applied
 // to the index even if logging it fails (the node treats deletes as
 // infallible); a WAL error is surfaced through d2_store_wal_errors_total.
-func (s *Store) Delete(k keys.Key) bool {
-	buf := appendDelete(s.getBuf(), k)
-
-	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
-		s.putBuf(buf)
-		return false
-	}
-	prev, ok := s.tree.Delete(k)
-	if !ok {
-		s.mu.Unlock()
-		s.putBuf(buf)
-		return false
-	}
-	s.dropCounts(prev)
-	_, seq, err := s.w.append(buf)
-	if err != nil {
-		s.m.walErrors.Inc()
-		s.mu.Unlock()
-		s.putBuf(buf)
-		return true
-	}
-	w := s.w
-	s.mu.Unlock()
-	s.putBuf(buf)
-	_ = w.wait(seq)
-	return true
+func (s *Store) Delete(k keys.Key) (had bool) {
+	rec := appendDelete(s.getBuf(), k)
+	s.logged(rec, func(tx *logTx) {
+		if had = s.Drop(k); had {
+			tx.log(rec)
+		}
+	})
+	return had
 }
 
 // Refresh extends a block's TTL (zero ttl clears it).
-func (s *Store) Refresh(k keys.Key, ttl time.Duration, now time.Time) bool {
-	var expires int64
-	if ttl > 0 {
-		expires = now.Add(ttl).UnixNano()
-	}
-	buf := appendRefresh(s.getBuf(), k, expires)
-
-	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
-		s.putBuf(buf)
-		return false
-	}
-	e, ok := s.tree.Get(k)
-	if !ok {
-		s.mu.Unlock()
-		s.putBuf(buf)
-		return false
-	}
-	_, seq, err := s.w.append(buf)
-	if err != nil {
-		s.m.walErrors.Inc()
-		s.mu.Unlock()
-		s.putBuf(buf)
-		return true
-	}
-	s.retime(e, expires)
-	w := s.w
-	s.mu.Unlock()
-	s.putBuf(buf)
-	_ = w.wait(seq)
-	return true
+func (s *Store) Refresh(k keys.Key, ttl time.Duration, now time.Time) (found bool) {
+	expires := store.Deadline(ttl, now)
+	rec := appendRefresh(s.getBuf(), k, expires)
+	s.logged(rec, func(tx *logTx) {
+		var e *entry
+		if e, found = s.Peek(k); !found {
+			return
+		}
+		if _, ok := tx.log(rec); ok {
+			s.Retime(e, expires)
+		}
+	})
+	return found
 }
 
 // SweepExpired removes entries whose TTL passed, returning the count.
-// The whole sweep shares one group-commit wait. When no live entry
-// carries a TTL the scan is skipped entirely.
-func (s *Store) SweepExpired(now time.Time) int {
-	nowNano := now.UnixNano()
-	s.mu.Lock()
-	if s.closed || s.ttls == 0 {
-		s.mu.Unlock()
-		return 0
-	}
-	var dead []keys.Key
-	s.tree.AscendRange(keys.Zero, keys.MaxKey, func(k keys.Key, e *entry) bool {
-		if e.expires != 0 && e.expires < nowNano {
-			dead = append(dead, k)
+// The whole sweep shares one group-commit wait.
+func (s *Store) SweepExpired(now time.Time) (n int) {
+	rec := s.getBuf()
+	s.logged(rec, func(tx *logTx) {
+		dead := s.Expired(now.UnixNano())
+		for _, k := range dead {
+			s.Drop(k)
+			rec = appendDelete(rec[:0], k)
+			tx.log(rec)
 		}
-		return true
+		n = len(dead)
 	})
-	var w *walWriter
-	var lastSeq uint64
-	buf := s.getBuf()
-	for _, k := range dead {
-		prev, ok := s.tree.Delete(k)
-		if !ok {
-			continue
-		}
-		s.dropCounts(prev)
-		buf = appendDelete(buf[:0], k)
-		if _, seq, err := s.w.append(buf); err != nil {
-			s.m.walErrors.Inc()
-		} else {
-			w, lastSeq = s.w, seq
-		}
-	}
-	s.mu.Unlock()
-	s.putBuf(buf)
-	if w != nil {
-		_ = w.wait(lastSeq)
-	}
-	return len(dead)
+	return n
 }
 
-// --- store.Engine: reads -----------------------------------------------
+// --- reads ---------------------------------------------------------------
+//
+// Every read-side store.Engine method is the embedded index's; the engine
+// supplies only how a location becomes bytes.
 
-// blockFor materializes a store.Block for e, reading the payload from
-// its log file. Callers hold at least the read lock.
-func (s *Store) blockFor(e *entry) (*store.Block, bool) {
-	b := &store.Block{Size: e.size}
-	if e.expires != 0 {
-		b.Expires = time.Unix(0, e.expires)
+// pread fills buf from the payload at l. Callers hold at least the read
+// lock, which keeps the file open: files are closed under the write lock.
+func (s *Store) pread(l loc, buf []byte) bool {
+	if l.length == 0 {
+		return true
 	}
-	if e.isPointer() {
-		b.Pointer = e.ptr
-		b.PointerSince = time.Unix(0, e.ptrSince)
-		return b, true
+	f := s.files[l.file]
+	if f == nil {
+		s.m.readErrors.Inc()
+		return false
 	}
-	data := make([]byte, e.length)
-	if e.length > 0 {
-		f := s.files[e.file]
-		if f == nil {
-			s.m.readErrors.Inc()
-			return nil, false
-		}
-		if _, err := f.ReadAt(data, e.off); err != nil {
-			s.m.readErrors.Inc()
-			return nil, false
-		}
+	if _, err := f.ReadAt(buf, l.off); err != nil {
+		s.m.readErrors.Inc()
+		return false
 	}
-	b.Data = data
-	return b, true
+	return true
 }
 
-// Get returns the entry under k, reading the payload from disk.
-func (s *Store) Get(k keys.Key) (*store.Block, bool) {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	e, ok := s.tree.Get(k)
-	if !ok {
-		return nil, false
-	}
-	return s.blockFor(e)
+// readPayload is the index's payload loader: one pread into a fresh
+// buffer.
+func (s *Store) readPayload(l loc) ([]byte, bool) {
+	data := make([]byte, l.length)
+	return data, s.pread(l, data)
 }
 
 // ReadInto copies the payload of the data entry under k into buf,
@@ -674,171 +556,18 @@ func (s *Store) Get(k keys.Key) (*store.Block, bool) {
 func (s *Store) ReadInto(k keys.Key, buf []byte) (int, bool) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	e, ok := s.tree.Get(k)
-	if !ok || e.isPointer() {
+	e, ok := s.Peek(k)
+	if !ok || e.IsPointer() {
 		return 0, false
 	}
-	n := int(e.length)
+	n := int(e.Payload.length)
 	if n > len(buf) {
 		return n, false
 	}
-	if n > 0 {
-		f := s.files[e.file]
-		if f == nil {
-			s.m.readErrors.Inc()
-			return 0, false
-		}
-		if _, err := f.ReadAt(buf[:n], e.off); err != nil {
-			s.m.readErrors.Inc()
-			return 0, false
-		}
+	if !s.pread(e.Payload, buf[:n]) {
+		return 0, false
 	}
 	return n, true
-}
-
-// GetBatch returns the entries for a batch of keys (nil for absent ones)
-// under a single lock acquisition.
-func (s *Store) GetBatch(ks []keys.Key) []*store.Block {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	out := make([]*store.Block, len(ks))
-	for i, k := range ks {
-		if e, ok := s.tree.Get(k); ok {
-			if b, ok := s.blockFor(e); ok {
-				out[i] = b
-			}
-		}
-	}
-	return out
-}
-
-// Arc returns the entries in the circular arc (lo, hi], in key order,
-// payloads included.
-func (s *Store) Arc(lo, hi keys.Key) []store.Item {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	var out []store.Item
-	s.tree.AscendArc(lo, hi, func(k keys.Key, e *entry) bool {
-		if b, ok := s.blockFor(e); ok {
-			out = append(out, store.Item{Key: k, Block: b})
-		}
-		return true
-	})
-	return out
-}
-
-// ArcLimit returns up to limit entries of the circular arc (lo, hi] in
-// key order, reporting whether the scan was truncated.
-func (s *Store) ArcLimit(lo, hi keys.Key, limit int) (items []store.Item, more bool) {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	s.tree.AscendArc(lo, hi, func(k keys.Key, e *entry) bool {
-		if limit > 0 && len(items) == limit {
-			more = true
-			return false
-		}
-		if b, ok := s.blockFor(e); ok {
-			items = append(items, store.Item{Key: k, Block: b})
-		}
-		return true
-	})
-	return items, more
-}
-
-// ArcBytes returns the byte volume in the arc (lo, hi] — index metadata
-// only, no disk reads.
-func (s *Store) ArcBytes(lo, hi keys.Key) int64 {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	var total int64
-	s.tree.AscendArc(lo, hi, func(_ keys.Key, e *entry) bool {
-		total += e.size
-		return true
-	})
-	return total
-}
-
-// ArcVisit walks the index metadata of the arc (lo, hi] in key order —
-// entry headers only, no payload materialization, no disk reads, no
-// per-entry allocation. This is the census sweep path: unlike ArcLimit
-// it never calls blockFor, so a full-store sweep costs just the tree
-// walk even when every payload lives in segment files.
-func (s *Store) ArcVisit(lo, hi keys.Key, fn func(k keys.Key, m store.Meta) bool) {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	s.tree.AscendArc(lo, hi, func(k keys.Key, e *entry) bool {
-		return fn(k, store.Meta{Size: e.size, Pointer: e.ptr, PointerSince: e.ptrSince})
-	})
-}
-
-// MedianKey returns the key splitting the arc (lo, hi] into two
-// byte-balanced halves — index metadata only.
-func (s *Store) MedianKey(lo, hi keys.Key) (keys.Key, bool) {
-	total := s.ArcBytes(lo, hi)
-	if total == 0 {
-		return keys.Key{}, false
-	}
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	var acc int64
-	var split keys.Key
-	found := false
-	s.tree.AscendArc(lo, hi, func(k keys.Key, e *entry) bool {
-		acc += e.size
-		if acc >= total/2 {
-			split = k
-			found = true
-			return false
-		}
-		return true
-	})
-	return split, found
-}
-
-// StalePointers returns pointers installed before the deadline. When no
-// pointer entries exist the scan is skipped entirely.
-func (s *Store) StalePointers(deadline time.Time) []store.Item {
-	dl := deadline.UnixNano()
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	if s.ptrs == 0 {
-		return nil
-	}
-	var out []store.Item
-	s.tree.AscendRange(keys.Zero, keys.MaxKey, func(k keys.Key, e *entry) bool {
-		if e.isPointer() && e.ptrSince < dl {
-			b := &store.Block{Size: e.size, Pointer: e.ptr, PointerSince: time.Unix(0, e.ptrSince)}
-			out = append(out, store.Item{Key: k, Block: b})
-		}
-		return true
-	})
-	return out
-}
-
-// Keys returns every stored key (snapshot).
-func (s *Store) Keys() []keys.Key {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	out := make([]keys.Key, 0, s.tree.Len())
-	s.tree.AscendRange(keys.Zero, keys.MaxKey, func(k keys.Key, _ *entry) bool {
-		out = append(out, k)
-		return true
-	})
-	return out
-}
-
-// Len returns the number of entries (data and pointers).
-func (s *Store) Len() int {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return s.tree.Len()
-}
-
-// Bytes returns the stored data volume (pointers excluded).
-func (s *Store) Bytes() int64 {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return s.bytes
 }
 
 // Flush blocks until every acknowledged write is on stable storage — the

@@ -1,18 +1,19 @@
 // Package store is the local block store of a live D2 node (the paper's
-// D2-Store used BerkeleyDB). It defines the Engine interface every block
-// store implements — the in-memory B-tree store here, and the durable
-// WAL+segment engine in store/disk — plus the two operations
-// defragmentation needs beyond put/get/remove: ordered range scans (for
-// migration and replica repair) and block pointers — lightweight entries
+// D2-Store used BerkeleyDB). It defines the Engine interface a node runs
+// against and the one ordered Index under both of its implementations —
+// the in-memory Store here and the durable WAL+segment engine in
+// store/disk. The Index carries the two duties defragmentation adds to
+// put/get/remove: ordered range scans (for migration, replica repair and
+// the Karger–Ruhl median split) and block pointers — lightweight entries
 // that record where a block's data actually lives while a load-balance
-// move is pending (§6).
+// move is pending (§6). An engine adds only what is its own: its lock,
+// how a mutation becomes durable, and where a block's bytes live.
 package store
 
 import (
 	"sync"
 	"time"
 
-	"github.com/defragdht/d2/internal/btree"
 	"github.com/defragdht/d2/internal/keys"
 	"github.com/defragdht/d2/internal/transport"
 )
@@ -60,9 +61,11 @@ type Meta struct {
 func (m Meta) IsPointer() bool { return m.Pointer != "" }
 
 // Engine is the block-store contract a D2 node runs against. Two
-// implementations exist: the in-memory Store below (fast, volatile) and
-// the durable disk engine in store/disk (WAL + segment files + crash
-// recovery). All methods are safe for concurrent use.
+// implementations, one index: the in-memory Store below (fast, volatile)
+// and the durable disk engine in store/disk (WAL + segment files + crash
+// recovery) both embed Index, which serves every read-side method; the
+// mutating methods are each engine's own. All methods are safe for
+// concurrent use, and every Block returned is the caller's own copy.
 //
 // Mutating methods carry no error returns by design: the node treats its
 // local store as infallible and relies on replication for durability
@@ -132,48 +135,29 @@ type IdentityStore interface {
 	SaveIdentity(id keys.Key) error
 }
 
-// Store is a thread-safe ordered in-memory block store.
+// Store is the in-memory engine: the shared Index holding block bytes on
+// the heap. Every read-side Engine method is the Index's own.
 type Store struct {
-	mu    sync.RWMutex
-	tree  btree.Tree[*Block]
-	bytes int64 // data bytes actually stored (pointers excluded)
-	// ttls and ptrs count entries carrying a TTL deadline / pointer
-	// entries, so SweepExpired and StalePointers can skip their full-tree
-	// scans when there is nothing they could find — the common case on
-	// nodes that never see TTL writes or balance moves.
-	ttls int
-	ptrs int
+	mu sync.RWMutex
+	*Index[[]byte]
 }
 
 var _ Engine = (*Store)(nil)
 
 // New creates an empty store.
-func New() *Store { return &Store{} }
-
-// Len returns the number of entries (data and pointers).
-func (s *Store) Len() int {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return s.tree.Len()
+func New() *Store {
+	s := &Store{}
+	s.Index = NewIndex(&s.mu, func(data []byte) ([]byte, bool) { return data, true })
+	return s
 }
 
-// Bytes returns the stored data volume (pointers excluded).
-func (s *Store) Bytes() int64 {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return s.bytes
-}
-
-// dropCounts adjusts the cheap-scan counters for a removed entry.
-func (s *Store) dropCounts(b *Block) {
-	if b.IsPointer() {
-		s.ptrs--
-	} else {
-		s.bytes -= b.Size
+// Deadline converts a TTL into the index's absolute form: the expiry in
+// Unix nanoseconds, 0 for none.
+func Deadline(ttl time.Duration, now time.Time) int64 {
+	if ttl <= 0 {
+		return 0
 	}
-	if !b.Expires.IsZero() {
-		s.ttls--
-	}
+	return now.Add(ttl).UnixNano()
 }
 
 // Put stores block data, replacing any previous entry (including a
@@ -181,221 +165,45 @@ func (s *Store) dropCounts(b *Block) {
 func (s *Store) Put(k keys.Key, data []byte, ttl time.Duration, now time.Time) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	b := &Block{Data: data, Size: int64(len(data))}
-	if ttl > 0 {
-		b.Expires = now.Add(ttl)
-		s.ttls++
-	}
-	if prev, had := s.tree.Set(k, b); had {
-		s.dropCounts(prev)
-	}
-	s.bytes += b.Size
+	s.Set(k, &Entry[[]byte]{Payload: data, Size: int64(len(data)), Expires: Deadline(ttl, now)})
 }
 
 // PutPointer installs a pointer entry unless data is already present.
 func (s *Store) PutPointer(k keys.Key, target transport.Addr, size int64, now time.Time) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if prev, ok := s.tree.Get(k); ok && !prev.IsPointer() {
-		return // real data wins over a pointer
+	if s.AdmitsPointer(k) {
+		s.Set(k, &Entry[[]byte]{Size: size, Pointer: target, PointerSince: now.UnixNano()})
 	}
-	if prev, had := s.tree.Set(k, &Block{Pointer: target, Size: size, PointerSince: now}); had {
-		s.dropCounts(prev)
-	}
-	s.ptrs++
-}
-
-// Get returns the entry under k.
-func (s *Store) Get(k keys.Key) (*Block, bool) {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return s.tree.Get(k)
-}
-
-// GetBatch returns the entries for a batch of keys (nil for absent ones)
-// under a single lock acquisition, serving MultiGet without paying the
-// read-lock once per block.
-func (s *Store) GetBatch(ks []keys.Key) []*Block {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	out := make([]*Block, len(ks))
-	for i, k := range ks {
-		if b, ok := s.tree.Get(k); ok {
-			out[i] = b
-		}
-	}
-	return out
 }
 
 // Delete removes the entry under k immediately.
 func (s *Store) Delete(k keys.Key) bool {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	prev, ok := s.tree.Delete(k)
+	return s.Drop(k)
+}
+
+// Refresh extends a block's TTL (zero ttl clears it).
+func (s *Store) Refresh(k keys.Key, ttl time.Duration, now time.Time) bool {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	e, ok := s.Peek(k)
 	if ok {
-		s.dropCounts(prev)
+		s.Retime(e, Deadline(ttl, now))
 	}
 	return ok
 }
 
-// Refresh extends a block's TTL.
-func (s *Store) Refresh(k keys.Key, ttl time.Duration, now time.Time) bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	b, ok := s.tree.Get(k)
-	if !ok {
-		return false
-	}
-	had := !b.Expires.IsZero()
-	if ttl > 0 {
-		b.Expires = now.Add(ttl)
-		if !had {
-			s.ttls++
-		}
-	} else {
-		b.Expires = time.Time{}
-		if had {
-			s.ttls--
-		}
-	}
-	return true
-}
-
 // SweepExpired removes entries whose TTL passed, returning the count.
-// When no live entry carries a TTL the scan is skipped entirely.
 func (s *Store) SweepExpired(now time.Time) int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.ttls == 0 {
-		return 0
-	}
-	var dead []keys.Key
-	s.tree.AscendRange(keys.Zero, keys.MaxKey, func(k keys.Key, b *Block) bool {
-		if !b.Expires.IsZero() && b.Expires.Before(now) {
-			dead = append(dead, k)
-		}
-		return true
-	})
+	dead := s.Expired(now.UnixNano())
 	for _, k := range dead {
-		if prev, ok := s.tree.Delete(k); ok {
-			s.dropCounts(prev)
-		}
+		s.Drop(k)
 	}
 	return len(dead)
-}
-
-// Arc returns the entries in the circular arc (lo, hi], in key order.
-func (s *Store) Arc(lo, hi keys.Key) []Item {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	var out []Item
-	s.tree.AscendArc(lo, hi, func(k keys.Key, b *Block) bool {
-		out = append(out, Item{Key: k, Block: b})
-		return true
-	})
-	return out
-}
-
-// ArcLimit returns up to limit entries of the circular arc (lo, hi] in
-// key order, reporting whether the scan was truncated (the caller resumes
-// from the last returned key). limit ≤ 0 means no cap.
-func (s *Store) ArcLimit(lo, hi keys.Key, limit int) (items []Item, more bool) {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	s.tree.AscendArc(lo, hi, func(k keys.Key, b *Block) bool {
-		if limit > 0 && len(items) == limit {
-			more = true
-			return false
-		}
-		items = append(items, Item{Key: k, Block: b})
-		return true
-	})
-	return items, more
-}
-
-// ArcBytes returns the byte volume (data plus pointer sizes) in the arc
-// (lo, hi] — the primary-responsibility load the balancer compares (§6).
-func (s *Store) ArcBytes(lo, hi keys.Key) int64 {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	var total int64
-	s.tree.AscendArc(lo, hi, func(_ keys.Key, b *Block) bool {
-		total += b.Size
-		return true
-	})
-	return total
-}
-
-// ArcVisit walks the index metadata of the arc (lo, hi] in key order.
-// Only the entry header is exposed — no payload reference escapes — and
-// nothing is allocated per entry, so a census sweep over the whole store
-// costs just the tree walk.
-func (s *Store) ArcVisit(lo, hi keys.Key, fn func(k keys.Key, m Meta) bool) {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	s.tree.AscendArc(lo, hi, func(k keys.Key, b *Block) bool {
-		m := Meta{Size: b.Size, Pointer: b.Pointer}
-		if !b.PointerSince.IsZero() {
-			m.PointerSince = b.PointerSince.UnixNano()
-		}
-		return fn(k, m)
-	})
-}
-
-// MedianKey returns the key splitting the arc (lo, hi] into two
-// byte-balanced halves (false when the arc is empty).
-func (s *Store) MedianKey(lo, hi keys.Key) (keys.Key, bool) {
-	total := s.ArcBytes(lo, hi)
-	if total == 0 {
-		return keys.Key{}, false
-	}
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	var acc int64
-	var split keys.Key
-	found := false
-	s.tree.AscendArc(lo, hi, func(k keys.Key, b *Block) bool {
-		acc += b.Size
-		if acc >= total/2 {
-			split = k
-			found = true
-			return false
-		}
-		return true
-	})
-	return split, found
-}
-
-// StalePointers returns pointers installed before the deadline, due for
-// stabilization (§6: a node retrieves the block for a pointer it has held
-// longer than the pointer stabilization time). When no pointer entries
-// exist the scan is skipped entirely.
-func (s *Store) StalePointers(deadline time.Time) []Item {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	if s.ptrs == 0 {
-		return nil
-	}
-	var out []Item
-	s.tree.AscendRange(keys.Zero, keys.MaxKey, func(k keys.Key, b *Block) bool {
-		if b.IsPointer() && b.PointerSince.Before(deadline) {
-			out = append(out, Item{Key: k, Block: b})
-		}
-		return true
-	})
-	return out
-}
-
-// Keys returns every stored key (snapshot).
-func (s *Store) Keys() []keys.Key {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	out := make([]keys.Key, 0, s.tree.Len())
-	s.tree.AscendRange(keys.Zero, keys.MaxKey, func(k keys.Key, _ *Block) bool {
-		out = append(out, k)
-		return true
-	})
-	return out
 }
 
 // Flush is a no-op: the in-memory store has no durability to wait for.

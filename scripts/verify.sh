@@ -7,11 +7,13 @@
 #                            detector (catches data races in the parallel
 #                            experiment pool and the obs hot paths;
 #                            several times slower)
-#   scripts/verify.sh bench  tier 3: tier 1 plus a one-iteration smoke run
-#                            of the batched-read benchmark through the
-#                            d2bench converter with an embedded metrics
-#                            snapshot (checks the harness still works; not
-#                            a performance measurement)
+#   scripts/verify.sh bench  tier 3: tier 1 plus a one-second smoke run
+#                            of the real benchmark harness (bench/run.sh,
+#                            walk-small on the 5-node disk-engine ring);
+#                            a non-zero exit, a verification failure or
+#                            any failed operation fails the tier (checks
+#                            the harness still works; not a performance
+#                            measurement)
 #   scripts/verify.sh trace  trace tier: the request-tracing tests under
 #                            -race (TCP propagation, sink wraparound, the
 #                            cross-node e2e assembly) plus the alloc guard
@@ -37,12 +39,15 @@
 #   scripts/verify.sh census census tier: the placement-census tests under
 #                            -race (golden layouts, merge associativity,
 #                            the live balance-improves-locality e2e, the
-#                            store ArcVisit walk), a 10 s sweep-during-
-#                            churn soak, and the alloc gate proving the
-#                            steady-state sweep tick stays zero-allocation
-#   scripts/verify.sh disk   disk tier: the durable-engine tests under
-#                            -race (recovery, checkpoint, torn tails, the
-#                            kill -9 process e2e), a 10 s crash-loop soak
+#                            store ArcVisit walk on the shared index), a
+#                            10 s sweep-during-churn soak, and the alloc
+#                            gate proving the steady-state sweep tick
+#                            stays zero-allocation
+#   scripts/verify.sh disk   disk tier: the shared-index and durable-
+#                            engine tests under -race (engine parity,
+#                            MedianKey and Refresh hammers, recovery,
+#                            checkpoint, torn tails, the kill -9 process
+#                            e2e), a 10 s crash-loop soak
 #                            (repeated recover cycles with checkpoints
 #                            interleaved), a 10 s WAL-replay fuzz pass,
 #                            and the alloc gate proving the indexed read
@@ -178,11 +183,10 @@ if [ "${1:-}" = "race" ]; then
 fi
 
 if [ "${1:-}" = "bench" ]; then
-	echo "== tier 3: BenchmarkBatchedRead smoke (1 iteration, mem only)"
-	snap=$(mktemp)
-	D2_BENCH_METRICS="$snap" go test -run '^$' \
-		-bench 'BenchmarkBatchedRead/transport=mem' \
-		-benchtime 1x ./internal/node |
-		go run ./cmd/d2bench -metrics "$snap"
-	rm -f "$snap"
+	echo "== tier 3: benchmark harness smoke (walk-small, 1 s)"
+	out=$(bash bench/run.sh --workload walk-small --seconds 1 | tee /dev/stderr)
+	echo "$out" | tail -n 1 | grep -q '"correct":true,"attempted":[1-9][0-9]*,"failed":0,' || {
+		echo "bench tier: harness reported a verification failure or failed operations" >&2
+		exit 1
+	}
 fi

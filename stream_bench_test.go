@@ -5,20 +5,12 @@ package d2_test
 // the windowed-readahead stream, the batched whole-file read it must not
 // fall behind, and a single-segment read whose latency bounds the
 // stream's time to first byte.
-//
-// With D2_BENCH_STREAM=<file> the run writes a JSON report ({ttfb_ms,
-// sustained_mbps, wholefile_mbps, single_segment_ms, window_trajectory,
-// stalls}) for `d2bench -stream` to embed in BENCH_5.json.
 
 import (
 	"context"
-	"encoding/json"
-	"fmt"
 	"io"
 	"math/rand/v2"
-	"os"
 	"sort"
-	"strconv"
 	"testing"
 	"time"
 
@@ -27,28 +19,8 @@ import (
 
 const oneSegmentBytes = 128 << 10 // SegmentBlocks * BlockSize
 
-// streamBenchMB is the benchmark file size (the acceptance run uses the
-// 64 MB default; D2_BENCH_STREAM_MB overrides for quick iteration).
-func streamBenchMB() int {
-	if s := os.Getenv("D2_BENCH_STREAM_MB"); s != "" {
-		if n, err := strconv.Atoi(s); err == nil && n > 0 {
-			return n
-		}
-	}
-	return 64
-}
-
-// streamBenchReport is the D2_BENCH_STREAM JSON document.
-type streamBenchReport struct {
-	FileMB           int     `json:"file_mb"`
-	TTFBMs           float64 `json:"ttfb_ms"`
-	SustainedMBps    float64 `json:"sustained_mbps"`
-	WholeFileMBps    float64 `json:"wholefile_mbps"`
-	SingleSegmentMs  float64 `json:"single_segment_ms"`
-	Stalls           int     `json:"stalls"`
-	WastedBlocks     int     `json:"wasted_blocks"`
-	WindowTrajectory []int   `json:"window_trajectory"`
-}
+// streamBenchMB is the benchmark file size.
+const streamBenchMB = 64
 
 func BenchmarkStreamRead(b *testing.B) {
 	ctx := context.Background()
@@ -96,8 +68,7 @@ func BenchmarkStreamRead(b *testing.B) {
 		b.Fatal(err)
 	}
 
-	sizeMB := streamBenchMB()
-	sizeBytes := int64(sizeMB) << 20
+	sizeBytes := int64(streamBenchMB) << 20
 	payload := make([]byte, sizeBytes)
 	rng := rand.New(rand.NewPCG(3, 5))
 	for i := range payload {
@@ -140,11 +111,9 @@ func BenchmarkStreamRead(b *testing.B) {
 		}
 	}
 
-	var rep streamBenchReport
-	rep.FileMB = sizeMB
-
 	b.Run("mode=stream", func(b *testing.B) {
 		b.SetBytes(sizeBytes)
+		var sustainedMBps float64
 		for i := 0; i < b.N; i++ {
 			r, err := vol.ReadStream(ctx, "/big.bin")
 			if err != nil {
@@ -157,11 +126,7 @@ func BenchmarkStreamRead(b *testing.B) {
 			if err != nil || n != sizeBytes {
 				b.Fatalf("stream read = (%d, %v)", n, err)
 			}
-			st := r.(d2.StatStream).Stats()
-			rep.SustainedMBps = st.MBps()
-			rep.Stalls = st.Stalls
-			rep.WastedBlocks = st.WastedBlocks
-			rep.WindowTrajectory = st.WindowTrajectory
+			sustainedMBps = r.(d2.StatStream).Stats().MBps()
 		}
 		b.StopTimer()
 		// TTFB is its own experiment: the median over several
@@ -182,10 +147,9 @@ func BenchmarkStreamRead(b *testing.B) {
 			ttfbs = append(ttfbs, r.(d2.StatStream).Stats().TTFB)
 		}
 		sort.Slice(ttfbs, func(i, j int) bool { return ttfbs[i] < ttfbs[j] })
-		rep.TTFBMs = float64(ttfbs[len(ttfbs)/2]) / float64(time.Millisecond)
 		b.StartTimer()
-		b.ReportMetric(rep.TTFBMs, "ttfb-ms")
-		b.ReportMetric(rep.SustainedMBps, "stream-MB/s")
+		b.ReportMetric(float64(ttfbs[len(ttfbs)/2])/float64(time.Millisecond), "ttfb-ms")
+		b.ReportMetric(sustainedMBps, "stream-MB/s")
 	})
 
 	b.Run("mode=wholefile", func(b *testing.B) {
@@ -199,8 +163,7 @@ func BenchmarkStreamRead(b *testing.B) {
 				b.Fatalf("whole-file read = (%d, %v)", len(data), err)
 			}
 		}
-		rep.WholeFileMBps = float64(sizeMB) / elapsed.Seconds()
-		b.ReportMetric(rep.WholeFileMBps, "wholefile-MB/s")
+		b.ReportMetric(streamBenchMB/elapsed.Seconds(), "wholefile-MB/s")
 	})
 
 	b.Run("mode=segment", func(b *testing.B) {
@@ -219,18 +182,6 @@ func BenchmarkStreamRead(b *testing.B) {
 			}
 		}
 		sort.Slice(samples, func(i, j int) bool { return samples[i] < samples[j] })
-		rep.SingleSegmentMs = float64(samples[len(samples)/2]) / float64(time.Millisecond)
-		b.ReportMetric(rep.SingleSegmentMs, "segment-ms")
+		b.ReportMetric(float64(samples[len(samples)/2])/float64(time.Millisecond), "segment-ms")
 	})
-
-	if path := os.Getenv("D2_BENCH_STREAM"); path != "" {
-		raw, err := json.MarshalIndent(rep, "", "  ")
-		if err != nil {
-			b.Fatal(err)
-		}
-		if err := os.WriteFile(path, append(raw, '\n'), 0o644); err != nil {
-			b.Fatal(err)
-		}
-		fmt.Fprintf(os.Stderr, "stream report written to %s\n", path)
-	}
 }
