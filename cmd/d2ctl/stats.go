@@ -66,6 +66,7 @@ func runStats(ctx context.Context, client *d2.Client) error {
 	printGaugeGroup(merged, "durable store", "d2_store_")
 	printGaugeGroup(merged, "placement census (summed across nodes)", "d2_census_")
 	printLatencies(merged)
+	printBatchSizes(merged)
 	return nil
 }
 
@@ -190,6 +191,30 @@ func printLatencies(s obs.Snapshot) {
 		fmt.Printf("  %-12s n=%-8d p50=%-10s p95=%-10s p99=%s\n",
 			label, h.Count(),
 			fmtNanos(h.Quantile(0.50)), fmtNanos(h.Quantile(0.95)), fmtNanos(h.Quantile(0.99)))
+	}
+}
+
+// printBatchSizes prints the write path's two batch-size histograms next
+// to each other: blocks per MultiPut served (node group) and WAL records
+// made durable per fsync (store group). Both near 1 means every block is
+// paying its own round trip and its own fsync.
+func printBatchSizes(s obs.Snapshot) {
+	rows := []struct{ name, label string }{
+		{"d2_node_multiput_blocks", "node  blocks per multi_put"},
+		{"d2_store_group_commit_records", "store records per wal fsync"},
+	}
+	printed := false
+	for _, r := range rows {
+		h, ok := s.Histograms[r.name]
+		if !ok || h.Count() == 0 {
+			continue
+		}
+		if !printed {
+			fmt.Println("write batching:")
+			printed = true
+		}
+		fmt.Printf("  %-28s n=%-8d mean=%-7.1f p50=%-6.0f p99=%.0f\n",
+			r.label, h.Count(), h.Mean(), h.Quantile(0.50), h.Quantile(0.99))
 	}
 }
 

@@ -56,7 +56,7 @@ func run() error {
 	dataDir := flag.String("data-dir", "", "durable storage directory (empty = in-memory; blocks and ring identity survive restarts)")
 	fsync := flag.String("fsync", "always", "fsync policy with -data-dir: always (group commit), interval, never")
 	fsyncIv := flag.Duration("fsync-interval", 0, "fsync timer period under -fsync interval (0 = default 100ms)")
-	ckptBytes := flag.Int64("checkpoint-bytes", 0, "WAL size triggering background compaction (0 = default 64MiB)")
+	ckptBytes := flag.Int64("checkpoint-bytes", 0, "WAL size from which background compaction may run, once half the log is dead records (0 = default 64MiB)")
 	flag.Parse()
 
 	ctx := context.Background()

@@ -120,8 +120,9 @@ type NodeOptions struct {
 	// FsyncInterval is the timer period under Fsync "interval" (default
 	// 100 ms).
 	FsyncInterval time.Duration
-	// CheckpointBytes is the WAL size that triggers background
-	// compaction into a segment file (default 64 MiB).
+	// CheckpointBytes is the WAL size from which background compaction
+	// into a segment file may run (default 64 MiB); it runs once half the
+	// log is dead records.
 	CheckpointBytes int64
 }
 
@@ -536,6 +537,14 @@ func (c *Client) Put(ctx context.Context, k Key, data []byte) error {
 	return c.inner.Put(ctx, k, data)
 }
 
+// PutMany stores a batch of blocks (ks and data are parallel), grouping
+// them by owner so each owner receives one RPC, appends the batch to its
+// log once and fsyncs once. It returns nil only when every block was
+// acknowledged. Volume.Sync and WriteStream use it automatically.
+func (c *Client) PutMany(ctx context.Context, ks []Key, data [][]byte) error {
+	return c.inner.PutMany(ctx, ks, data)
+}
+
 // Get fetches the block under key k.
 func (c *Client) Get(ctx context.Context, k Key) ([]byte, error) {
 	return c.inner.Get(ctx, k)
@@ -704,4 +713,5 @@ func (c *Client) OpenVolume(ctx context.Context, name string, pub ed25519.Public
 
 var _ fs.BlockService = (*Client)(nil)
 var _ fs.BatchBlockService = (*Client)(nil)
+var _ fs.BatchPutBlockService = (*Client)(nil)
 var _ fs.SegmentBlockService = (*Client)(nil)

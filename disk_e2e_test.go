@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"bytes"
 	"context"
+	"errors"
 	"fmt"
 	"math/rand/v2"
 	"os"
@@ -15,6 +16,7 @@ import (
 	"time"
 
 	d2 "github.com/defragdht/d2"
+	"github.com/defragdht/d2/internal/fs"
 )
 
 // The durable-storage e2e runs REAL d2node processes (the test binary
@@ -297,6 +299,177 @@ func verifyAll(t *testing.T, ctx context.Context, client *d2.Client, acked map[d
 		}
 		if !bytes.Equal(got, want) {
 			t.Fatalf("%s: acked block %x... corrupted (%d vs %d bytes)", phase, k[:6], len(got), len(want))
+		}
+	}
+}
+
+// TestDiskNodeCrashMidMultiPut kills a durable node while a volume writer
+// is saving through the batched write path (Sync's PutMany, the stream
+// writer's batches). Every save whose Sync returned nil must read back
+// byte for byte through a fresh handle once the node has restarted — and
+// a save that was not acknowledged is either absent or whole, never a
+// published root over missing blocks: the root goes last, and a batch
+// torn on the killed node's disk replays only its intact records.
+func TestDiskNodeCrashMidMultiPut(t *testing.T) {
+	if testing.Short() {
+		t.Skip("spawns real node processes")
+	}
+	ctx := context.Background()
+	dirs := []string{t.TempDir(), t.TempDir(), t.TempDir()}
+	n1 := spawnNode(t, "127.0.0.1:0", "", dirs[0])
+	n2 := spawnNode(t, "127.0.0.1:0", n1.addr, dirs[1])
+	n3 := spawnNode(t, "127.0.0.1:0", n1.addr, dirs[2])
+	client, err := d2.ConnectTCP([]string{n1.addr, n3.addr}, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer client.Close()
+	waitRing(t, ctx, client, 3)
+
+	pub, priv, err := d2.GenerateKey()
+	if err != nil {
+		t.Fatal(err)
+	}
+	vol, err := client.CreateVolume(ctx, "crash", priv, d2.VolumeOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	// One save: a fresh directory, six files of 1–5 blocks and one
+	// streamed file of 40, then Sync. It reports the files it wrote and
+	// whether the Sync acknowledged them.
+	rng := rand.New(rand.NewPCG(11, 13))
+	type file struct {
+		path string
+		data []byte
+	}
+	content := func(n int) []byte {
+		b := make([]byte, n)
+		for i := range b {
+			b[i] = byte(rng.Uint64())
+		}
+		return b
+	}
+	save := func(s int) (files []file, acked bool) {
+		octx, cancel := context.WithTimeout(ctx, 10*time.Second)
+		defer cancel()
+		dir := fmt.Sprintf("/save-%04d", s)
+		if err := vol.Mkdir(octx, dir); err != nil {
+			return nil, false
+		}
+		for f := 0; f < 6; f++ {
+			fl := file{fmt.Sprintf("%s/f%d", dir, f), content(1000 + rng.IntN(40_000))}
+			if err := vol.WriteFile(octx, fl.path, fl.data); err != nil {
+				return files, false
+			}
+			files = append(files, fl)
+		}
+		fl := file{dir + "/stream", content(40 * 8192)}
+		if w, err := vol.WriteStream(octx, fl.path); err == nil {
+			_, werr := w.Write(fl.data)
+			if cerr := w.Close(); werr == nil && cerr == nil {
+				files = append(files, fl)
+			}
+		}
+		return files, vol.Sync(octx) == nil
+	}
+
+	var acked, unacked []file
+	record := func(files []file, ok bool) {
+		if ok {
+			acked = append(acked, files...)
+		} else {
+			unacked = append(unacked, files...)
+		}
+	}
+	s := 0
+	for ; s < 5; s++ {
+		files, ok := save(s)
+		if !ok {
+			t.Fatalf("save %d on a healthy ring was not acknowledged", s)
+		}
+		record(files, ok)
+	}
+
+	// SIGKILL lands while saves are in flight.
+	killed := make(chan struct{})
+	go func() {
+		time.Sleep(150 * time.Millisecond)
+		n2.kill9(t)
+		close(killed)
+	}()
+	for deadline := time.Now().Add(600 * time.Millisecond); time.Now().Before(deadline); s++ {
+		record(save(s))
+	}
+	<-killed
+	t.Logf("%d saves, %d files acknowledged, %d not", s, len(acked), len(unacked))
+
+	n2b := spawnNode(t, n2.addr, n1.addr, dirs[1])
+	if n2b.id != n2.id || n2b.recovered["blocks"] == 0 {
+		t.Fatalf("restart: identity %s -> %s, recovered %v", n2.id[:16], n2b.id[:16], n2b.recovered)
+	}
+	t.Logf("restart recovered %d blocks, %d records (%d torn)",
+		n2b.recovered["blocks"], n2b.recovered["records"], n2b.recovered["torn"])
+	waitRing(t, ctx, client, 3)
+
+	// The restarted node missed every root update of its downtime, and
+	// repair compares keys, not versions, so it would go on serving the
+	// root it recovered (ROADMAP direction 3, root-block monotonicity). The
+	// writer's next Sync puts the current root on all three again.
+	for deadline := time.Now().Add(15 * time.Second); ; time.Sleep(100 * time.Millisecond) {
+		octx, cancel := context.WithTimeout(ctx, 5*time.Second)
+		err := vol.Mkdir(octx, "/after-restart")
+		if err == nil || errors.Is(err, fs.ErrExist) {
+			err = vol.Sync(octx)
+		}
+		cancel()
+		if err == nil {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("writer could not publish after the restart: %v", err)
+		}
+	}
+
+	reader, err := d2.ConnectTCP([]string{n1.addr, n3.addr}, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer reader.Close()
+	read := func(path string) ([]byte, error) {
+		// A fresh handle per attempt: nothing cached, the current root.
+		var data []byte
+		var err error
+		for deadline := time.Now().Add(15 * time.Second); ; time.Sleep(100 * time.Millisecond) {
+			rctx, cancel := context.WithTimeout(ctx, 5*time.Second)
+			var ro *d2.Volume
+			if ro, err = reader.OpenVolume(rctx, "crash", pub, nil, d2.VolumeOptions{}); err == nil {
+				data, err = ro.ReadFile(rctx, path)
+			}
+			cancel()
+			if err == nil || errors.Is(err, fs.ErrNotExist) || time.Now().After(deadline) {
+				return data, err
+			}
+		}
+	}
+	for _, fl := range acked {
+		got, err := read(fl.path)
+		if err != nil {
+			t.Fatalf("acknowledged file %s unreadable after restart: %v", fl.path, err)
+		}
+		if !bytes.Equal(got, fl.data) {
+			t.Fatalf("acknowledged file %s corrupted (%d vs %d bytes)", fl.path, len(got), len(fl.data))
+		}
+	}
+	for _, fl := range unacked {
+		got, err := read(fl.path)
+		switch {
+		case errors.Is(err, fs.ErrNotExist):
+			// Never published.
+		case err != nil:
+			t.Fatalf("unacknowledged file %s is published but unreadable: %v", fl.path, err)
+		case !bytes.Equal(got, fl.data):
+			t.Fatalf("unacknowledged file %s is published with other content (%d vs %d bytes)", fl.path, len(got), len(fl.data))
 		}
 	}
 }

@@ -101,7 +101,10 @@ func (n *node[V]) splitChild(i int) {
 		right.children = append([]*node[V](nil), child.children[mid+1:]...)
 		child.children = child.children[:mid+1]
 	}
-	child.items = child.items[:mid]
+	// The left half moves to an array of its own size: keys that arrive in
+	// order (a file's blocks do) never touch it again, and leaving it in the
+	// full node's array would keep that array half empty for good.
+	child.items = append(make([]item[V], 0, mid), child.items[:mid]...)
 
 	n.items = append(n.items, item[V]{})
 	copy(n.items[i+1:], n.items[i:])
@@ -308,6 +311,12 @@ func (t *Tree[V]) AscendArc(lo, hi keys.Key, fn func(k keys.Key, v V) bool) {
 	if lo.Equal(hi) {
 		// Whole ring.
 		t.AscendRange(keys.Zero, keys.MaxKey, fn)
+		return
+	}
+	if lo.Equal(keys.MaxKey) {
+		// (MaxKey, hi] is [Zero, hi]: nothing lies above lo, and lo.Next()
+		// would wrap to Zero and walk the whole tree.
+		t.AscendRange(keys.Zero, hi, fn)
 		return
 	}
 	cont := true

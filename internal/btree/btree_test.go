@@ -133,6 +133,11 @@ func TestAscendArc(t *testing.T) {
 	if got := collect(k(33), k(33)); len(got) != 10 {
 		t.Errorf("whole ring arc visited %d", len(got))
 	}
+	// lo == MaxKey: the arc (MaxKey, 25] is [Zero, 25] → 0, 10, 20, each
+	// once (lo.Next() wraps to Zero; the walk must not cover the tree).
+	if got := collect(keys.MaxKey, k(25)); len(got) != 3 || got[0] != 0 || got[2] != 2 {
+		t.Errorf("arc from MaxKey = %v, want [0 1 2]", got)
+	}
 	// Early stop across the wrap point.
 	count := 0
 	tr.AscendArc(k(75), k(25), func(keys.Key, int) bool {

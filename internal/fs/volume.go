@@ -33,6 +33,17 @@ type BatchBlockService interface {
 	GetMany(ctx context.Context, ks []keys.Key) (map[keys.Key][]byte, error)
 }
 
+// BatchPutBlockService is implemented by block services with a batched
+// write path (the live client's PutMany): ks and data are parallel, nil
+// means every block was acknowledged, and on error the caller treats the
+// whole batch as unacknowledged. Sync and WriteStream use it to ship a
+// save or a stream batch in ~one RPC (and one fsync) per owner; plain
+// BlockServices get one Put per block.
+type BatchPutBlockService interface {
+	BlockService
+	PutMany(ctx context.Context, ks []keys.Key, data [][]byte) error
+}
+
 // Options tunes a volume.
 type Options struct {
 	// WriteBackDelay is the write-back/read cache window (default 30 s,
@@ -79,12 +90,23 @@ type Volume struct {
 	mu   sync.Mutex
 	root *RootBlock // writer: authoritative copy
 
+	// syncMu serializes everything that sends this volume's blocks to the
+	// DHT — Sync rounds and WriteStream batches — so a round's root block
+	// really is its last write, and a removal and a put of one key can
+	// never be on the wire together.
+	syncMu sync.Mutex
+
 	// cmu guards the block caches, separately from mu so operations
-	// holding mu can perform block IO.
+	// holding mu can perform block IO. pending and removes are the
+	// write-back window, and they are disjoint: a key is queued to be
+	// written or to be removed, never both (see writeBlock, removeBlock).
 	cmu     sync.Mutex
-	pending map[keys.Key][]byte
-	removes []keys.Key
-	rcache  map[keys.Key]cachedBlock
+	pending map[keys.Key]pendingBlock
+	removes map[keys.Key]struct{}
+	// flushing is the batch a running Sync took out of pending: still
+	// readable until the Sync returns, since it may not be in the DHT yet.
+	flushing map[keys.Key]pendingBlock
+	rcache   map[keys.Key]cachedBlock
 	// rcacheBytes tracks the read cache's retained payload, enforced
 	// against opts.ReadCacheBytes by pruneCacheLocked.
 	rcacheBytes int64
@@ -144,6 +166,28 @@ type cachedBlock struct {
 	at   time.Time
 }
 
+// pendingBlock is one buffered write. stored marks a key that is also
+// believed to be in the DHT already — this write cancelled its queued
+// removal — so dropping the write must still remove the block.
+type pendingBlock struct {
+	data   []byte
+	stored bool
+}
+
+// SyncError reports a Sync that could not write its whole batch. Keys are
+// the blocks not acknowledged; they (and the removals that were to follow)
+// are back in the write-back window, and the next Sync sends them again.
+type SyncError struct {
+	Keys []keys.Key
+	Err  error
+}
+
+func (e *SyncError) Error() string {
+	return fmt.Sprintf("fs: sync: %d blocks not written (first %s): %v", len(e.Keys), e.Keys[0].Short(), e.Err)
+}
+
+func (e *SyncError) Unwrap() error { return e.Err }
+
 // VolumeID returns the volume's 20-byte identifier.
 func (v *Volume) VolumeID() keys.VolumeID { return v.volID }
 
@@ -170,7 +214,8 @@ func Create(ctx context.Context, svc BlockService, name string, priv ed25519.Pri
 		pub:     pub,
 		priv:    priv,
 		opts:    opts,
-		pending: make(map[keys.Key][]byte),
+		pending: make(map[keys.Key]pendingBlock),
+		removes: make(map[keys.Key]struct{}),
 		rcache:  make(map[keys.Key]cachedBlock),
 		stop:    make(chan struct{}),
 		metrics: newVolumeMetrics(opts.Metrics),
@@ -203,7 +248,8 @@ func Open(ctx context.Context, svc BlockService, name string, pub ed25519.Public
 		pub:     pub,
 		priv:    priv,
 		opts:    opts,
-		pending: make(map[keys.Key][]byte),
+		pending: make(map[keys.Key]pendingBlock),
+		removes: make(map[keys.Key]struct{}),
 		rcache:  make(map[keys.Key]cachedBlock),
 		stop:    make(chan struct{}),
 		metrics: newVolumeMetrics(opts.Metrics),
@@ -316,8 +362,11 @@ func (v *Volume) readBlock(ctx context.Context, k keys.Key) ([]byte, error) {
 func (v *Volume) cachedRead(k keys.Key) ([]byte, bool) {
 	v.cmu.Lock()
 	defer v.cmu.Unlock()
-	if data, ok := v.pending[k]; ok {
-		return data, true
+	if p, ok := v.pending[k]; ok {
+		return p.data, true
+	}
+	if p, ok := v.flushing[k]; ok {
+		return p.data, true
 	}
 	if c, ok := v.rcache[k]; ok && time.Since(c.at) < v.opts.WriteBackDelay {
 		return c.data, true
@@ -330,25 +379,31 @@ func (v *Volume) cacheRead(k keys.Key, data []byte) {
 	v.cmu.Lock()
 	defer v.cmu.Unlock()
 	v.cacheStoreLocked(k, data)
-	if len(v.rcache) > 4096 || v.rcacheBytes > v.opts.ReadCacheBytes {
-		v.pruneCacheLocked()
-	}
 }
 
 // cacheStoreLocked inserts or replaces a read-cache entry, keeping the
-// byte accounting exact across replacements.
+// byte accounting exact across replacements and the cache under its caps
+// — on writes as on reads, so a writer that never reads stays bounded too.
 func (v *Volume) cacheStoreLocked(k keys.Key, data []byte) {
 	if prev, ok := v.rcache[k]; ok {
 		v.rcacheBytes -= int64(len(prev.data))
 	}
 	v.rcache[k] = cachedBlock{data: data, at: time.Now()}
 	v.rcacheBytes += int64(len(data))
+	if len(v.rcache) > rcacheMaxEntries || v.rcacheBytes > v.opts.ReadCacheBytes {
+		v.pruneCacheLocked()
+	}
 }
 
+// rcacheMaxEntries caps the read cache's entry count: small metadata
+// blocks would otherwise reach the byte cap only after hundreds of
+// thousands of entries.
+const rcacheMaxEntries = 4096
+
 // pruneCacheLocked evicts expired read-cache entries, then — if the
-// cache still exceeds its byte cap — the oldest live entries until it
-// fits in 3/4 of the cap (hysteresis so a hot cache is not pruned on
-// every insert).
+// cache still exceeds its byte or entry cap — the oldest live entries
+// until it fits in 3/4 of both (hysteresis so a hot cache is not pruned
+// on every insert).
 func (v *Volume) pruneCacheLocked() {
 	cutoff := time.Now().Add(-v.opts.WriteBackDelay)
 	for k, c := range v.rcache {
@@ -358,7 +413,7 @@ func (v *Volume) pruneCacheLocked() {
 			delete(v.rcache, k)
 		}
 	}
-	if v.rcacheBytes <= v.opts.ReadCacheBytes {
+	if v.rcacheBytes <= v.opts.ReadCacheBytes && len(v.rcache) <= rcacheMaxEntries {
 		return
 	}
 	type aged struct {
@@ -370,9 +425,8 @@ func (v *Volume) pruneCacheLocked() {
 		order = append(order, aged{k: k, at: c.at})
 	}
 	sort.Slice(order, func(i, j int) bool { return order[i].at.Before(order[j].at) })
-	target := v.opts.ReadCacheBytes * 3 / 4
 	for _, a := range order {
-		if v.rcacheBytes <= target {
+		if v.rcacheBytes <= v.opts.ReadCacheBytes*3/4 && len(v.rcache) <= rcacheMaxEntries*3/4 {
 			break
 		}
 		v.rcacheBytes -= int64(len(v.rcache[a.k].data))
@@ -381,55 +435,181 @@ func (v *Volume) pruneCacheLocked() {
 	}
 }
 
-// writeBlock buffers a block write.
-func (v *Volume) writeBlock(k keys.Key, data []byte) {
+// writeBlock buffers a block write. A write of a key queued for removal
+// cancels the removal: same key, so the writer is keeping that block (a
+// rewrite's unchanged blocks come back under their old keys). cache also
+// keeps the block in the read cache past its Sync — directory metadata,
+// which the writer's next path walk reads again; a file's inode and data
+// are served from the window until they are synced and from the DHT
+// afterwards, so a bulk writer does not push the directories it is
+// working in out of the cache.
+func (v *Volume) writeBlock(k keys.Key, data []byte, cache bool) {
 	v.metrics.blocksWritten.Inc()
 	v.metrics.bytesWritten.Add(uint64(len(data)))
 	v.cmu.Lock()
 	defer v.cmu.Unlock()
-	v.pending[k] = data
-	v.cacheStoreLocked(k, data)
+	_, stored := v.removes[k]
+	delete(v.removes, k)
+	v.pending[k] = pendingBlock{data: data, stored: stored || v.pending[k].stored}
+	if cache {
+		v.cacheStoreLocked(k, data)
+	}
 }
 
 // removeBlock queues a delayed removal (issued at the Sync after the
-// write-back window, so stale readers finish first, §3).
+// write-back window, so stale readers finish first, §3). A block that
+// only ever existed in the window is simply dropped from it: nobody else
+// can have seen it, so a save writes each ancestor directory once, not
+// once per file saved under it.
 func (v *Volume) removeBlock(k keys.Key) {
-	v.metrics.removes.Inc()
 	v.cmu.Lock()
 	defer v.cmu.Unlock()
-	v.removes = append(v.removes, k)
-}
-
-// Sync flushes buffered writes (in key order, which keeps contiguous
-// ranges contiguous on the wire) and issues queued removals.
-func (v *Volume) Sync(ctx context.Context) error {
-	v.metrics.syncs.Inc()
-	v.cmu.Lock()
-	batch := make([]keys.Key, 0, len(v.pending))
-	for k := range v.pending {
-		batch = append(batch, k)
+	if c, ok := v.rcache[k]; ok {
+		// Nothing the writer still references leads here.
+		v.rcacheBytes -= int64(len(c.data))
+		delete(v.rcache, k)
 	}
-	sort.Slice(batch, func(i, j int) bool { return batch[i].Less(batch[j]) })
-	data := make(map[keys.Key][]byte, len(batch))
-	for _, k := range batch {
-		data[k] = v.pending[k]
-	}
-	removes := v.removes
-	v.pending = make(map[keys.Key][]byte)
-	v.removes = nil
-	v.cmu.Unlock()
-
-	for _, k := range batch {
-		if err := v.svc.Put(ctx, k, data[k]); err != nil {
-			return fmt.Errorf("fs: sync put %s: %w", k.Short(), err)
+	if p, ok := v.pending[k]; ok {
+		delete(v.pending, k)
+		if !p.stored {
+			return
 		}
 	}
-	for _, k := range removes {
+	v.metrics.removes.Inc()
+	v.removes[k] = struct{}{}
+}
+
+// sortedKeys returns a key set in key order.
+func sortedKeys[V any](m map[keys.Key]V) []keys.Key {
+	ks := make([]keys.Key, 0, len(m))
+	for k := range m {
+		ks = append(ks, k)
+	}
+	sort.Slice(ks, func(i, j int) bool { return ks[i].Less(ks[j]) })
+	return ks
+}
+
+// putBlocks sends blocks to the DHT: as one PutMany when the service has
+// it, else one Put per block in order. It returns how many leading blocks
+// are known to be stored when it fails.
+func (v *Volume) putBlocks(ctx context.Context, ks []keys.Key, data [][]byte) (int, error) {
+	if len(ks) == 0 {
+		return 0, nil
+	}
+	if batch, ok := v.svc.(BatchPutBlockService); ok {
+		if err := batch.PutMany(ctx, ks, data); err != nil {
+			return 0, err
+		}
+		return len(ks), nil
+	}
+	for i, k := range ks {
+		if err := v.svc.Put(ctx, k, data[i]); err != nil {
+			return i, fmt.Errorf("put %s: %w", k.Short(), err)
+		}
+	}
+	return len(ks), nil
+}
+
+// shipBlocks sends blocks straight to the DHT, past the write-back window
+// (the stream writer's path). A queued removal of a shipped key is
+// cancelled first, as writeBlock would.
+func (v *Volume) shipBlocks(ctx context.Context, ks []keys.Key, data [][]byte) error {
+	v.syncMu.Lock()
+	defer v.syncMu.Unlock()
+	v.cmu.Lock()
+	for _, k := range ks {
+		delete(v.removes, k)
+	}
+	v.cmu.Unlock()
+	_, err := v.putBlocks(ctx, ks, data)
+	return err
+}
+
+// Sync flushes the write-back window in three steps: every buffered block
+// except the root (in key order, which keeps contiguous ranges contiguous
+// on the wire, as one batch when the service takes batches), then the
+// signed root block on its own — so whatever interrupts a Sync, a
+// published root never references a block that was not written — then
+// the queued removals. When a step fails, what was not sent goes back
+// into the window (never over a newer write of the same key) and a
+// *SyncError names the unwritten blocks.
+func (v *Volume) Sync(ctx context.Context) error {
+	v.syncMu.Lock()
+	defer v.syncMu.Unlock()
+	v.metrics.syncs.Inc()
+	v.cmu.Lock()
+	pending, removes := v.pending, v.removes
+	v.pending = make(map[keys.Key]pendingBlock)
+	v.removes = make(map[keys.Key]struct{})
+	v.flushing = pending
+	v.cmu.Unlock()
+	defer func() {
+		v.cmu.Lock()
+		v.flushing = nil
+		v.cmu.Unlock()
+	}()
+
+	rootKey := v.rootKey()
+	root, hasRoot := pending[rootKey]
+	ks := sortedKeys(pending)
+	if hasRoot {
+		// The root sorts first within its volume; it goes last, alone.
+		i := sort.Search(len(ks), func(i int) bool { return !ks[i].Less(rootKey) })
+		ks = append(ks[:i], ks[i+1:]...)
+	}
+	data := make([][]byte, len(ks))
+	for i, k := range ks {
+		data[i] = pending[k].data
+	}
+	rm := sortedKeys(removes)
+
+	sent, err := v.putBlocks(ctx, ks, data)
+	if err == nil && hasRoot {
+		if err = v.svc.Put(ctx, rootKey, root.data); err != nil {
+			err = fmt.Errorf("put root: %w", err)
+		} else {
+			hasRoot = false
+		}
+	}
+	if err != nil {
+		unsent := ks[sent:]
+		if hasRoot {
+			unsent = append(unsent, rootKey)
+		}
+		v.requeue(pending, unsent, rm)
+		return &SyncError{Keys: unsent, Err: err}
+	}
+	for i, k := range rm {
 		if err := v.svc.Remove(ctx, k); err != nil {
+			v.requeue(nil, nil, rm[i:])
 			return fmt.Errorf("fs: sync remove %s: %w", k.Short(), err)
 		}
 	}
 	return nil
+}
+
+// requeue puts what a failed Sync did not send back into the write-back
+// window, keeping it disjoint: a newer write of a key wins over the old
+// write and over the old removal (the block is in the DHT, so the write is
+// marked stored), and a key removed since is not written again.
+func (v *Volume) requeue(from map[keys.Key]pendingBlock, puts, removes []keys.Key) {
+	v.cmu.Lock()
+	defer v.cmu.Unlock()
+	for _, k := range puts {
+		_, newer := v.pending[k]
+		_, removed := v.removes[k]
+		if !newer && !removed {
+			v.pending[k] = from[k]
+		}
+	}
+	for _, k := range removes {
+		if p, rewritten := v.pending[k]; rewritten {
+			p.stored = true
+			v.pending[k] = p
+		} else {
+			v.removes[k] = struct{}{}
+		}
+	}
 }
 
 // --- path resolution ---
@@ -644,7 +824,7 @@ func (v *Volume) writeContent(cur pathCursor, data []byte, old *Inode, ino *Inod
 		ver := versionHash(blk)
 		ino.BlockVers = append(ino.BlockVers, ver)
 		ino.BlockHashes = append(ino.BlockHashes, contentHash(blk))
-		v.writeBlock(cur.blockKey(uint64(off/BlockSize+1), ver), blk)
+		v.writeBlock(cur.blockKey(uint64(off/BlockSize+1), ver), blk, ino.IsDir)
 	}
 }
 
@@ -654,10 +834,10 @@ func (v *Volume) writeContent(cur pathCursor, data []byte, old *Inode, ino *Inod
 func (v *Volume) writeInode(cur pathCursor, ino *Inode, oldVer uint32) (uint32, [32]byte, error) {
 	data := encodeInode(ino)
 	ver := versionHash(data)
-	if oldVer != 0 && oldVer != ver {
+	if oldVer != 0 {
 		v.removeBlock(cur.blockKey(0, oldVer))
 	}
-	v.writeBlock(cur.blockKey(0, ver), data)
+	v.writeBlock(cur.blockKey(0, ver), data, ino.IsDir)
 	return ver, contentHash(data), nil
 }
 
@@ -692,6 +872,6 @@ func (v *Volume) commitChain(ctx context.Context, root *RootBlock, chain []step)
 	if err := v.signRoot(); err != nil {
 		return err
 	}
-	v.writeBlock(v.rootKey(), encodeRoot(root))
+	v.writeBlock(v.rootKey(), encodeRoot(root), true)
 	return nil
 }

@@ -19,13 +19,15 @@ type nodeMetrics struct {
 	ptrRedirects *obs.Counter // reads answered with a redirect
 	ptrResolved  *obs.Counter // pointers replaced by data (stabilization)
 
-	repairPushes   *obs.Counter // blocks pushed to successors by repair
-	replicaDeficit *obs.Gauge   // replica slots the last repair round left unfilled
-	handoffs       *obs.Counter // blocks handed to their primary and dropped
-	rejoins        *obs.Counter // ring re-entries after successor collapse
-	succDrops      *obs.Counter // successors dropped as dead or moved
-	removals       *obs.Counter // delayed removals scheduled (§3)
-	expired        *obs.Counter // blocks dropped by TTL sweep
+	multiPutBlocks *obs.Histogram // blocks per MultiPut served (batch size)
+	forwardErrors  *obs.Counter   // replica forwards (put, multi_put, remove) that failed
+	repairPushes   *obs.Counter   // blocks pushed to successors by repair
+	replicaDeficit *obs.Gauge     // replica slots the last repair round left unfilled
+	handoffs       *obs.Counter   // blocks handed to their primary and dropped
+	rejoins        *obs.Counter   // ring re-entries after successor collapse
+	succDrops      *obs.Counter   // successors dropped as dead or moved
+	removals       *obs.Counter   // delayed removals scheduled (§3)
+	expired        *obs.Counter   // blocks dropped by TTL sweep
 }
 
 // newNodeMetrics registers the node metrics and the store gauges on reg.
@@ -41,6 +43,8 @@ func newNodeMetrics(reg *obs.Registry, n *Node) *nodeMetrics {
 		ptrInstalls:    reg.Counter("d2_node_ptr_installs_total"),
 		ptrRedirects:   reg.Counter("d2_node_ptr_redirects_total"),
 		ptrResolved:    reg.Counter("d2_node_ptr_resolved_total"),
+		multiPutBlocks: reg.Histogram("d2_node_multiput_blocks", obs.CountBuckets),
+		forwardErrors:  reg.Counter("d2_node_replica_forward_errors_total"),
 		repairPushes:   reg.Counter("d2_node_repair_pushes_total"),
 		replicaDeficit: reg.Gauge("d2_node_replica_deficit"),
 		handoffs:       reg.Counter("d2_node_handoffs_total"),

@@ -28,6 +28,8 @@ func (n *Node) dispatch(ctx context.Context, from transport.Addr, req transport.
 		return &transport.NotifyResp{}, nil
 	case *transport.PutReq:
 		return n.handlePut(ctx, r), nil
+	case *transport.MultiPutReq:
+		return n.handleMultiPut(ctx, r)
 	case *transport.GetReq:
 		return n.handleGet(ctx, r), nil
 	case *transport.MultiGetReq:

@@ -2,7 +2,9 @@ package node
 
 import (
 	"context"
+	"fmt"
 	"strconv"
+	"sync"
 	"time"
 
 	"github.com/defragdht/d2/internal/keys"
@@ -12,18 +14,55 @@ import (
 	"github.com/defragdht/d2/internal/transport"
 )
 
+// ttlOf turns a put's TTL field (seconds, 0 = unset) into the lifetime to
+// store the block with.
+func (n *Node) ttlOf(seconds int64) time.Duration {
+	if seconds == 0 {
+		return n.cfg.DefaultTTL
+	}
+	return time.Duration(seconds) * time.Second
+}
+
 // handlePut stores a replica; when Replicate is set (the primary's copy),
-// the block is forwarded to the r-1 following successors.
+// the block goes to the r-1 following successors while it is stored here.
+// A put of a key with a delayed removal pending keeps the block: the
+// writer has stored it again since asking for the removal.
 func (n *Node) handlePut(ctx context.Context, r *transport.PutReq) transport.Message {
-	ttl := time.Duration(r.TTL) * time.Second
-	if ttl == 0 {
-		ttl = n.cfg.DefaultTTL
-	}
-	n.st.Put(r.Key, r.Data, ttl, time.Now())
+	ttl := n.ttlOf(r.TTL)
+	n.cancelRemovals(r.Key)
+	var fwd transport.Message
 	if r.Replicate {
-		n.forwardToReplicas(ctx, &transport.PutReq{Key: r.Key, Data: r.Data, TTL: r.TTL})
+		fwd = &transport.PutReq{Key: r.Key, Data: r.Data, TTL: r.TTL}
 	}
+	n.replicate(ctx, fwd, func() { n.st.Put(r.Key, r.Data, ttl, time.Now()) })
 	return &transport.PutResp{}
+}
+
+// handleMultiPut stores a batch of replicas as one engine step (one WAL
+// append and one fsync on the disk engine) while, when Replicate is set,
+// the same batch goes to the r-1 successors as one non-replicating
+// MultiPut each. The ack rule: the batch is acknowledged once it is
+// durable here and every forward has returned — a forward that failed is
+// counted and logged, not fatal (repair restores the missing copies) —
+// and a batch this node could not make durable is answered with an error
+// instead, so the writer keeps it in its write-back window.
+func (n *Node) handleMultiPut(ctx context.Context, r *transport.MultiPutReq) (transport.Message, error) {
+	if len(r.Keys) != len(r.Data) {
+		return nil, fmt.Errorf("node: multi_put with %d keys, %d payloads", len(r.Keys), len(r.Data))
+	}
+	n.metrics.multiPutBlocks.Observe(int64(len(r.Keys)))
+	ttl := n.ttlOf(r.TTL)
+	n.cancelRemovals(r.Keys...)
+	var fwd transport.Message
+	if r.Replicate {
+		fwd = &transport.MultiPutReq{Keys: r.Keys, Data: r.Data, TTL: r.TTL}
+	}
+	var err error
+	n.replicate(ctx, fwd, func() { err = store.PutBatch(n.st, r.Keys, r.Data, ttl, time.Now()) })
+	if err != nil {
+		return nil, err
+	}
+	return &transport.MultiPutResp{}, nil
 }
 
 // handleGet serves a block, redirecting when only a pointer is held.
@@ -105,14 +144,17 @@ func (n *Node) handleRemove(ctx context.Context, r *transport.RemoveReq) transpo
 	if delay == 0 {
 		delay = n.cfg.RemoveDelay
 	}
-	n.scheduleRemoval(r.Key, delay)
+	var fwd transport.Message
 	if r.Replicate {
-		n.forwardToReplicas(ctx, &transport.RemoveReq{Key: r.Key, DelaySec: r.DelaySec})
+		fwd = &transport.RemoveReq{Key: r.Key, DelaySec: r.DelaySec}
 	}
+	n.replicate(ctx, fwd, func() { n.scheduleRemoval(r.Key, delay) })
 	return &transport.RemoveResp{}
 }
 
-// scheduleRemoval arms (or re-arms) the delayed delete for a key.
+// scheduleRemoval arms (or re-arms) the delayed delete for a key. The
+// timer deletes only while it is still the key's registered removal: a
+// put that arrived in the meantime cancelled it (cancelRemovals).
 func (n *Node) scheduleRemoval(k keys.Key, delay time.Duration) {
 	n.metrics.removals.Inc()
 	n.mu.Lock()
@@ -120,12 +162,41 @@ func (n *Node) scheduleRemoval(k keys.Key, delay time.Duration) {
 	if t, ok := n.removeTimers[k]; ok {
 		t.Stop()
 	}
-	n.removeTimers[k] = time.AfterFunc(delay, func() {
-		n.st.Delete(k)
+	var t *time.Timer
+	t = time.AfterFunc(delay, func() {
 		n.mu.Lock()
-		delete(n.removeTimers, k)
+		live := n.removeTimers[k] == t
+		n.mu.Unlock()
+		if !live {
+			return
+		}
+		n.st.Delete(k)
+		// The entry stays until the block is gone, so repair and handoff
+		// see it as doomed for as long as they could still read it.
+		n.mu.Lock()
+		if n.removeTimers[k] == t {
+			delete(n.removeTimers, k)
+		}
 		n.mu.Unlock()
 	})
+	n.removeTimers[k] = t
+}
+
+// cancelRemovals disarms the delayed deletes of keys being stored again:
+// a file rewrite keeps the blocks it did not change under their old keys,
+// after the previous save asked for those keys' removal.
+func (n *Node) cancelRemovals(ks ...keys.Key) {
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	if len(n.removeTimers) == 0 {
+		return
+	}
+	for _, k := range ks {
+		if t, ok := n.removeTimers[k]; ok {
+			t.Stop()
+			delete(n.removeTimers, k)
+		}
+	}
 }
 
 // doomed reports whether k has a delayed removal pending. Repair and
@@ -139,11 +210,20 @@ func (n *Node) doomed(k keys.Key) bool {
 	return ok
 }
 
-// forwardToReplicas sends the request to the r-1 successors, best effort.
-// ctx carries the caller's trace position so replica writes appear as
-// children of the primary's handler span (it never carries cancellation —
-// handlers run under background-derived contexts).
-func (n *Node) forwardToReplicas(ctx context.Context, req transport.Message) {
+// replicate runs local — this node's own store step — while fwd, when
+// non-nil, goes to the r-1 successors in parallel, and returns once all of
+// them have finished: the three fsyncs of a replicated write overlap
+// instead of queueing. Forwards are best effort: a failure is counted in
+// d2_node_replica_forward_errors_total and logged with the peer's
+// address, and repair restores the copy. ctx carries the caller's trace
+// position so replica writes appear as children of the primary's handler
+// span (it never carries cancellation — handlers run under
+// background-derived contexts).
+func (n *Node) replicate(ctx context.Context, fwd transport.Message, local func()) {
+	if fwd == nil {
+		local()
+		return
+	}
 	n.mu.Lock()
 	targets := make([]transport.PeerInfo, 0, n.cfg.Replicas-1)
 	for _, p := range n.succs {
@@ -158,9 +238,20 @@ func (n *Node) forwardToReplicas(ctx context.Context, req transport.Message) {
 	n.mu.Unlock()
 	ctx, cancel := context.WithTimeout(ctx, 10*time.Second)
 	defer cancel()
+	var wg sync.WaitGroup
 	for _, p := range targets {
-		_, _ = n.call(ctx, p.Addr, req)
+		wg.Add(1)
+		go func(to transport.Addr) {
+			defer wg.Done()
+			if _, err := n.call(ctx, to, fwd); err != nil {
+				n.metrics.forwardErrors.Inc()
+				n.events.LogCtx(ctx, obs.LevelWarn, "replica.forward_error",
+					"peer", to, "rpc", transport.RPCName(fwd), "err", err.Error())
+			}
+		}(p.Addr)
 	}
+	local()
+	wg.Wait()
 }
 
 // handleSplit returns the byte-median of this node's primary range, so a
@@ -205,26 +296,59 @@ func (n *Node) handleSplit(ctx context.Context) transport.Message {
 	return &transport.SplitResp{Ok: true, Median: m}
 }
 
-// handleRange lists (or ships) the blocks in an arc.
+// handleRange lists (or ships) the blocks in an arc. The listing walks
+// index metadata only; payloads are read, one block at a time, only when
+// the caller asked for data.
 func (n *Node) handleRange(r *transport.RangeReq) transport.Message {
-	items := n.st.Arc(r.Lo, r.Hi)
 	resp := &transport.RangeResp{}
-	for _, it := range items {
-		if it.Block.IsPointer() && !r.WithPointers {
-			continue
+	n.st.ArcVisit(r.Lo, r.Hi, func(k keys.Key, m store.Meta) bool {
+		if m.IsPointer() && !r.WithPointers {
+			return true
 		}
-		out := transport.RangeItem{Key: it.Key, Size: it.Block.Size}
-		if it.Block.IsPointer() {
-			out.Pointer = it.Block.Pointer
-		} else if r.WithData {
-			out.Data = it.Block.Data
-		}
-		resp.Items = append(resp.Items, out)
-		if r.Limit > 0 && len(resp.Items) >= r.Limit {
-			break
+		resp.Items = append(resp.Items, transport.RangeItem{Key: k, Size: m.Size, Pointer: m.Pointer})
+		return r.Limit <= 0 || len(resp.Items) < r.Limit
+	})
+	if r.WithData {
+		for i := range resp.Items {
+			it := &resp.Items[i]
+			if b, ok := n.st.Get(it.Key); ok && !b.IsPointer() {
+				it.Data = b.Data
+			}
 		}
 	}
 	return resp
+}
+
+// dataKeys returns the keys of the data blocks (pointers excluded) held in
+// the arc (lo, hi] that satisfy keep (nil keeps all) — from index metadata
+// alone, so the maintenance rounds never hold more than one payload at a
+// time.
+func (n *Node) dataKeys(lo, hi keys.Key, keep func(keys.Key) bool) []keys.Key {
+	var ks []keys.Key
+	n.st.ArcVisit(lo, hi, func(k keys.Key, m store.Meta) bool {
+		if !m.IsPointer() && (keep == nil || keep(k)) {
+			ks = append(ks, k)
+		}
+		return true
+	})
+	return ks
+}
+
+// pushBlock sends this node's copy of k to a peer, reporting whether it
+// was delivered. A block that has vanished, turned into a pointer or been
+// doomed since it was listed is not sent.
+func (n *Node) pushBlock(ctx context.Context, to transport.Addr, k keys.Key, replicate bool) bool {
+	if n.doomed(k) {
+		return false
+	}
+	b, ok := n.st.Get(k)
+	if !ok || b.IsPointer() {
+		return false
+	}
+	_, err := transport.Expect[*transport.PutResp](n.call(ctx, to, &transport.PutReq{
+		Key: k, Data: b.Data, Replicate: replicate,
+	}))
+	return err == nil
 }
 
 // repair runs one replica-maintenance round:
@@ -251,11 +375,11 @@ func (n *Node) repair() {
 	// smaller than the replication target, e.g. after churn) plus blocks
 	// we could not confirm on a successor this round. The gauge feeds the
 	// health engine's replica_deficit check.
-	primary := n.st.Arc(pred.ID, self.ID)
-	primaryData := 0
-	for _, it := range primary {
-		if !it.Block.IsPointer() && !n.doomed(it.Key) {
-			primaryData++
+	primary := n.dataKeys(pred.ID, self.ID, nil)
+	live := primary[:0]
+	for _, k := range primary {
+		if !n.doomed(k) {
+			live = append(live, k)
 		}
 	}
 	desired := n.cfg.Replicas - 1
@@ -263,9 +387,9 @@ func (n *Node) repair() {
 	if replicas > len(succs) {
 		replicas = len(succs)
 	}
-	deficit := int64(desired-replicas) * int64(primaryData)
+	deficit := int64(desired-replicas) * int64(len(live))
 	for i := 0; i < replicas; i++ {
-		deficit += n.pushMissing(ctx, succs[i], pred.ID, self.ID, primary)
+		deficit += n.pushMissing(ctx, succs[i], pred.ID, self.ID, live)
 	}
 	n.metrics.replicaDeficit.Set(deficit)
 
@@ -278,40 +402,29 @@ func (n *Node) repair() {
 	n.handOffOutside(ctx, lo, self.ID)
 }
 
-// pushMissing ships the primary blocks the target lacks in (lo, hi]. It
-// returns the number of data blocks it could not confirm on the target
-// this round (unreachable target counts every block: the replica may be
+// pushMissing ships the primary data blocks ks of (lo, hi] that the target
+// lacks. It returns the number it could not confirm on the target this
+// round (an unreachable target counts every block: the replica may be
 // gone), feeding repair's deficit gauge.
-func (n *Node) pushMissing(ctx context.Context, target transport.PeerInfo, lo, hi keys.Key, items []storeItem) int64 {
+func (n *Node) pushMissing(ctx context.Context, target transport.PeerInfo, lo, hi keys.Key, ks []keys.Key) int64 {
 	if target.Addr == n.tr.Addr() {
 		return 0
-	}
-	countData := func() int64 {
-		var c int64
-		for _, it := range items {
-			if !it.Block.IsPointer() && !n.doomed(it.Key) {
-				c++
-			}
-		}
-		return c
 	}
 	resp, err := transport.Expect[*transport.RangeResp](
 		n.call(ctx, target.Addr, &transport.RangeReq{Lo: lo, Hi: hi}))
 	if err != nil {
-		return countData()
+		return int64(len(ks))
 	}
 	have := make(map[keys.Key]bool, len(resp.Items))
 	for _, it := range resp.Items {
 		have[it.Key] = true
 	}
 	var missing int64
-	for _, it := range items {
-		if it.Block.IsPointer() || have[it.Key] || n.doomed(it.Key) {
+	for _, k := range ks {
+		if have[k] || n.doomed(k) {
 			continue
 		}
-		if _, err := transport.Expect[*transport.PutResp](n.call(ctx, target.Addr, &transport.PutReq{
-			Key: it.Key, Data: it.Block.Data,
-		})); err == nil {
+		if n.pushBlock(ctx, target.Addr, k, false) {
 			n.metrics.repairPushes.Inc()
 		} else {
 			missing++
@@ -319,9 +432,6 @@ func (n *Node) pushMissing(ctx context.Context, target transport.PeerInfo, lo, h
 	}
 	return missing
 }
-
-// storeItem aliases the store scan item for signatures here.
-type storeItem = store.Item
 
 // replicaRangeStart returns the lower bound of the keys this node should
 // hold. We replicate for any owner among our r-1 predecessors, and an
@@ -359,19 +469,17 @@ func (n *Node) replicaRangeStart(ctx context.Context) (keys.Key, bool) {
 // handOffOutside pushes blocks outside (lo, hi] to their primary owner and
 // drops the local copy once delivered.
 func (n *Node) handOffOutside(ctx context.Context, lo, hi keys.Key) {
-	all := n.st.Arc(hi, hi) // whole store in key order
-	for _, it := range all {
-		if it.Key.Between(lo, hi) || it.Block.IsPointer() || n.doomed(it.Key) {
+	// hi..hi is the whole store in key order.
+	for _, k := range n.dataKeys(hi, hi, func(k keys.Key) bool { return !k.Between(lo, hi) }) {
+		if n.doomed(k) {
 			continue
 		}
-		owner, _, err := n.Lookup(ctx, it.Key)
+		owner, _, err := n.Lookup(ctx, k)
 		if err != nil || owner.Addr == n.tr.Addr() {
 			continue
 		}
-		if _, err := transport.Expect[*transport.PutResp](n.call(ctx, owner.Addr, &transport.PutReq{
-			Key: it.Key, Data: it.Block.Data, Replicate: true,
-		})); err == nil {
-			n.st.Delete(it.Key)
+		if n.pushBlock(ctx, owner.Addr, k, true) {
+			n.st.Delete(k)
 			n.metrics.handoffs.Inc()
 		}
 	}

@@ -29,12 +29,27 @@ import (
 //     pass; payload reads never race a close because files are closed
 //     under the write lock.
 
-// maybeCheckpoint starts a background checkpoint when the WAL has grown
-// past the configured threshold and none is already running.
-func (s *Store) maybeCheckpoint(walSize int64) {
-	if walSize < s.opt.CheckpointBytes {
-		return
+// checkpointDue reports whether a checkpoint would pay for itself: the WAL
+// has passed the configured size and at least half of what the log files
+// hold is dead (superseded or deleted records). A checkpoint copies every
+// live byte, so one that reclaims less than it copies only doubles the
+// store's disk and write load while it runs — on a node that is written
+// once and rarely overwritten, every CheckpointBytes of new data used to
+// rewrite everything already stored. Recovery loses nothing by waiting:
+// it replays the same live records from a WAL as from a segment. The
+// caller holds mu.
+func (s *Store) checkpointDue() bool {
+	if s.w.off < s.opt.CheckpointBytes {
+		return false
 	}
+	entries, bytes := s.Footprint()
+	live := bytes + int64(entries)*putPayloadOff
+	return s.segBytes+s.w.off >= 2*live
+}
+
+// startCheckpoint runs a checkpoint in the background unless one is
+// already running.
+func (s *Store) startCheckpoint() {
 	if !s.ckptRunning.CompareAndSwap(false, true) {
 		return
 	}

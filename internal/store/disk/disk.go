@@ -20,6 +20,7 @@
 package disk
 
 import (
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -43,8 +44,9 @@ type Options struct {
 	// FsyncInterval is the timer period under FsyncInterval (default
 	// 100 ms).
 	FsyncInterval time.Duration
-	// CheckpointBytes is the WAL size that triggers a background
-	// checkpoint (default 64 MiB).
+	// CheckpointBytes is the WAL size from which a background checkpoint
+	// may run (default 64 MiB); it runs once at least half of what the log
+	// files hold is dead, see checkpointDue.
 	CheckpointBytes int64
 	// StallThreshold is how long a commit may wait for its fsync before
 	// it counts as a WAL stall (default 100 ms) — the signal behind the
@@ -120,6 +122,7 @@ type Store struct {
 
 var _ store.Engine = (*Store)(nil)
 var _ store.IdentityStore = (*Store)(nil)
+var _ store.BatchPutter = (*Store)(nil)
 
 // Open loads (or initializes) the engine at dir: read the MANIFEST,
 // delete orphans from interrupted checkpoints, replay the newest segment
@@ -400,20 +403,28 @@ func (s *Store) putBuf(b []byte) {
 	s.encPool.Put(&b)
 }
 
-// logTx is handed to a logged mutation: its log method appends one
-// record to the active WAL.
+// ErrClosed reports a write to an engine that has been closed.
+var ErrClosed = errors.New("disk: store is closed")
+
+// logTx is handed to a logged mutation: its log method appends records to
+// the active WAL.
 type logTx struct {
 	s   *Store
 	w   *walWriter // writer and commit sequence of the last record logged
 	seq uint64
+	err error // first failed append
 }
 
-// log appends rec to the active WAL, returning the record's start offset.
-// A failed append is counted and reported as ok=false.
-func (tx *logTx) log(rec []byte) (start int64, ok bool) {
-	start, seq, err := tx.s.w.append(rec)
+// log appends recs — n framed records back to back — to the active WAL
+// with one write, returning the first record's start offset. A failed
+// append is counted, kept in tx.err and reported as ok=false.
+func (tx *logTx) log(recs []byte, n int) (start int64, ok bool) {
+	start, seq, err := tx.s.w.append(recs, n)
 	if err != nil {
 		tx.s.m.walErrors.Inc()
+		if tx.err == nil {
+			tx.err = fmt.Errorf("disk: wal append: %w", err)
+		}
 		return 0, false
 	}
 	tx.w, tx.seq = tx.s.w, seq
@@ -423,38 +434,80 @@ func (tx *logTx) log(rec []byte) (start int64, ok bool) {
 // logged is the engine's one write path. Under the write lock, on an open
 // store, apply decides whether the mutation takes effect, logs its
 // record(s) through tx and changes the index; then — outside the lock —
-// buf (the record's encode buffer) is recycled and the caller waits for
-// the group commit covering the last record logged. A closed store runs
-// nothing.
-func (s *Store) logged(buf []byte, apply func(tx *logTx)) {
+// buf (the records' encode buffer) is recycled and the caller waits for
+// the group commit covering the last record logged. It returns the first
+// append or fsync failure, or ErrClosed from a closed store, which runs
+// nothing. The single-key mutators drop that error — store.Engine gives
+// them no way to return it, and it is counted in
+// d2_store_wal_errors_total; PutBatch returns it.
+func (s *Store) logged(buf []byte, apply func(tx *logTx)) error {
 	tx := logTx{s: s}
-	var walSize int64
+	var ckpt bool
 	s.mu.Lock()
-	if !s.closed {
+	if s.closed {
+		tx.err = ErrClosed
+	} else {
 		apply(&tx)
-		walSize = s.w.off
+		ckpt = s.checkpointDue()
 	}
 	s.mu.Unlock()
 	s.putBuf(buf)
 	if tx.w != nil {
-		_ = tx.w.wait(tx.seq)
-		s.maybeCheckpoint(walSize)
+		if err := tx.w.wait(tx.seq); err != nil && tx.err == nil {
+			tx.err = fmt.Errorf("disk: wal fsync: %w", err)
+		}
+		if ckpt {
+			s.startCheckpoint()
+		}
 	}
+	return tx.err
 }
 
 // Put stores block data, replacing any previous entry. The record is in
 // the WAL — and, under FsyncAlways, fsynced — before Put returns; from
 // then on the payload is served from the log file at that offset.
 func (s *Store) Put(k keys.Key, data []byte, ttl time.Duration, now time.Time) {
+	_ = s.PutBatch([]keys.Key{k}, [][]byte{data}, ttl, now)
+}
+
+// PutBatch stores a batch of blocks as one step: every record is encoded
+// into one buffer, appended to the WAL with one write under one lock
+// hold, and covered by one group-commit wait and one checkpoint check —
+// where the same blocks put one by one pay each of those per block. The
+// records are ordinary opPut records, so a batch torn by a crash replays
+// to its intact prefix. A failed append indexes nothing; either failure
+// is returned, so the caller can refuse to acknowledge the batch.
+func (s *Store) PutBatch(ks []keys.Key, data [][]byte, ttl time.Duration, now time.Time) error {
+	if len(ks) != len(data) {
+		return fmt.Errorf("disk: PutBatch: %d keys, %d payloads", len(ks), len(data))
+	}
+	if len(ks) == 0 {
+		return nil
+	}
 	expires := store.Deadline(ttl, now)
-	rec := appendPut(s.getBuf(), k, expires, data)
-	s.logged(rec, func(tx *logTx) {
-		if start, ok := tx.log(rec); ok {
+	size := 0
+	for _, d := range data {
+		size += putPayloadOff + len(d)
+	}
+	recs := s.getBuf()
+	if cap(recs) < size {
+		recs = make([]byte, 0, size)
+	}
+	for i, k := range ks {
+		recs = appendPut(recs, k, expires, data[i])
+	}
+	return s.logged(recs, func(tx *logTx) {
+		start, ok := tx.log(recs, len(ks))
+		if !ok {
+			return
+		}
+		for i, k := range ks {
 			s.Set(k, &entry{
-				Payload: loc{s.w.seq, start + putPayloadOff, uint32(len(data))},
-				Size:    int64(len(data)),
+				Payload: loc{s.w.seq, start + putPayloadOff, uint32(len(data[i]))},
+				Size:    int64(len(data[i])),
 				Expires: expires,
 			})
+			start += putPayloadOff + int64(len(data[i]))
 		}
 	})
 }
@@ -463,11 +516,11 @@ func (s *Store) Put(k keys.Key, data []byte, ttl time.Duration, now time.Time) {
 func (s *Store) PutPointer(k keys.Key, target transport.Addr, size int64, now time.Time) {
 	since := now.UnixNano()
 	rec := appendPointer(s.getBuf(), k, target, size, since)
-	s.logged(rec, func(tx *logTx) {
+	_ = s.logged(rec, func(tx *logTx) {
 		if !s.AdmitsPointer(k) {
 			return
 		}
-		if _, ok := tx.log(rec); ok {
+		if _, ok := tx.log(rec, 1); ok {
 			s.Set(k, &entry{Size: size, Pointer: target, PointerSince: since})
 		}
 	})
@@ -478,9 +531,9 @@ func (s *Store) PutPointer(k keys.Key, target transport.Addr, size int64, now ti
 // infallible); a WAL error is surfaced through d2_store_wal_errors_total.
 func (s *Store) Delete(k keys.Key) (had bool) {
 	rec := appendDelete(s.getBuf(), k)
-	s.logged(rec, func(tx *logTx) {
+	_ = s.logged(rec, func(tx *logTx) {
 		if had = s.Drop(k); had {
-			tx.log(rec)
+			tx.log(rec, 1)
 		}
 	})
 	return had
@@ -490,12 +543,12 @@ func (s *Store) Delete(k keys.Key) (had bool) {
 func (s *Store) Refresh(k keys.Key, ttl time.Duration, now time.Time) (found bool) {
 	expires := store.Deadline(ttl, now)
 	rec := appendRefresh(s.getBuf(), k, expires)
-	s.logged(rec, func(tx *logTx) {
+	_ = s.logged(rec, func(tx *logTx) {
 		var e *entry
 		if e, found = s.Peek(k); !found {
 			return
 		}
-		if _, ok := tx.log(rec); ok {
+		if _, ok := tx.log(rec, 1); ok {
 			s.Retime(e, expires)
 		}
 	})
@@ -506,12 +559,12 @@ func (s *Store) Refresh(k keys.Key, ttl time.Duration, now time.Time) (found boo
 // The whole sweep shares one group-commit wait.
 func (s *Store) SweepExpired(now time.Time) (n int) {
 	rec := s.getBuf()
-	s.logged(rec, func(tx *logTx) {
+	_ = s.logged(rec, func(tx *logTx) {
 		dead := s.Expired(now.UnixNano())
 		for _, k := range dead {
 			s.Drop(k)
 			rec = appendDelete(rec[:0], k)
-			tx.log(rec)
+			tx.log(rec, 1)
 		}
 		n = len(dead)
 	})

@@ -15,6 +15,9 @@ type metrics struct {
 	walStalls  *obs.Counter   // d2_store_wal_stalls_total: commits that waited ≥ the stall threshold for their fsync
 	walErrors  *obs.Counter   // d2_store_wal_errors_total: append or fsync IO failures
 	fsyncNs    *obs.Histogram // d2_store_wal_fsync_ns
+	// d2_store_group_commit_records: records made durable per fsync — 1
+	// when every write pays its own, the batch size under MultiPut.
+	groupCommit *obs.Histogram
 
 	checkpoints *obs.Counter // d2_store_checkpoints_total
 	ckptErrors  *obs.Counter // d2_store_checkpoint_errors_total
@@ -61,6 +64,7 @@ func newMetrics(reg *obs.Registry, s *Store) *metrics {
 		walStalls:   reg.Counter("d2_store_wal_stalls_total"),
 		walErrors:   reg.Counter("d2_store_wal_errors_total"),
 		fsyncNs:     reg.Histogram("d2_store_wal_fsync_ns", obs.LatencyBuckets),
+		groupCommit: reg.Histogram("d2_store_group_commit_records", obs.CountBuckets),
 		checkpoints: reg.Counter("d2_store_checkpoints_total"),
 		ckptErrors:  reg.Counter("d2_store_checkpoint_errors_total"),
 		readErrors:  reg.Counter("d2_store_read_errors_total"),

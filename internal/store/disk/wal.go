@@ -60,50 +60,61 @@ func appendHeader(b []byte, magic [8]byte, seq uint64) []byte {
 	return wire.AppendU64(b, seq)
 }
 
-// appendRecord frames body (already op-encoded) as a record.
-func appendRecord(b, body []byte) []byte {
-	b = wire.AppendU32(b, uint32(len(body)))
-	b = wire.AppendU32(b, wire.Checksum(body))
-	return append(b, body...)
+// beginRecord reserves a record's length + CRC prefix at the end of b and
+// returns where it sits; the caller appends the body and calls endRecord.
+// Records are encoded in place, so a batch of puts costs one buffer and
+// one copy of each payload.
+func beginRecord(b []byte) ([]byte, int) {
+	at := len(b)
+	return append(b, make([]byte, recHeadSize)...), at
+}
+
+// endRecord fills in the prefix of the record begun at offset at, whose
+// body is everything appended since.
+func endRecord(b []byte, at int) []byte {
+	body := b[at+recHeadSize:]
+	wire.PutU32(b, at, uint32(len(body)))
+	wire.PutU32(b, at+4, wire.Checksum(body))
+	return b
 }
 
 // appendPut appends an opPut record for k.
 func appendPut(b []byte, k keys.Key, expires int64, data []byte) []byte {
-	body := make([]byte, 0, 1+keys.Size+8+4+len(data))
-	body = wire.AppendU8(body, opPut)
-	body = append(body, k[:]...)
-	body = wire.AppendU64(body, uint64(expires))
-	body = wire.AppendU32(body, uint32(len(data)))
-	body = append(body, data...)
-	return appendRecord(b, body)
+	b, at := beginRecord(b)
+	b = wire.AppendU8(b, opPut)
+	b = append(b, k[:]...)
+	b = wire.AppendU64(b, uint64(expires))
+	b = wire.AppendU32(b, uint32(len(data)))
+	b = append(b, data...)
+	return endRecord(b, at)
 }
 
 // appendPointer appends an opPointer record for k.
 func appendPointer(b []byte, k keys.Key, target transport.Addr, size, since int64) []byte {
-	body := make([]byte, 0, 1+keys.Size+8+8+2+len(target))
-	body = wire.AppendU8(body, opPointer)
-	body = append(body, k[:]...)
-	body = wire.AppendI64(body, size)
-	body = wire.AppendI64(body, since)
-	body = wire.AppendShortString(body, string(target))
-	return appendRecord(b, body)
+	b, at := beginRecord(b)
+	b = wire.AppendU8(b, opPointer)
+	b = append(b, k[:]...)
+	b = wire.AppendI64(b, size)
+	b = wire.AppendI64(b, since)
+	b = wire.AppendShortString(b, string(target))
+	return endRecord(b, at)
 }
 
 // appendDelete appends an opDelete record for k.
 func appendDelete(b []byte, k keys.Key) []byte {
-	body := make([]byte, 0, 1+keys.Size)
-	body = wire.AppendU8(body, opDelete)
-	body = append(body, k[:]...)
-	return appendRecord(b, body)
+	b, at := beginRecord(b)
+	b = wire.AppendU8(b, opDelete)
+	b = append(b, k[:]...)
+	return endRecord(b, at)
 }
 
 // appendRefresh appends an opRefresh record for k.
 func appendRefresh(b []byte, k keys.Key, expires int64) []byte {
-	body := make([]byte, 0, 1+keys.Size+8)
-	body = wire.AppendU8(body, opRefresh)
-	body = append(body, k[:]...)
-	body = wire.AppendU64(body, uint64(expires))
-	return appendRecord(b, body)
+	b, at := beginRecord(b)
+	b = wire.AppendU8(b, opRefresh)
+	b = append(b, k[:]...)
+	b = wire.AppendU64(b, uint64(expires))
+	return endRecord(b, at)
 }
 
 // record is one decoded log record.
@@ -185,13 +196,20 @@ func ParseFsyncPolicy(s string) (FsyncPolicy, error) {
 	return 0, fmt.Errorf("disk: unknown fsync policy %q (want always, interval, or never)", s)
 }
 
+// logFile is what the WAL writer needs of its file. The engine hands it an
+// *os.File; tests substitute one whose writes or fsyncs fail.
+type logFile interface {
+	WriteAt(p []byte, off int64) (int, error)
+	Sync() error
+}
+
 // walWriter appends records to the active WAL file and runs the
 // group-commit fsync machinery. Appends are serialized by the store's
 // write lock; the commit state below has its own lock so waiters never
 // hold up appenders.
 type walWriter struct {
 	seq uint64
-	f   *os.File
+	f   logFile
 	off int64
 
 	policy      FsyncPolicy
@@ -232,18 +250,22 @@ func newWALWriter(f *os.File, seq uint64, off int64, policy FsyncPolicy, interva
 	return w
 }
 
-// append writes one framed record, returning its start offset and commit
-// sequence number. The caller must hold the store's write lock.
-func (w *walWriter) append(rec []byte) (start int64, seq uint64, err error) {
+// append writes recs — n framed records back to back — with one write,
+// returning the first record's start offset and the last one's commit
+// sequence number. The write lands at the writer's own offset, so a
+// failed or short write moves nothing: the next append overwrites the
+// torn bytes, and until then replay stops at them. The caller must hold
+// the store's write lock.
+func (w *walWriter) append(recs []byte, n int) (start int64, seq uint64, err error) {
 	start = w.off
-	if _, err = w.f.Write(rec); err != nil {
+	if _, err = w.f.WriteAt(recs, start); err != nil {
 		return 0, 0, err
 	}
-	w.off += int64(len(rec))
-	w.m.walAppends.Inc()
-	w.m.walBytes.Add(uint64(len(rec)))
+	w.off += int64(len(recs))
+	w.m.walAppends.Add(uint64(n))
+	w.m.walBytes.Add(uint64(len(recs)))
 	w.mu.Lock()
-	w.appended++
+	w.appended += uint64(n)
 	seq = w.appended
 	w.mu.Unlock()
 	return start, seq, nil
@@ -261,7 +283,11 @@ func (w *walWriter) wait(seq uint64) error {
 	}
 	start := time.Now()
 	w.mu.Lock()
-	for w.synced < seq && w.syncErr == nil && !w.closing {
+	// A writer being closed (shutdown, or a checkpoint rotating the log)
+	// still fsyncs everything appended to it, so waiting on synced alone
+	// is enough — and returning at the close signal would acknowledge a
+	// record before that last fsync.
+	for w.synced < seq && w.syncErr == nil {
 		w.cond.Wait()
 	}
 	err := w.syncErr
@@ -327,6 +353,7 @@ func (w *walWriter) syncTo(target uint64) {
 		w.m.walErrors.Inc()
 	}
 	if target > w.synced {
+		w.m.groupCommit.Observe(int64(target - w.synced))
 		w.synced = target
 	}
 	w.cond.Broadcast()

@@ -126,6 +126,12 @@ func (ix *Index[P]) Retime(e *Entry[P], expires int64) {
 	e.Expires = expires
 }
 
+// Footprint returns the entry count and the data bytes stored, for an
+// engine that already holds mu (Len and Bytes take it themselves).
+func (ix *Index[P]) Footprint() (entries int, bytes int64) {
+	return ix.tree.Len(), ix.bytes
+}
+
 // Expired returns the keys whose TTL deadline passed before now. When no
 // live entry carries a TTL the scan is skipped entirely.
 func (ix *Index[P]) Expired(now int64) []keys.Key {

@@ -91,7 +91,7 @@ func runParity(t *testing.T, seed int64) {
 				results[i] = fn(e)
 			}
 		}
-		switch r := rng.Intn(10); {
+		switch r := rng.Intn(11); {
 		case r < 3:
 			data := make([]byte, rng.Intn(64))
 			rng.Read(data)
@@ -118,9 +118,26 @@ func runParity(t *testing.T, seed int64) {
 			ttl := time.Duration(rng.Intn(3)) * time.Minute
 			op = fmt.Sprintf("Refresh(%s, %v)", name(k), ttl)
 			each(func(e counted) any { return e.Refresh(k, ttl, now) })
-		default:
+		case r < 10:
 			op = "SweepExpired"
 			each(func(e counted) any { return e.SweepExpired(now) })
+		default:
+			// A batch through the optional BatchPutter path (the disk
+			// engine's one-append PutBatch) and the per-block fallback (the
+			// memory engine) must leave the same state — a repeated key
+			// included, where the later block wins.
+			n := 1 + rng.Intn(4)
+			bks, data := make([]keys.Key, n), make([][]byte, n)
+			for i := range bks {
+				bks[i], data[i] = key(), make([]byte, rng.Intn(64))
+				rng.Read(data[i])
+			}
+			var ttl time.Duration
+			if rng.Intn(2) == 0 {
+				ttl = time.Duration(1+rng.Intn(120)) * time.Second
+			}
+			op = fmt.Sprintf("PutBatch(%d blocks from %s, ttl %v)", n, name(bks[0]), ttl)
+			each(func(e counted) any { return store.PutBatch(e, bks, data, ttl, now) })
 		}
 		if rng.Intn(8) == 0 {
 			if rng.Intn(2) == 0 {

@@ -124,6 +124,29 @@ type Engine interface {
 	Close() error
 }
 
+// BatchPutter is implemented by engines that can store a batch of blocks
+// as one step and say whether it worked: the disk engine appends the
+// whole batch to its log with one write and waits for one fsync, and —
+// unlike Engine.Put, whose signature carries no error — reports a failed
+// append or fsync, so the node can refuse to acknowledge the batch. ks
+// and data are parallel and applied in order; the engine may retain the
+// data slices.
+type BatchPutter interface {
+	PutBatch(ks []keys.Key, data [][]byte, ttl time.Duration, now time.Time) error
+}
+
+// PutBatch stores a batch through e's BatchPutter when it is one, and
+// with one Put per block otherwise (which cannot fail visibly).
+func PutBatch(e Engine, ks []keys.Key, data [][]byte, ttl time.Duration, now time.Time) error {
+	if bp, ok := e.(BatchPutter); ok {
+		return bp.PutBatch(ks, data, ttl, now)
+	}
+	for i, k := range ks {
+		e.Put(k, data[i], ttl, now)
+	}
+	return nil
+}
+
 // IdentityStore is implemented by engines that can persist the node's
 // ring identity alongside its blocks, so a restarted node rejoins with
 // its old arc intact. The node saves its ID at startup and after every

@@ -186,6 +186,10 @@ func TestArcVisit(t *testing.T) {
 		if ks, _ := collect(k(45), k(25)); len(ks) != 4 || ks[0] != k(50) || ks[3] != k(20) {
 			t.Fatalf("wrap visit = %v", ks)
 		}
+		// lo == MaxKey: (MaxKey, 25] is [Zero, 25] → 10, 20, each once.
+		if ks, _ := collect(keys.MaxKey, k(25)); len(ks) != 2 || ks[0] != k(10) || ks[1] != k(20) {
+			t.Fatalf("visit from MaxKey = %v", ks)
+		}
 		// Early termination: fn returning false stops the walk.
 		n := 0
 		s.ArcVisit(k(10), k(10), func(keys.Key, store.Meta) bool {

@@ -111,6 +111,8 @@ const (
 	tHealthResp
 	tCensusReq
 	tCensusResp
+	tMultiPutReq
+	tMultiPutResp
 	numWireTypes
 )
 
@@ -191,6 +193,10 @@ func wireType(m Message) byte {
 		return tCensusReq
 	case *CensusResp:
 		return tCensusResp
+	case *MultiPutReq:
+		return tMultiPutReq
+	case *MultiPutResp:
+		return tMultiPutResp
 	default:
 		return tInvalid
 	}
@@ -210,6 +216,7 @@ var borrows = [numWireTypes]bool{
 	tStatsResp:      true,
 	tHealthResp:     true,
 	tCensusResp:     true,
+	tMultiPutReq:    true,
 }
 
 // --- message struct pools ---
@@ -256,6 +263,8 @@ var msgPools = [numWireTypes]*sync.Pool{
 	tHealthResp:     {New: func() any { return new(HealthResp) }},
 	tCensusReq:      {New: func() any { return new(CensusReq) }},
 	tCensusResp:     {New: func() any { return new(CensusResp) }},
+	tMultiPutReq:    {New: func() any { return new(MultiPutReq) }},
+	tMultiPutResp:   {New: func() any { return new(MultiPutResp) }},
 }
 
 // recycleMessage returns a decoded message struct to its type pool. Safe
@@ -264,6 +273,11 @@ var msgPools = [numWireTypes]*sync.Pool{
 // the next use.
 func recycleMessage(m Message) {
 	if t := wireType(m); t != tInvalid {
+		if t == tMultiPutReq {
+			// Drop the payload aliases now: a pooled struct would otherwise
+			// pin its whole frame buffer until it is reused.
+			clear(m.(*MultiPutReq).Data)
+		}
 		msgPools[t].Put(m)
 	}
 }
@@ -350,8 +364,19 @@ type frameEncoder struct {
 
 var encPool = sync.Pool{New: func() any { return new(frameEncoder) }}
 
-func getEncoder() *frameEncoder  { return encPool.Get().(*frameEncoder) }
-func putEncoder(e *frameEncoder) { encPool.Put(e) }
+func getEncoder() *frameEncoder { return encPool.Get().(*frameEncoder) }
+
+// putEncoder recycles an encoder once its frame is written. The borrowed
+// payload slices are dropped first so the pool does not pin them, and an
+// encoder whose buffer one giant frame grew is not kept.
+func putEncoder(e *frameEncoder) {
+	clear(e.pays)
+	clear(e.iov)
+	e.out = nil
+	if cap(e.buf) <= maxPooledBuf {
+		encPool.Put(e)
+	}
+}
 
 // blob appends a u32-length-prefixed payload, vectoring large slices.
 func (e *frameEncoder) blob(p []byte) {
@@ -469,7 +494,8 @@ func (e *frameEncoder) body(typ byte, m Message) {
 	b := e.buf
 	switch typ {
 	case tPingReq, tNeighborsReq, tNotifyResp, tPutResp, tRemoveResp,
-		tLoadReq, tSplitReq, tPutPtrResp, tStatsReq, tHealthReq, tCensusReq:
+		tLoadReq, tSplitReq, tPutPtrResp, tStatsReq, tHealthReq, tCensusReq,
+		tMultiPutResp:
 		return // empty bodies
 	case tPingResp:
 		v := m.(*PingResp)
@@ -571,6 +597,19 @@ func (e *frameEncoder) body(typ byte, m Message) {
 		v := m.(*MultiGetResp)
 		e.buf = wire.AppendU32(b, uint32(len(v.Items)))
 		e.batchItems(v.Items)
+		return
+	case tMultiPutReq:
+		v := m.(*MultiPutReq)
+		b = wire.AppendBool(b, v.Replicate)
+		b = wire.AppendI64(b, v.TTL)
+		// Keys and Data are parallel; a malformed request encodes its
+		// common prefix rather than panicking mid-frame.
+		n := min(len(v.Keys), len(v.Data))
+		e.buf = wire.AppendU32(b, uint32(n))
+		for i := 0; i < n; i++ {
+			e.buf = append(e.buf, v.Keys[i][:]...)
+			e.blob(v.Data[i])
+		}
 		return
 	case tFetchRangeReq:
 		v := m.(*FetchRangeReq)
@@ -767,7 +806,8 @@ func decodeBody(typ byte, r *wire.Reader) Message {
 	m := msgPools[typ].Get().(Message)
 	switch typ {
 	case tPingReq, tNeighborsReq, tNotifyResp, tPutResp, tRemoveResp,
-		tLoadReq, tSplitReq, tPutPtrResp, tStatsReq, tHealthReq, tCensusReq:
+		tLoadReq, tSplitReq, tPutPtrResp, tStatsReq, tHealthReq, tCensusReq,
+		tMultiPutResp:
 		return m
 	case tPingResp:
 		v := m.(*PingResp)
@@ -849,6 +889,17 @@ func decodeBody(typ byte, r *wire.Reader) Message {
 		v := m.(*MultiGetResp)
 		n := r.Count(minBatchItem)
 		v.Items = readBatchItems(r, sliceFor(v.Items, n))
+	case tMultiPutReq:
+		v := m.(*MultiPutReq)
+		v.Replicate = r.Bool()
+		v.TTL = r.I64()
+		n := r.Count(keys.Size + 4)
+		v.Keys = sliceFor(v.Keys, n)
+		v.Data = sliceFor(v.Data, n)
+		for i := range v.Keys {
+			readKey(r, &v.Keys[i])
+			v.Data[i] = r.Bytes()
+		}
 	case tFetchRangeReq:
 		v := m.(*FetchRangeReq)
 		readKey(r, &v.Lo)

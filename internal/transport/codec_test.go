@@ -106,6 +106,12 @@ func sampleMessages() []Message {
 			{Trace: 1, ID: 4, Name: "store.read", Node: "n2", Start: 1050, Dur: 10},
 		}},
 		&ErrResp{Err: "not the owner"},
+		&MultiPutReq{
+			Keys:      []keys.Key{testKey(34), testKey(35), testKey(36)},
+			Data:      [][]byte{[]byte("mp-small"), big, nil},
+			Replicate: true, TTL: 90,
+		},
+		&MultiPutResp{},
 	}
 }
 
@@ -206,6 +212,26 @@ var goldenFrames = []struct {
 		msg:  &ErrResp{Err: "boom"},
 		hex:  "0000002501002101000000000000002a000000000000000000000000000000006e00000004626f6f6d",
 	},
+	{
+		name: "MultiPutReq",
+		msg: &MultiPutReq{
+			Keys: []keys.Key{testKey(6), testKey(7)}, Data: [][]byte{[]byte("b1"), []byte("blk2")},
+			Replicate: true, TTL: 60,
+		},
+		hex: "000000b801002601000000000000002a000000000000000000000000000000006e" +
+			"01000000000000003c00000002" +
+			"060708090a0b0c0d0e0f101112131415161718191a1b1c1d1e1f2021222324252627" +
+			"28292a2b2c2d2e2f303132333435363738393a3b3c3d3e3f404142434445" +
+			"000000026231" +
+			"0708090a0b0c0d0e0f101112131415161718191a1b1c1d1e1f202122232425262728" +
+			"292a2b2c2d2e2f303132333435363738393a3b3c3d3e3f40414243444546" +
+			"00000004626c6b32",
+	},
+	{
+		name: "MultiPutResp",
+		msg:  &MultiPutResp{},
+		hex:  "0000001d01002701000000000000002a000000000000000000000000000000006e",
+	},
 }
 
 // TestCodecGoldenV1 checks pinned fixtures; regenerate with -run
@@ -291,6 +317,11 @@ func TestCodecMalformedRejected(t *testing.T) {
 		body := wire.AppendU32(nil, 0xFFFFFFFF)
 		if _, err := decodeMessage(tMultiGetReq, body); !errors.Is(err, wire.ErrMalformed) {
 			t.Fatalf("err = %v", err)
+		}
+		// The same for a MultiPutReq: replicate, TTL, then the count.
+		body = wire.AppendU32(wire.AppendI64(wire.AppendBool(nil, true), 0), 0xFFFFFFFF)
+		if _, err := decodeMessage(tMultiPutReq, body); !errors.Is(err, wire.ErrMalformed) {
+			t.Fatalf("MultiPutReq: err = %v", err)
 		}
 	})
 	t.Run("non-canonical bool", func(t *testing.T) {

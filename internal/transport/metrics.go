@@ -32,6 +32,7 @@ const (
 	kindTraceFetch
 	kindHealth
 	kindCensus
+	kindMultiPut
 	kindOther
 	numKinds
 )
@@ -40,7 +41,7 @@ var kindNames = [numKinds]string{
 	"ping", "find_succ", "neighbors", "notify", "put", "get",
 	"multi_get", "fetch_range", "remove", "load", "split", "range",
 	"put_ptr", "sample", "stats", "trace_fetch", "health", "census",
-	"other",
+	"multi_put", "other",
 }
 
 // kindOf classifies a request message.
@@ -82,6 +83,8 @@ func kindOf(m Message) rpcKind {
 		return kindHealth
 	case *CensusReq:
 		return kindCensus
+	case *MultiPutReq:
+		return kindMultiPut
 	default:
 		return kindOther
 	}
@@ -109,6 +112,7 @@ var wireKinds = [numWireTypes]rpcKind{
 	tTraceFetchReq: kindTraceFetch, tTraceFetchResp: kindTraceFetch,
 	tHealthReq: kindHealth, tHealthResp: kindHealth,
 	tCensusReq: kindCensus, tCensusResp: kindCensus,
+	tMultiPutReq: kindMultiPut, tMultiPutResp: kindMultiPut,
 	tErrResp: kindOther,
 }
 
@@ -119,6 +123,12 @@ func payloadBytes(m Message) int64 {
 	switch v := m.(type) {
 	case *PutReq:
 		return int64(len(v.Data))
+	case *MultiPutReq:
+		var n int64
+		for _, d := range v.Data {
+			n += int64(len(d))
+		}
+		return n
 	case *GetResp:
 		return int64(len(v.Data))
 	case *MultiGetResp:

@@ -205,6 +205,25 @@ type MultiGetResp struct {
 	pooled bool
 }
 
+// MultiPutReq stores several block replicas on one node in a single RPC —
+// the write-path counterpart of MultiGetReq. The client groups a batch by
+// owner, so a save or a stream batch costs ~one RPC, one WAL append and
+// one fsync per replica instead of one of each per block. Keys and Data
+// are parallel; the blocks are applied in order.
+type MultiPutReq struct {
+	Keys []keys.Key
+	Data [][]byte
+	// Replicate asks the primary to forward the batch to its successors.
+	Replicate bool
+	// TTL is the blocks' lifetime in seconds (0 = no expiry).
+	TTL int64
+}
+
+// MultiPutResp acknowledges a MultiPutReq: every block of the batch is
+// stored as durably as the node's engine promises. A batch the node could
+// not make durable is answered with an ErrResp instead.
+type MultiPutResp struct{}
+
 // FetchRangeReq reads every data block a node holds in the arc (Lo, Hi],
 // the read-path counterpart of RangeReq: it always ships data and reports
 // pointer redirects instead of skipping pointer entries.
@@ -349,6 +368,8 @@ func (*RangeReq) isMessage()       {}
 func (*RangeResp) isMessage()      {}
 func (*MultiGetReq) isMessage()    {}
 func (*MultiGetResp) isMessage()   {}
+func (*MultiPutReq) isMessage()    {}
+func (*MultiPutResp) isMessage()   {}
 func (*FetchRangeReq) isMessage()  {}
 func (*FetchRangeResp) isMessage() {}
 func (*PutPtrReq) isMessage()      {}

@@ -20,9 +20,11 @@
 #                            proving the unsampled path stays
 #                            zero-allocation
 #   scripts/verify.sh wire   wire tier: the binary-codec golden/malformed
-#                            tests and connection-pool robustness tests
-#                            under -race, a short codec fuzz pass, and the
-#                            alloc guard proving the TCP serve path
+#                            tests (MultiPut frames included) and
+#                            connection-pool robustness tests under -race,
+#                            the PutMany/MultiPut ring tests on mem and
+#                            TCP, a short codec fuzz pass, and the alloc
+#                            guard proving the TCP serve path
 #                            (read→decode→handle→encode→writev) stays
 #                            zero-allocation
 #   scripts/verify.sh stream stream tier: the windowed-readahead pipeline
@@ -44,10 +46,14 @@
 #                            gate proving the steady-state sweep tick
 #                            stays zero-allocation
 #   scripts/verify.sh disk   disk tier: the shared-index and durable-
-#                            engine tests under -race (engine parity,
-#                            MedianKey and Refresh hammers, recovery,
-#                            checkpoint, torn tails, the kill -9 process
-#                            e2e), a 10 s crash-loop soak
+#                            engine tests under -race (engine parity
+#                            incl. PutBatch, MedianKey and Refresh
+#                            hammers, recovery, checkpoint, torn tails and
+#                            torn batches, injected WAL write/fsync
+#                            failures, the kill -9 process e2es — single
+#                            puts and mid-MultiPut — and the group-commit
+#                            check on a durable TCP ring), a 10 s
+#                            crash-loop soak
 #                            (repeated recover cycles with checkpoints
 #                            interleaved), a 10 s WAL-replay fuzz pass,
 #                            and the alloc gate proving the indexed read
@@ -88,6 +94,7 @@ fi
 if [ "${1:-}" = "wire" ]; then
 	echo "== wire tier: codec + pool tests under -race"
 	go test -race -run 'Codec|Pool|TCP' ./internal/transport/
+	go test -race -run 'PutMany|MultiPut|PutCancels' ./internal/node/
 	echo "== wire tier: codec fuzz (10s)"
 	go test -run '^$' -fuzz 'FuzzCodecRoundTrip' -fuzztime 10s ./internal/transport/
 	echo "== wire tier: TCP serve-path alloc guard (want 0 allocs/op)"
@@ -157,7 +164,7 @@ fi
 if [ "${1:-}" = "disk" ]; then
 	echo "== disk tier: durable-engine tests under -race (incl. kill -9 e2e)"
 	go test -race ./internal/store/ ./internal/store/disk/
-	go test -race -run 'TestDiskNodeCrashRecovery' .
+	go test -race -run 'TestDiskNodeCrash|TestWritePathGroupsCommits' .
 	echo "== disk tier: 10s crash-loop soak"
 	D2_DISK_SOAK=10s go test -race -run 'TestCrashLoop' ./internal/store/disk/
 	echo "== disk tier: WAL replay fuzz (10s)"
