@@ -558,9 +558,9 @@ func (c *Client) GetMany(ctx context.Context, ks []Key) (map[Key][]byte, error) 
 }
 
 // GetSegment fetches a streaming-read segment: GetMany's owner-grouped
-// batching plus per-key not-found retries tuned for consumers racing
-// churn (a mid-stream node kill re-resolves the moved keys instead of
-// dropping the stream). Volume.ReadStream uses it automatically.
+// batching with a longer retry budget, tuned for consumers racing churn
+// (a mid-stream node kill re-resolves the moved keys instead of dropping
+// the stream). Volume.ReadStream uses it automatically.
 func (c *Client) GetSegment(ctx context.Context, ks []Key) (map[Key][]byte, error) {
 	return c.inner.GetSegment(ctx, ks)
 }

@@ -252,87 +252,31 @@ func (r *streamReader) prefetch() {
 	}
 }
 
-// fetchSegment fills one segment, tracing it as a stream.segment child
-// of the stream's span.
+// fetchSegment fills one window segment for the prefetcher.
 func (r *streamReader) fetchSegment(seg *streamSegment, start, end int) {
 	defer r.wg.Done()
 	defer close(seg.done)
-	sctx, sp := tracing.ChildSpan(r.ctx, "stream.segment")
+	seg.err = r.fill(seg, start, end)
+	r.ready.Add(1)
+}
+
+// fill fetches content blocks [start, end) into seg.buf, in order, traced
+// as a stream.segment child of the stream's span.
+func (r *streamReader) fill(seg *streamSegment, start, end int) error {
+	ctx, sp := tracing.ChildSpan(r.ctx, "stream.segment")
 	if sp != nil {
 		sp.Annotate("first_block", start+1, "blocks", end-start)
 	}
-	seg.err = r.v.fillSegment(sctx, r.cur, &r.ino, seg, start, end)
-	r.ready.Add(1)
-	sp.EndErr(seg.err)
-}
-
-// fillSegment fetches content blocks [start, end) into seg.buf, in
-// order. Pending writes and the read cache are consulted (read-your-
-// writes), but fetched blocks deliberately do NOT enter the read cache:
-// a multi-GB stream must not evict the hot metadata working set (§3's
-// cache exists for repeat reads, not one-pass scans).
-func (v *Volume) fillSegment(ctx context.Context, cur pathCursor, ino *Inode, seg *streamSegment, start, end int) error {
-	n := end - start
-	var (
-		need []keys.Key
-		pos  []int // block index (file-wide) per needed key
-	)
-	fill := func(i int, data []byte) error {
-		if contentHash(data) != ino.BlockHashes[i] {
-			return fmt.Errorf("%w: block %d", ErrIntegrity, i+1)
-		}
+	err := r.v.fetchBlocks(ctx, r.cur, &r.ino, start, end, true, func(i int, data []byte) {
 		copy(seg.buf[(i-start)*BlockSize:], data)
-		return nil
-	}
-	for i := start; i < end; i++ {
-		k := cur.blockKey(uint64(i+1), ino.BlockVers[i])
-		if data, ok := v.cachedRead(k); ok {
-			v.metrics.cacheHits.Inc()
-			if err := fill(i, data); err != nil {
-				return err
-			}
-			continue
-		}
-		need = append(need, k)
-		pos = append(pos, i)
-	}
-	if len(need) > 0 {
-		var (
-			got map[keys.Key][]byte
-			err error
-		)
-		switch svc := v.svc.(type) {
-		case SegmentBlockService:
-			got, err = svc.GetSegment(ctx, need)
-		case BatchBlockService:
-			got, err = svc.GetMany(ctx, need)
-		}
-		if err != nil {
-			return err
-		}
-		for j, k := range need {
-			data, ok := got[k]
-			if !ok {
-				// Batch miss (stale owner, mid-churn move): the per-key
-				// path walks replicas and retries not-found answers.
-				data, err = v.svc.Get(ctx, k)
-				if err != nil {
-					return fmt.Errorf("fs: stream block %d: %w", pos[j]+1, err)
-				}
-			}
-			v.metrics.blocksRead.Inc()
-			v.metrics.bytesRead.Add(uint64(len(data)))
-			if err := fill(pos[j], data); err != nil {
-				return err
-			}
-		}
-	}
+	})
 	// Segment byte count: full blocks except possibly the file's last.
-	seg.n = n * BlockSize
-	if end == len(ino.BlockVers) {
-		seg.n = int(ino.Size) - start*BlockSize
+	seg.n = (end - start) * BlockSize
+	if end == len(r.ino.BlockVers) {
+		seg.n = int(r.ino.Size) - start*BlockSize
 	}
-	return nil
+	sp.EndErr(err)
+	return err
 }
 
 // Read hands out the next in-order bytes, waiting on the front segment
@@ -359,13 +303,7 @@ func (r *streamReader) Read(p []byte) (int, error) {
 		}
 		close(seg.done)
 		r.v.metrics.streamSegments.Inc()
-		sctx, sp := tracing.ChildSpan(r.ctx, "stream.segment")
-		if sp != nil {
-			sp.Annotate("first_block", 1, "blocks", r.headBlocks)
-		}
-		err := r.v.fillSegment(sctx, r.cur, &r.ino, seg, 0, r.headBlocks)
-		sp.EndErr(err)
-		if err != nil {
+		if err := r.fill(seg, 0, r.headBlocks); err != nil {
 			r.recycleLocked(seg)
 			return 0, r.fail(err)
 		}

@@ -560,3 +560,41 @@ func TestStreamErrorsSurface(t *testing.T) {
 		t.Errorf("read-only WriteStream err = %v", err)
 	}
 }
+
+// TestBatchedReadCountsBlocks: the whole-file read through a batched
+// service counts what it fetches and what the cache serves, like every
+// other read path (d2_fs_blocks_read_total, d2_fs_bytes_total{dir="read"},
+// d2_fs_cache_hits_total feed fs.block_gets_per_file and
+// fs.cache_hit_ratio).
+func TestBatchedReadCountsBlocks(t *testing.T) {
+	w, svc := newStreamVolume(t)
+	ctx := context.Background()
+	want := randBytes(3 * BlockSize)
+	if err := w.WriteFile(ctx, "/three.bin", want); err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Sync(ctx); err != nil {
+		t.Fatal(err)
+	}
+	r, err := Open(ctx, svc, "streamvol", testKey.Public().(ed25519.PublicKey), nil, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	read := func() (blocks, bytesRead, hits uint64) {
+		m := r.metrics
+		b0, n0, h0 := m.blocksRead.Value(), m.bytesRead.Value(), m.cacheHits.Value()
+		got, err := r.ReadFile(ctx, "/three.bin")
+		if err != nil || !bytes.Equal(got, want) {
+			t.Fatalf("ReadFile: %v", err)
+		}
+		return m.blocksRead.Value() - b0, m.bytesRead.Value() - n0, m.cacheHits.Value() - h0
+	}
+	blocks, n, hits1 := read()
+	if blocks != 4 || n < uint64(len(want)) {
+		t.Errorf("first read counted %d blocks, %d bytes; want 4 (the inode and 3 data blocks) and >= %d bytes", blocks, n, len(want))
+	}
+	blocks, _, hits2 := read()
+	if blocks != 0 || hits2-hits1 != 4 {
+		t.Errorf("repeat read counted %d fetched blocks and %d more cache hits than the first; want 0 and 4", blocks, hits2-hits1)
+	}
+}

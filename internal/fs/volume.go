@@ -710,73 +710,97 @@ func (v *Volume) readContent(ctx context.Context, cur pathCursor, ino *Inode) ([
 	if sp != nil {
 		sp.Annotate("blocks", len(ino.BlockVers), "bytes", ino.Size)
 	}
-	out, err := v.assembleBlocks(ctx, cur, ino)
-	sp.EndErr(err)
-	return out, err
-}
-
-// assembleBlocks fetches and verifies a file's content blocks.
-func (v *Volume) assembleBlocks(ctx context.Context, cur pathCursor, ino *Inode) ([]byte, error) {
 	blks := make([][]byte, len(ino.BlockVers))
-	if batch, ok := v.svc.(BatchBlockService); ok && len(ino.BlockVers) > 1 {
-		if err := v.fetchBlocksBatched(ctx, batch, cur, ino, blks); err != nil {
-			return nil, err
-		}
-	} else {
-		for i, ver := range ino.BlockVers {
-			data, err := v.readBlock(ctx, cur.blockKey(uint64(i+1), ver))
-			if err != nil {
-				return nil, err
-			}
-			blks[i] = data
-		}
+	err := v.fetchBlocks(ctx, cur, ino, 0, len(blks), false, func(i int, data []byte) { blks[i] = data })
+	sp.EndErr(err)
+	if err != nil {
+		return nil, err
 	}
 	out := make([]byte, 0, ino.Size)
-	for i, data := range blks {
-		if contentHash(data) != ino.BlockHashes[i] {
-			return nil, fmt.Errorf("%w: block %d", ErrIntegrity, i+1)
-		}
+	for _, data := range blks {
 		out = append(out, data...)
 	}
 	return out, nil
 }
 
-// fetchBlocksBatched fills blks with the file's data blocks, fetching
-// cache misses through the service's batched read path. A file's blocks
-// form one contiguous key run (§4), so the batch usually costs one RPC
-// per owner; blocks the batch could not resolve retry on the sequential
-// path (which walks replicas) before failing.
-func (v *Volume) fetchBlocksBatched(ctx context.Context, batch BatchBlockService, cur pathCursor, ino *Inode, blks [][]byte) error {
-	var missing []keys.Key
-	at := make(map[keys.Key]int, len(ino.BlockVers))
-	for i, ver := range ino.BlockVers {
-		k := cur.blockKey(uint64(i+1), ver)
-		if data, ok := v.cachedRead(k); ok {
-			blks[i] = data
-			continue
+// fetchBlocks reads content blocks [start, end) of a file — the one block
+// fetch under whole-file reads and stream segments. Each block is checked
+// against the inode's hash and handed to sink with its block index:
+// first the blocks the write-back window or the read cache holds (read-
+// your-writes), then the rest, fetched with one batched call when the
+// service has one. A file's blocks form one contiguous key run (§4), so
+// the batch usually costs one RPC per owner. A block a plain
+// BatchBlockService left out of its answer gets one Get of its own; a
+// SegmentBlockService has already walked the replicas and retried, so
+// there a hole is final.
+//
+// stream marks a one-pass read: it takes the service's segment path, with
+// its longer patience for reads racing churn, and fetched blocks do NOT
+// enter the read cache — a multi-GB stream must not evict the hot metadata
+// working set (§3's cache exists for repeat reads, not one-pass scans).
+func (v *Volume) fetchBlocks(ctx context.Context, cur pathCursor, ino *Inode, start, end int, stream bool, sink func(i int, data []byte)) error {
+	deliver := func(i int, data []byte) error {
+		if contentHash(data) != ino.BlockHashes[i] {
+			return fmt.Errorf("%w: block %d", ErrIntegrity, i+1)
 		}
-		at[k] = i
-		missing = append(missing, k)
-	}
-	if len(missing) == 0 {
+		sink(i, data)
 		return nil
 	}
-	got, err := batch.GetMany(ctx, missing)
-	if err != nil {
-		return err
-	}
-	for k, i := range at {
-		data, ok := got[k]
+	var (
+		need []keys.Key
+		pos  []int // block index (file-wide) per needed key
+	)
+	for i := start; i < end; i++ {
+		k := cur.blockKey(uint64(i+1), ino.BlockVers[i])
+		data, ok := v.cachedRead(k)
 		if !ok {
-			data, err = v.readBlock(ctx, k)
-			if err != nil {
-				return err
-			}
-			blks[i] = data
+			need = append(need, k)
+			pos = append(pos, i)
 			continue
 		}
-		v.cacheRead(k, data)
-		blks[i] = data
+		v.metrics.cacheHits.Inc()
+		if err := deliver(i, data); err != nil {
+			return err
+		}
+	}
+	if len(need) == 0 {
+		return nil
+	}
+	var (
+		got   map[keys.Key][]byte
+		final bool // the batch call walked replicas and retried: its holes are final
+		err   error
+	)
+	if batch, ok := v.svc.(BatchBlockService); ok && (stream || len(need) > 1) {
+		seg, walks := v.svc.(SegmentBlockService)
+		if walks && stream {
+			got, err = seg.GetSegment(ctx, need)
+		} else {
+			got, err = batch.GetMany(ctx, need)
+		}
+		if err != nil {
+			return err
+		}
+		final = walks
+	}
+	for j, k := range need {
+		data, ok := got[k]
+		if !ok {
+			if final {
+				return fmt.Errorf("fs: block %d: not found", pos[j]+1)
+			}
+			if data, err = v.svc.Get(ctx, k); err != nil {
+				return fmt.Errorf("fs: block %d: %w", pos[j]+1, err)
+			}
+		}
+		v.metrics.blocksRead.Inc()
+		v.metrics.bytesRead.Add(uint64(len(data)))
+		if !stream {
+			v.cacheRead(k, data)
+		}
+		if err := deliver(pos[j], data); err != nil {
+			return err
+		}
 	}
 	return nil
 }

@@ -89,41 +89,67 @@ func nextAfter(members []RingMember, dead transport.PeerInfo, seen map[transport
 	return transport.PeerInfo{}, false
 }
 
-// NodeStats is one node's scraped observability state.
-type NodeStats struct {
+// load is the summary every scrape answer opens with: who the node is,
+// its predecessor, its primary-responsibility bytes (§6), everything it
+// stores, and its store entries — what the §10 load-imbalance metric is
+// computed from, so any one scrape can compute it.
+type load struct {
 	Self        transport.PeerInfo
 	Pred        transport.PeerInfo
 	RespBytes   int64
 	StoredBytes int64
 	Blocks      int64
-	Snapshot    obs.Snapshot
 }
 
-// ClusterStats scrapes every ring member's metrics via the StatsReq RPC,
-// returning per-node stats in ring order. Unreachable members are skipped.
-func (c *Client) ClusterStats(ctx context.Context) ([]NodeStats, error) {
+// scrape sends req to every ring member and hands each answer to each, in
+// ring order. An unreachable member is skipped, and so is one whose answer
+// each rejects (a document that does not decode); when no member gave a
+// usable answer, the last rejection is returned, naming the member.
+func scrape[R transport.Message](ctx context.Context, c *Client, req transport.Message, each func(R) error) error {
 	members, err := c.WalkRing(ctx)
 	if err != nil {
-		return nil, err
+		return err
 	}
-	var out []NodeStats
+	usable := 0
+	var rejected error
 	for _, m := range members {
-		resp, err := transport.Expect[*transport.StatsResp](
-			c.call(ctx, m.Self.Addr, &transport.StatsReq{}))
+		resp, err := transport.Expect[R](c.call(ctx, m.Self.Addr, req))
 		if err != nil {
 			continue
 		}
-		ns := NodeStats{
-			Self:        resp.Self,
-			Pred:        resp.Pred,
-			RespBytes:   resp.RespBytes,
-			StoredBytes: resp.StoredBytes,
-			Blocks:      resp.Blocks,
+		if err := each(resp); err != nil {
+			rejected = fmt.Errorf("node: scrape %s: %w", m.Self.Addr, err)
+			continue
 		}
-		if len(resp.SnapshotJSON) > 0 {
-			_ = json.Unmarshal(resp.SnapshotJSON, &ns.Snapshot)
+		usable++
+	}
+	if usable == 0 {
+		return rejected
+	}
+	return nil
+}
+
+// NodeStats is one node's scraped observability state.
+type NodeStats struct {
+	load
+	Snapshot obs.Snapshot
+}
+
+// ClusterStats scrapes every ring member's metrics via the StatsReq RPC,
+// returning per-node stats in ID order. Unreachable members, and members
+// whose snapshot does not parse, are skipped.
+func (c *Client) ClusterStats(ctx context.Context) ([]NodeStats, error) {
+	var out []NodeStats
+	err := scrape(ctx, c, &transport.StatsReq{}, func(r *transport.StatsResp) error {
+		ns := NodeStats{load: load{r.Self, r.Pred, r.RespBytes, r.StoredBytes, r.Blocks}}
+		if err := json.Unmarshal(r.SnapshotJSON, &ns.Snapshot); err != nil {
+			return fmt.Errorf("metrics snapshot: %w", err)
 		}
 		out = append(out, ns)
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Self.ID.Less(out[j].Self.ID) })
 	return out, nil
@@ -131,11 +157,7 @@ func (c *Client) ClusterStats(ctx context.Context) ([]NodeStats, error) {
 
 // NodeHealth is one ring member's scraped health state.
 type NodeHealth struct {
-	Self        transport.PeerInfo
-	Pred        transport.PeerInfo
-	RespBytes   int64
-	StoredBytes int64
-	Blocks      int64
+	load
 	// State is the node's own verdict ("unknown" for engine-less nodes).
 	State string
 	// Status and Rates are the node's history documents (nil without an
@@ -149,27 +171,18 @@ type NodeHealth struct {
 // skipped — the doctor detects their absence through the survivors'
 // replica-deficit checks, not through the walk itself.
 func (c *Client) ClusterHealth(ctx context.Context) ([]NodeHealth, error) {
-	members, err := c.WalkRing(ctx)
+	var out []NodeHealth
+	err := scrape(ctx, c, &transport.HealthReq{}, func(r *transport.HealthResp) error {
+		out = append(out, NodeHealth{
+			load:   load{r.Self, r.Pred, r.RespBytes, r.StoredBytes, r.Blocks},
+			State:  r.State,
+			Status: history.ParseStatus(r.StatusJSON),
+			Rates:  history.ParseRates(r.RatesJSON),
+		})
+		return nil
+	})
 	if err != nil {
 		return nil, err
-	}
-	var out []NodeHealth
-	for _, m := range members {
-		resp, err := transport.Expect[*transport.HealthResp](
-			c.call(ctx, m.Self.Addr, &transport.HealthReq{}))
-		if err != nil {
-			continue
-		}
-		out = append(out, NodeHealth{
-			Self:        resp.Self,
-			Pred:        resp.Pred,
-			RespBytes:   resp.RespBytes,
-			StoredBytes: resp.StoredBytes,
-			Blocks:      resp.Blocks,
-			State:       resp.State,
-			Status:      history.ParseStatus(resp.StatusJSON),
-			Rates:       history.ParseRates(resp.RatesJSON),
-		})
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Self.ID.Less(out[j].Self.ID) })
 	return out, nil
@@ -200,11 +213,7 @@ func (c *Client) ClusterReport(ctx context.Context) (history.ClusterReport, erro
 
 // NodeCensus is one ring member's scraped placement census.
 type NodeCensus struct {
-	Self        transport.PeerInfo
-	Pred        transport.PeerInfo
-	RespBytes   int64
-	StoredBytes int64
-	Blocks      int64
+	load
 	// Report is the node's census document (nil when the node runs
 	// without a sweeper).
 	Report *census.Report
@@ -216,25 +225,16 @@ type NodeCensus struct {
 // imbalance, replica spread). Per-node details ride along in ID order;
 // unreachable members are skipped.
 func (c *Client) ClusterCensus(ctx context.Context) ([]NodeCensus, *census.Cluster, error) {
-	members, err := c.WalkRing(ctx)
+	var out []NodeCensus
+	err := scrape(ctx, c, &transport.CensusReq{}, func(r *transport.CensusResp) error {
+		out = append(out, NodeCensus{
+			load:   load{r.Self, r.Pred, r.RespBytes, r.StoredBytes, r.Blocks},
+			Report: census.ParseReport(r.ReportJSON),
+		})
+		return nil
+	})
 	if err != nil {
 		return nil, nil, err
-	}
-	var out []NodeCensus
-	for _, m := range members {
-		resp, err := transport.Expect[*transport.CensusResp](
-			c.call(ctx, m.Self.Addr, &transport.CensusReq{}))
-		if err != nil {
-			continue
-		}
-		out = append(out, NodeCensus{
-			Self:        resp.Self,
-			Pred:        resp.Pred,
-			RespBytes:   resp.RespBytes,
-			StoredBytes: resp.StoredBytes,
-			Blocks:      resp.Blocks,
-			Report:      census.ParseReport(resp.ReportJSON),
-		})
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Self.ID.Less(out[j].Self.ID) })
 	reports := make([]census.NodeReport, 0, len(out))
@@ -258,18 +258,13 @@ func (c *Client) FetchClusterTrace(ctx context.Context, trace uint64) ([]tracing
 	if trace == 0 {
 		return nil, fmt.Errorf("node: FetchClusterTrace needs a trace ID")
 	}
-	members, err := c.WalkRing(ctx)
+	var spans []tracing.Span
+	err := scrape(ctx, c, &transport.TraceFetchReq{Trace: trace}, func(r *transport.TraceFetchResp) error {
+		spans = append(spans, r.Spans...)
+		return nil
+	})
 	if err != nil {
 		return nil, err
-	}
-	var spans []tracing.Span
-	for _, m := range members {
-		resp, err := transport.Expect[*transport.TraceFetchResp](
-			c.call(ctx, m.Self.Addr, &transport.TraceFetchReq{Trace: trace}))
-		if err != nil {
-			continue
-		}
-		spans = append(spans, resp.Spans...)
 	}
 	// The client's own spans (op roots, lookups, batch groups) live in its
 	// local sink, not on any ring member.

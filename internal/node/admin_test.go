@@ -2,6 +2,8 @@ package node
 
 import (
 	"context"
+	"errors"
+	"strings"
 	"testing"
 
 	"github.com/defragdht/d2/internal/keys"
@@ -156,5 +158,55 @@ func TestClusterStats(t *testing.T) {
 	wantHits, wantMisses := c.Stats()
 	if hits != wantHits || misses != wantMisses {
 		t.Fatalf("merged cache counters %d/%d, want %d/%d", hits, misses, wantHits, wantMisses)
+	}
+}
+
+// TestClusterStatsRejectsGarbageSnapshot: a member whose metrics document
+// does not parse is left out like an unreachable one, never returned as an
+// all-zero node; when no member parses, the error names the member.
+func TestClusterStatsRejectsGarbageSnapshot(t *testing.T) {
+	net := transport.NewMemNetwork(0)
+	// Two hand-made ring members pointing at each other.
+	eps := []transport.Transport{net.NewEndpoint(), net.NewEndpoint()}
+	peers := []transport.PeerInfo{
+		{ID: keys.Key{0x40}, Addr: eps[0].Addr()},
+		{ID: keys.Key{0xc0}, Addr: eps[1].Addr()},
+	}
+	snapshots := [][]byte{[]byte(`{"counters":{"x":1}}`), []byte(`{"counters":`)}
+	for i, ep := range eps {
+		self, other, snap := peers[i], peers[1-i], &snapshots[i]
+		ep.Serve(func(_ context.Context, _ transport.Addr, req transport.Message) (transport.Message, error) {
+			switch req.(type) {
+			case *transport.NeighborsReq:
+				return &transport.NeighborsResp{Self: self, Pred: other, Succs: []transport.PeerInfo{other}}, nil
+			case *transport.StatsReq:
+				return &transport.StatsResp{Self: self, Pred: other, Blocks: 7, SnapshotJSON: *snap}, nil
+			}
+			return nil, errors.New("not served")
+		})
+		defer ep.Close()
+	}
+	c, err := NewClient(net.NewEndpoint(), ClientConfig{Seeds: []transport.Addr{peers[0].Addr}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	ctx := context.Background()
+
+	stats, err := c.ClusterStats(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(stats) != 1 || stats[0].Self.Addr != peers[0].Addr || stats[0].Snapshot.Counters["x"] != 1 {
+		t.Fatalf("ClusterStats = %+v, want only the member whose snapshot parses", stats)
+	}
+
+	snapshots[0] = []byte("not json")
+	stats, err = c.ClusterStats(ctx)
+	if err == nil || len(stats) != 0 {
+		t.Fatalf("ClusterStats with no parsable snapshot = %d nodes, %v; want an error", len(stats), err)
+	}
+	if !strings.Contains(err.Error(), string(peers[0].Addr)) && !strings.Contains(err.Error(), string(peers[1].Addr)) {
+		t.Fatalf("error %q does not name a member", err)
 	}
 }

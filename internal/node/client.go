@@ -41,10 +41,13 @@ type Client struct {
 	misses     *obs.Counter   // lookup-cache misses
 	rpcs       *obs.Counter   // every outbound RPC (benchmarks compare read paths by this)
 	fanout     *obs.Histogram // owner groups per GetMany
-	nfRetries  *obs.Counter   // not-found retries in Get (§8.1 transients)
+	nfRetries  *obs.Counter   // per-key retry rounds in Get and GetMany (§8.1 transients)
 	lookupHops *obs.Histogram // hops per fresh lookup
 	segments   *obs.Counter   // GetSegment calls (streaming read path)
 	segRetries *obs.Counter   // per-key segment re-resolves under churn
+
+	// The read ladder's three budgets (see fetch).
+	getPolicy, manyPolicy, segPolicy readPolicy
 }
 
 // ClientConfig parameterizes a client.
@@ -100,6 +103,9 @@ func NewClient(tr transport.Transport, cfg ClientConfig) (*Client, error) {
 		segments:   reg.Counter("d2_client_segments_total"),
 		segRetries: reg.Counter("d2_client_segment_retries_total"),
 	}
+	c.getPolicy = readPolicy{rounds: getRetryRounds, backoff: getRetryBackoff, retries: c.nfRetries}
+	c.manyPolicy = readPolicy{rounds: getRetryRounds, backoff: getRetryBackoff, retries: c.nfRetries, batch: true}
+	c.segPolicy = readPolicy{rounds: segmentRetryRounds, backoff: segmentRetryBackoff, retries: c.segRetries, batch: true}
 	if cfg.Tracer != nil {
 		if ut, ok := tr.(interface{ UseTracer(*tracing.Tracer) }); ok {
 			ut.UseTracer(cfg.Tracer)
@@ -198,13 +204,8 @@ func (c *Client) freshLookup(ctx context.Context, k keys.Key) (transport.PeerInf
 		if attempt == attempts-1 {
 			break
 		}
-		c.mu.Lock()
-		jitter := time.Duration(c.rng.Int64N(int64(backoff)))
-		c.mu.Unlock()
-		select {
-		case <-ctx.Done():
-			return transport.PeerInfo{}, ctx.Err()
-		case <-time.After(backoff/2 + jitter):
+		if err := c.sleep(ctx, backoff); err != nil {
+			return transport.PeerInfo{}, err
 		}
 		backoff *= 2
 	}
@@ -264,186 +265,82 @@ func (c *Client) invalidate(k keys.Key) {
 	c.cache.Invalidate(k)
 }
 
-// opTraced reports whether a client operation begun by StartOp is traced
-// (span active or a caller's trace to propagate); untraced operations
-// bypass spans and profiler labels entirely.
-func opTraced(ctx context.Context, sp *tracing.ActiveSpan) bool {
-	return sp != nil || tracing.FromContext(ctx) != nil
+// sleep waits a jittered d (d/2 up to 3d/2, so clients that failed together
+// do not retry in lockstep) or until ctx is done.
+func (c *Client) sleep(ctx context.Context, d time.Duration) error {
+	c.mu.Lock()
+	jitter := time.Duration(c.rng.Int64N(int64(d)))
+	c.mu.Unlock()
+	select {
+	case <-ctx.Done():
+		return ctx.Err()
+	case <-time.After(d/2 + jitter):
+		return nil
+	}
+}
+
+// traced runs one client operation inside the tracing shell: an op span
+// (a child when ctx already carries a trace, else a root subject to
+// sampling) and pprof labels, so CPU profiles can be cut by operation for
+// exactly the requests a trace cares about. fn gets the span to annotate;
+// it is nil when nothing records. Untraced operations bypass spans and
+// profiler labels entirely.
+func (c *Client) traced(ctx context.Context, op string, fn func(context.Context, *tracing.ActiveSpan) error) error {
+	sctx, sp := c.tracer.StartOp(ctx, op)
+	if sp == nil && tracing.FromContext(sctx) == nil {
+		return fn(ctx, nil)
+	}
+	var err error
+	pprof.Do(sctx, pprof.Labels("d2_op", op), func(cx context.Context) {
+		err = fn(cx, sp)
+	})
+	sp.EndErr(err)
+	return err
+}
+
+// withOwner runs fn against the owner of k: the cached owner first and,
+// when that fails — a stale cache entry or a dead node, which cost
+// latency, never correctness (§5) — once more against a freshly resolved
+// one. Every single-owner request (Put, Remove, a PutMany chunk, a
+// ReadRange partition) goes through it.
+func (c *Client) withOwner(ctx context.Context, k keys.Key, fn func(owner transport.PeerInfo) error) error {
+	owner, err := c.Lookup(ctx, k)
+	if err != nil {
+		return err
+	}
+	if err = fn(owner); err == nil {
+		return nil
+	}
+	tracing.FromContext(ctx).Annotate("retry", err.Error())
+	c.invalidate(k)
+	if owner, err = c.Lookup(ctx, k); err != nil {
+		return err
+	}
+	return fn(owner)
 }
 
 // Put stores a block with r replicas.
 func (c *Client) Put(ctx context.Context, k keys.Key, data []byte) error {
-	sctx, sp := c.tracer.StartOp(ctx, "client.put")
-	if !opTraced(sctx, sp) {
-		return c.put(ctx, k, data)
-	}
-	var err error
-	pprof.Do(sctx, pprof.Labels("d2_op", "client.put"), func(cx context.Context) {
-		err = c.put(cx, k, data)
-	})
-	sp.EndErr(err)
-	return err
-}
-
-// put is Put without the tracing shell.
-func (c *Client) put(ctx context.Context, k keys.Key, data []byte) error {
-	owner, err := c.Lookup(ctx, k)
-	if err != nil {
-		return err
-	}
-	_, err = transport.Expect[*transport.PutResp](c.call(ctx, owner.Addr, &transport.PutReq{
-		Key: k, Data: data, Replicate: true,
-	}))
-	if err != nil {
-		// Stale cache entry or dead node: retry once with a fresh lookup.
-		c.invalidate(k)
-		owner, err = c.freshLookup(ctx, k)
-		if err != nil {
+	return c.traced(ctx, "client.put", func(ctx context.Context, _ *tracing.ActiveSpan) error {
+		return c.withOwner(ctx, k, func(owner transport.PeerInfo) error {
+			_, err := transport.Expect[*transport.PutResp](c.call(ctx, owner.Addr, &transport.PutReq{
+				Key: k, Data: data, Replicate: true,
+			}))
 			return err
-		}
-		_, err = transport.Expect[*transport.PutResp](c.call(ctx, owner.Addr, &transport.PutReq{
-			Key: k, Data: data, Replicate: true,
-		}))
-	}
-	return err
-}
-
-// Get fetches a block, following pointer redirects and trying secondary
-// replicas before falling back to a fresh lookup (§5: stale entries cost
-// latency, never correctness). A not-found answer is retried briefly:
-// while balance moves resettle ownership, a key can be transiently
-// unreadable at its (brand-new) owner even though the block still exists
-// in the ring (§8.1 treats such failures as transient and retries them).
-func (c *Client) Get(ctx context.Context, k keys.Key) ([]byte, error) {
-	sctx, sp := c.tracer.StartOp(ctx, "client.get")
-	if !opTraced(sctx, sp) {
-		return c.get(ctx, k)
-	}
-	var data []byte
-	var err error
-	pprof.Do(sctx, pprof.Labels("d2_op", "client.get"), func(cx context.Context) {
-		data, err = c.get(cx, k)
+		})
 	})
-	sp.EndErr(err)
-	return data, err
-}
-
-// get is Get without the tracing shell.
-func (c *Client) get(ctx context.Context, k keys.Key) ([]byte, error) {
-	data, err := c.getOnce(ctx, k)
-	backoff := 100 * time.Millisecond
-	for attempt := 0; attempt < 2 && errors.Is(err, ErrNotFound); attempt++ {
-		select {
-		case <-ctx.Done():
-			return nil, ctx.Err()
-		case <-time.After(backoff):
-		}
-		backoff *= 2
-		c.nfRetries.Inc()
-		data, err = c.getOnce(ctx, k)
-	}
-	return data, err
-}
-
-// getOnce runs one full read sequence: cached owner, fresh lookup, then
-// the owner's replica group.
-func (c *Client) getOnce(ctx context.Context, k keys.Key) ([]byte, error) {
-	owner, err := c.Lookup(ctx, k)
-	if err != nil {
-		return nil, err
-	}
-	data, err := c.getFrom(ctx, owner.Addr, k)
-	if err == nil {
-		return data, nil
-	}
-	// Miss or stale: invalidate, re-lookup, and walk the replica group.
-	c.invalidate(k)
-	owner, lerr := c.freshLookup(ctx, k)
-	if lerr != nil {
-		return nil, lerr
-	}
-	data, err = c.getFrom(ctx, owner.Addr, k)
-	if err == nil {
-		return data, nil
-	}
-	succs, serr := c.successorsOf(ctx, owner)
-	if serr == nil {
-		for _, p := range succs {
-			if data, gerr := c.getFrom(ctx, p.Addr, k); gerr == nil {
-				return data, nil
-			}
-		}
-	}
-	return nil, err
-}
-
-// getFrom fetches a block from one node, following one pointer redirect.
-func (c *Client) getFrom(ctx context.Context, addr transport.Addr, k keys.Key) ([]byte, error) {
-	for i := 0; i < 2; i++ {
-		resp, err := transport.Expect[*transport.GetResp](
-			c.call(ctx, addr, &transport.GetReq{Key: k}))
-		if err != nil {
-			return nil, err
-		}
-		if !resp.Found {
-			return nil, ErrNotFound
-		}
-		if resp.Redirect == "" {
-			return resp.Data, nil
-		}
-		addr = resp.Redirect
-	}
-	return nil, fmt.Errorf("node: pointer chain too long for %s", k.Short())
-}
-
-// successorsOf fetches the replica group following the owner.
-func (c *Client) successorsOf(ctx context.Context, owner transport.PeerInfo) ([]transport.PeerInfo, error) {
-	resp, err := transport.Expect[*transport.NeighborsResp](
-		c.call(ctx, owner.Addr, &transport.NeighborsReq{}))
-	if err != nil {
-		return nil, err
-	}
-	n := c.replicas - 1
-	if n > len(resp.Succs) {
-		n = len(resp.Succs)
-	}
-	return resp.Succs[:n], nil
 }
 
 // Remove deletes a block (and its replicas) after the node-side delay.
 func (c *Client) Remove(ctx context.Context, k keys.Key) error {
-	sctx, sp := c.tracer.StartOp(ctx, "client.remove")
-	if !opTraced(sctx, sp) {
-		return c.remove(ctx, k)
-	}
-	var err error
-	pprof.Do(sctx, pprof.Labels("d2_op", "client.remove"), func(cx context.Context) {
-		err = c.remove(cx, k)
-	})
-	sp.EndErr(err)
-	return err
-}
-
-// remove is Remove without the tracing shell.
-func (c *Client) remove(ctx context.Context, k keys.Key) error {
-	owner, err := c.Lookup(ctx, k)
-	if err != nil {
-		return err
-	}
-	_, err = transport.Expect[*transport.RemoveResp](c.call(ctx, owner.Addr, &transport.RemoveReq{
-		Key: k, Replicate: true,
-	}))
-	if err != nil {
-		c.invalidate(k)
-		owner, err = c.freshLookup(ctx, k)
-		if err != nil {
+	return c.traced(ctx, "client.remove", func(ctx context.Context, _ *tracing.ActiveSpan) error {
+		return c.withOwner(ctx, k, func(owner transport.PeerInfo) error {
+			_, err := transport.Expect[*transport.RemoveResp](c.call(ctx, owner.Addr, &transport.RemoveReq{
+				Key: k, Replicate: true,
+			}))
 			return err
-		}
-		_, err = transport.Expect[*transport.RemoveResp](c.call(ctx, owner.Addr, &transport.RemoveReq{
-			Key: k, Replicate: true,
-		}))
-	}
-	return err
+		})
+	})
 }
 
 // Close releases the client endpoint.

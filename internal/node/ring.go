@@ -65,6 +65,13 @@ func (n *Node) dispatch(ctx context.Context, from transport.Addr, req transport.
 	}
 }
 
+// load is the summary every scrape answer opens with (see the client's
+// load): self, predecessor, primary-responsibility bytes, stored bytes,
+// store entries.
+func (n *Node) load() (self, pred transport.PeerInfo, respBytes, storedBytes, blocks int64) {
+	return n.Self(), n.Predecessor(), n.RespBytes(), n.StoredBytes(), int64(n.st.Len())
+}
+
 // handleStats answers the admin plane's scrape: load summary plus the
 // node's full metrics snapshot, JSON-encoded for obs.Merge at the scraper.
 func (n *Node) handleStats() transport.Message {
@@ -72,14 +79,9 @@ func (n *Node) handleStats() transport.Message {
 	if err != nil {
 		snap = nil
 	}
-	return &transport.StatsResp{
-		Self:         n.Self(),
-		Pred:         n.Predecessor(),
-		RespBytes:    n.RespBytes(),
-		StoredBytes:  n.StoredBytes(),
-		Blocks:       int64(n.st.Len()),
-		SnapshotJSON: snap,
-	}
+	r := &transport.StatsResp{SnapshotJSON: snap}
+	r.Self, r.Pred, r.RespBytes, r.StoredBytes, r.Blocks = n.load()
+	return r
 }
 
 // handleHealth answers the health engine's scrape: the node's verdict
@@ -87,20 +89,14 @@ func (n *Node) handleStats() transport.Message {
 // the cluster-level §10 imbalance check. Nodes without an engine (bare
 // test clusters) answer "unknown" with nil documents.
 func (n *Node) handleHealth() transport.Message {
-	resp := &transport.HealthResp{
-		Self:        n.Self(),
-		Pred:        n.Predecessor(),
-		RespBytes:   n.RespBytes(),
-		StoredBytes: n.StoredBytes(),
-		Blocks:      int64(n.st.Len()),
-		State:       "unknown",
-	}
+	r := &transport.HealthResp{State: "unknown"}
+	r.Self, r.Pred, r.RespBytes, r.StoredBytes, r.Blocks = n.load()
 	if e := n.cfg.Health; e != nil {
-		resp.State = e.State().String()
-		resp.StatusJSON = e.StatusJSON()
-		resp.RatesJSON = e.RatesJSON()
+		r.State = e.State().String()
+		r.StatusJSON = e.StatusJSON()
+		r.RatesJSON = e.RatesJSON()
 	}
-	return resp
+	return r
 }
 
 // handleCensus answers the placement-census scrape: the node's latest
@@ -108,17 +104,12 @@ func (n *Node) handleHealth() transport.Message {
 // the §5 locality metrics and §10 imbalance in one ring walk. Nodes
 // without a sweeper (census disabled) answer with a nil report.
 func (n *Node) handleCensus() transport.Message {
-	resp := &transport.CensusResp{
-		Self:        n.Self(),
-		Pred:        n.Predecessor(),
-		RespBytes:   n.RespBytes(),
-		StoredBytes: n.StoredBytes(),
-		Blocks:      int64(n.st.Len()),
-	}
+	r := &transport.CensusResp{}
+	r.Self, r.Pred, r.RespBytes, r.StoredBytes, r.Blocks = n.load()
 	if n.census != nil {
-		resp.ReportJSON = n.census.ReportJSON()
+		r.ReportJSON = n.census.ReportJSON()
 	}
-	return resp
+	return r
 }
 
 // owns reports whether this node owns key k: k ∈ (pred, self]. A node

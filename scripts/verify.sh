@@ -26,13 +26,17 @@
 #                            TCP, a short codec fuzz pass, and the alloc
 #                            guard proving the TCP serve path
 #                            (read→decode→handle→encode→writev) stays
-#                            zero-allocation
+#                            zero-allocation; it also prints the client
+#                            read ladder's allocs/op (BenchmarkBatchedRead,
+#                            mem ring; a figure to compare against the
+#                            parent commit, not a gate)
 #   scripts/verify.sh stream stream tier: the windowed-readahead pipeline
 #                            tests under -race (backpressure, adaptive
 #                            window, cancellation, the mid-stream
-#                            node-kill e2e) plus the alloc gate proving
-#                            segment buffers recycle through the pool
-#                            (< 4 MB allocated per 8 MB streamed)
+#                            node-kill e2e) and the client read ladder's
+#                            cost and dead-owner tests, plus the alloc
+#                            gate proving segment buffers recycle through
+#                            the pool (< 4 MB allocated per 8 MB streamed)
 #   scripts/verify.sh obs    obs tier: the history/health/flight tests and
 #                            the doctor + flight e2e under -race, a 10 s
 #                            concurrent sampler soak, and the alloc gates
@@ -104,12 +108,14 @@ if [ "${1:-}" = "wire" ]; then
 		echo "wire tier: TCP serve path allocates" >&2
 		exit 1
 	}
+	echo "== wire tier: client read ladder allocs/op (report only; perblock = 64 single-key Gets)"
+	go test -run '^$' -bench 'BenchmarkBatchedRead/transport=mem' -benchtime 100x -benchmem ./internal/node/ | grep 'allocs/op'
 	exit 0
 fi
 
 if [ "${1:-}" = "stream" ]; then
 	echo "== stream tier: streaming pipeline tests under -race"
-	go test -race -run 'Stream|ReadCacheByteCap' ./internal/fs/ ./internal/node/ .
+	go test -race -run 'Stream|ReadCacheByteCap|MissingKeysCostOneLadder|EveryOpSurvivesDeadCachedOwner' ./internal/fs/ ./internal/node/ .
 	echo "== stream tier: consume-path alloc gate (want < 4 MB/op for an 8 MB stream)"
 	out=$(go test -run '^$' -bench 'BenchmarkStreamConsume' -benchmem \
 		./internal/fs/ | tee /dev/stderr)

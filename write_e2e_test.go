@@ -31,6 +31,7 @@ func TestRewriteSurvivesRemoveDelay(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer client.Close()
+	waitRingSettled(t, client, 5)
 	pub, priv, err := d2.GenerateKey()
 	if err != nil {
 		t.Fatal(err)
@@ -213,5 +214,33 @@ func TestWritePathGroupsCommits(t *testing.T) {
 	}
 	if n := merged.Counters["d2_node_replica_forward_errors_total"]; n != 0 {
 		t.Errorf("%d replica forwards failed on a healthy ring", n)
+	}
+}
+
+// waitRingSettled blocks until a ring walk finds n members whose
+// predecessor and successors agree with the walk order. NewCluster returns
+// as soon as the last node has joined; a writer that caches owner ranges
+// from the half-formed ring sends its root block to a non-owner, and the
+// real owner can then serve a reader an older root (ROADMAP direction 3,
+// root-block monotonicity) — not what the tests using this are about.
+func waitRingSettled(t *testing.T, client *d2.Client, n int) {
+	t.Helper()
+	settled := func() bool {
+		members, err := client.WalkRing(context.Background())
+		if err != nil || len(members) != n {
+			return false
+		}
+		for i, m := range members {
+			if len(m.Succs) < 2 || m.Pred.Addr != members[(i+n-1)%n].Self.Addr ||
+				m.Succs[0].Addr != members[(i+1)%n].Self.Addr || m.Succs[1].Addr != members[(i+2)%n].Self.Addr {
+				return false
+			}
+		}
+		return true
+	}
+	for deadline := time.Now().Add(10 * time.Second); !settled(); time.Sleep(5 * time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("ring did not settle")
+		}
 	}
 }
