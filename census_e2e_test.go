@@ -55,7 +55,7 @@ func censusFileKey(prefix keys.Key, block uint64) keys.Key {
 func TestCensusLocalityImprovesAfterBalance(t *testing.T) {
 	ctx := context.Background()
 	opts := fastOptions()
-	opts.CensusInterval = 50 * time.Millisecond
+	opts.RepairInterval = 50 * time.Millisecond
 	opts.HistoryInterval = 50 * time.Millisecond
 	opts.PointerStabilization = 150 * time.Millisecond
 

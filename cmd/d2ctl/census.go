@@ -72,7 +72,7 @@ func runFrag(ctx context.Context, client *d2.Client, volFilter string, jsonOut b
 	for _, n := range nodes {
 		r := n.Report
 		if r == nil {
-			fmt.Printf("%-22s %-10s %8s (census disabled)\n", n.Self.Addr, n.Self.ID.Short(), "-")
+			fmt.Printf("%-22s %-10s %8s (no census report)\n", n.Self.Addr, n.Self.ID.Short(), "-")
 			continue
 		}
 		fmt.Printf("%-22s %-10s %8d %10s %10s %10s %6d %6.2f\n",

@@ -51,7 +51,6 @@ func run() error {
 	traceSample := flag.Int("trace-sample", 0, "keep 1 in N request traces (0 = off; forced traces always work)")
 	traceSlow := flag.Duration("trace-slow", 0, "always keep traces of requests at least this slow (0 = off)")
 	historyIv := flag.Duration("history-interval", 0, "health-engine sampling interval (0 = default 2s)")
-	censusIv := flag.Duration("census-interval", 0, "placement-census sweep interval (0 = default 5s, negative = off)")
 	flightDir := flag.String("flight-dir", "", "directory for flight-recorder diagnostic bundles (empty = off)")
 	dataDir := flag.String("data-dir", "", "durable storage directory (empty = in-memory; blocks and ring identity survive restarts)")
 	fsync := flag.String("fsync", "always", "fsync policy with -data-dir: always (group commit), interval, never")
@@ -68,7 +67,6 @@ func run() error {
 		TraceSampleEvery:     *traceSample,
 		TraceSlowThreshold:   *traceSlow,
 		HistoryInterval:      *historyIv,
-		CensusInterval:       *censusIv,
 		FlightDir:            *flightDir,
 		DataDir:              *dataDir,
 		Fsync:                *fsync,

@@ -80,7 +80,9 @@ type NodeOptions struct {
 	RemoveDelay time.Duration
 	// StabilizeInterval drives ring maintenance (default 500 ms).
 	StabilizeInterval time.Duration
-	// RepairInterval drives replica repair (default 5 s).
+	// RepairInterval paces the maintenance round: replica repair,
+	// hand-off, pointer stabilization and the placement census behind
+	// /censusz and d2ctl frag/map (default 5 s).
 	RepairInterval time.Duration
 	// Seed makes node identity deterministic (0 = random per node).
 	Seed uint64
@@ -95,11 +97,6 @@ type NodeOptions struct {
 	// 2 s). The engine always runs on TCP nodes; the interval only tunes
 	// its resolution.
 	HistoryInterval time.Duration
-	// CensusInterval is the placement-census sweep period (default 5 s;
-	// negative disables the census). The sweeper walks the store index
-	// once per tick and publishes the d2_census_* gauges behind
-	// /censusz, d2ctl frag/map, and the fragmentation health check.
-	CensusInterval time.Duration
 	// FlightDir enables the flight recorder: on health transitions, slow
 	// requests, and peer deaths the node dumps a JSON diagnostic bundle
 	// there. Empty disables dumps.
@@ -148,7 +145,6 @@ func (o NodeOptions) toConfig(seed uint64) node.Config {
 		RemoveDelay:          o.RemoveDelay,
 		StabilizeInterval:    o.StabilizeInterval,
 		RepairInterval:       o.RepairInterval,
-		CensusInterval:       o.CensusInterval,
 		Seed:                 seed,
 	}
 }
@@ -447,12 +443,7 @@ func (n *Node) AdminHandler() http.Handler {
 		w.Header().Set("Content-Type", "application/json")
 		enc := json.NewEncoder(w)
 		enc.SetIndent("", "  ")
-		sw := n.inner.Census()
-		if sw == nil {
-			http.Error(w, `{"error":"census disabled"}`, http.StatusNotFound)
-			return
-		}
-		_ = enc.Encode(sw.Snapshot())
+		_ = enc.Encode(n.inner.Census().Snapshot())
 	})
 	mux.HandleFunc("/ringz", func(w http.ResponseWriter, r *http.Request) {
 		pred, succs := n.inner.Neighbors()

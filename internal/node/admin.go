@@ -214,8 +214,8 @@ func (c *Client) ClusterReport(ctx context.Context) (history.ClusterReport, erro
 // NodeCensus is one ring member's scraped placement census.
 type NodeCensus struct {
 	load
-	// Report is the node's census document (nil when the node runs
-	// without a sweeper).
+	// Report is the node's census document (nil when its answer could
+	// not be parsed).
 	Report *census.Report
 }
 

@@ -5,6 +5,7 @@ import (
 	"strconv"
 	"time"
 
+	"github.com/defragdht/d2/internal/keys"
 	"github.com/defragdht/d2/internal/obs"
 	"github.com/defragdht/d2/internal/store"
 	"github.com/defragdht/d2/internal/transport"
@@ -49,12 +50,7 @@ func (n *Node) moveTo(ctx context.Context, a transport.PeerInfo) {
 	// Census baseline: measure placement before the move so the delta
 	// event below can answer "did this migration step improve locality"
 	// from the live ring rather than a simulator.
-	var fragBefore, runsBefore int64
-	if n.census != nil {
-		n.census.SweepNow()
-		fragBefore = n.census.FragMilli()
-		runsBefore, _ = n.census.Totals()
-	}
+	runsBefore, _, fragBefore := n.census.SweepNow()
 	n.mu.Lock()
 	oldSelf := n.self
 	oldPred := n.pred
@@ -68,19 +64,22 @@ func (n *Node) moveTo(ctx context.Context, a transport.PeerInfo) {
 	// primary range) for the blocks we hold there. Entries we ourselves
 	// hold only as pointers are forwarded with their real target — a
 	// recent mover's arc is all pointers, and dropping them would leave
-	// the successor unable to serve the inherited arc.
+	// the successor unable to serve the inherited arc. A pointer needs
+	// only key, size and target, so the arc is listed from the index.
 	if !oldPred.IsZero() {
-		for _, it := range n.st.Arc(oldPred.ID, oldSelf.ID) {
+		var ptrs []transport.PutPtrReq
+		n.st.ArcVisit(oldPred.ID, oldSelf.ID, func(k keys.Key, m store.Meta) bool {
 			target := oldSelf.Addr
-			if it.Block.IsPointer() {
-				target = it.Block.Pointer
+			if m.IsPointer() {
+				target = m.Pointer
 			}
-			if target == succ.Addr {
-				continue // the successor already stores this block
+			if target != succ.Addr { // else the successor already stores it
+				ptrs = append(ptrs, transport.PutPtrReq{Key: k, Target: target, Size: m.Size})
 			}
-			_, _ = transport.Expect[*transport.PutPtrResp](n.call(ctx, succ.Addr, &transport.PutPtrReq{
-				Key: it.Key, Target: target, Size: it.Block.Size,
-			}))
+			return true
+		})
+		for i := range ptrs {
+			_, _ = transport.Expect[*transport.PutPtrResp](n.call(ctx, succ.Addr, &ptrs[i]))
 		}
 	}
 
@@ -111,11 +110,9 @@ func (n *Node) moveTo(ctx context.Context, a transport.PeerInfo) {
 		if err != nil {
 			return
 		}
+		// PutPointer keeps any data already held under a key.
 		now := time.Now()
 		for _, it := range resp.Items {
-			if b, ok := n.st.Get(it.Key); ok && !b.IsPointer() {
-				continue
-			}
 			target := a.Addr
 			if it.Pointer != "" {
 				target = it.Pointer
@@ -150,15 +147,12 @@ func (n *Node) moveTo(ctx context.Context, a transport.PeerInfo) {
 		n.call(ctx, a.Addr, &transport.NotifyReq{Cand: newSelf}))
 
 	// Census delta: resweep against the new arc immediately instead of
-	// waiting out the sweep cadence, and log the before/after pair.
-	if n.census != nil {
-		n.census.SweepNow()
-		runsAfter, _ := n.census.Totals()
-		n.events.Log(obs.LevelInfo, "census.delta",
-			"op", "balance.move",
-			"frag_before_milli", strconv.FormatInt(fragBefore, 10),
-			"frag_after_milli", strconv.FormatInt(n.census.FragMilli(), 10),
-			"runs_before", strconv.FormatInt(runsBefore, 10),
-			"runs_after", strconv.FormatInt(runsAfter, 10))
-	}
+	// waiting out the round, and log the before/after pair.
+	runsAfter, _, fragAfter := n.census.SweepNow()
+	n.events.Log(obs.LevelInfo, "census.delta",
+		"op", "balance.move",
+		"frag_before_milli", strconv.FormatInt(fragBefore, 10),
+		"frag_after_milli", strconv.FormatInt(fragAfter, 10),
+		"runs_before", strconv.FormatInt(runsBefore, 10),
+		"runs_after", strconv.FormatInt(runsAfter, 10))
 }

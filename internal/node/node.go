@@ -36,8 +36,8 @@ type Config struct {
 	SuccListLen int
 	// StabilizeInterval drives ring maintenance (default 500 ms).
 	StabilizeInterval time.Duration
-	// RepairInterval drives replica repair and stale-block handoff
-	// (default 5 s).
+	// RepairInterval paces the maintenance round — census, replica
+	// repair, hand-off and pointer stabilization (default 5 s).
 	RepairInterval time.Duration
 	// BalanceInterval is the load-balance probe period; zero disables
 	// balancing (the paper uses 10 min).
@@ -71,10 +71,6 @@ type Config struct {
 	// RPCs answer with its status and rates documents (nil nodes answer
 	// State "unknown"). The engine's lifecycle belongs to the caller.
 	Health *history.Engine
-	// CensusInterval drives the placement-census sweep (default 5 s;
-	// negative disables the census entirely). The sweeper walks the
-	// store index once per tick and publishes the d2_census_* gauges.
-	CensusInterval time.Duration
 	// Store is the node's block store; nil creates an in-memory one. The
 	// engine's lifecycle belongs to the caller (Close flushes but does
 	// not close it). An engine that also implements store.IdentityStore
@@ -111,9 +107,6 @@ func (c *Config) applyDefaults() {
 	}
 	if c.MaxLinks == 0 {
 		c.MaxLinks = 16
-	}
-	if c.CensusInterval == 0 {
-		c.CensusInterval = 5 * time.Second
 	}
 }
 
@@ -200,14 +193,12 @@ func Start(tr transport.Transport, cfg Config) *Node {
 		tracer:       cfg.Tracer,
 	}
 	n.metrics = newNodeMetrics(reg, n)
-	if cfg.CensusInterval >= 0 {
-		n.census = census.New(census.Config{
-			Store:      st,
-			Bounds:     n.censusBounds,
-			Registry:   reg,
-			StaleAfter: cfg.PointerStabilization,
-		})
-	}
+	n.census = census.New(census.Config{
+		Store:      st,
+		Bounds:     n.censusBounds,
+		Registry:   reg,
+		StaleAfter: cfg.PointerStabilization,
+	})
 	n.succs = []transport.PeerInfo{n.self}
 	if cfg.Tracer != nil {
 		if ut, ok := tr.(interface{ UseTracer(*tracing.Tracer) }); ok {
@@ -221,8 +212,9 @@ func Start(tr transport.Transport, cfg Config) *Node {
 
 func (n *Node) startLoops() {
 	n.loop(n.cfg.StabilizeInterval, n.stabilize)
-	n.loop(n.cfg.RepairInterval, n.repair)
-	n.loop(n.cfg.RepairInterval, n.stabilizePointers)
+	n.loop(n.cfg.RepairInterval, n.maintain)
+	// The TTL sweep is a write-locked scan; it keeps its own slow cadence
+	// instead of riding the (read-locked) maintenance walk.
 	n.loop(time.Minute, func() {
 		if dropped := n.st.SweepExpired(time.Now()); dropped > 0 {
 			n.metrics.expired.Add(uint64(dropped))
@@ -230,9 +222,6 @@ func (n *Node) startLoops() {
 	})
 	if n.cfg.BalanceInterval > 0 {
 		n.loop(n.cfg.BalanceInterval, n.balanceProbe)
-	}
-	if n.census != nil {
-		n.loop(n.cfg.CensusInterval, n.census.Sweep)
 	}
 }
 
@@ -312,12 +301,13 @@ func (n *Node) RespBytes() int64 {
 	return n.st.ArcBytes(pred.ID, self.ID)
 }
 
-// Census returns the node's placement-census sweeper (nil when
-// disabled), for the admin plane and tests.
+// Census returns the node's placement-census sweeper, for the admin
+// plane and tests.
 func (n *Node) Census() *census.Sweeper { return n.census }
 
-// censusBounds supplies the census sweeper with the node's current ring
-// position, so the sweep can classify entries as primary or replica.
+// censusBounds is the node's current ring position, against which the
+// census classifies entries as primary or replica and the maintenance
+// round picks what to repair and hand off.
 func (n *Node) censusBounds() census.Bounds {
 	n.mu.Lock()
 	self, pred := n.self, n.pred
@@ -390,22 +380,19 @@ func (n *Node) Close() error {
 	return err
 }
 
-// Leave performs a graceful departure: push every stored block to the
-// nodes now responsible, then close.
+// Leave performs a graceful departure: push every stored data block to
+// the node now responsible for it, then close. Blocks of our own range
+// stay with the replicas our successors already hold.
 func (n *Node) Leave(ctx context.Context) error {
-	items := n.st.Arc(n.Self().ID, n.Self().ID) // whole store
-	for _, it := range items {
-		if it.Block.IsPointer() || n.doomed(it.Key) {
-			continue
+	self := n.Self().ID
+	var ks []keys.Key
+	n.st.ArcVisit(self, self, func(k keys.Key, m store.Meta) bool {
+		if !m.IsPointer() {
+			ks = append(ks, k)
 		}
-		owner, _, err := n.Lookup(ctx, it.Key)
-		if err != nil || owner.Addr == n.tr.Addr() {
-			continue
-		}
-		_, _ = transport.Expect[*transport.PutResp](n.call(ctx, owner.Addr, &transport.PutReq{
-			Key: it.Key, Data: it.Block.Data, Replicate: true,
-		}))
-	}
+		return true
+	})
+	n.pushToOwners(ctx, n.undoomed(ks), func([]keys.Key) {})
 	return n.Close()
 }
 

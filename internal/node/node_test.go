@@ -492,12 +492,30 @@ func TestReplicaCountConvergesAndHolds(t *testing.T) {
 		return held
 	}
 
-	// Converge: every key reaches r copies.
+	// placed reports whether k sits on exactly its replica group: its
+	// owner (the first node at or after k) and the r-1 nodes after it.
+	// Counting copies is not enough: a put that ran before every
+	// successor list settled leaves a replica outside the group, r copies
+	// in all until repair fills the group, and the stray copy's hand-off
+	// would then land in the hold window below.
+	ring := append([]*Node(nil), nodes...)
+	sort.Slice(ring, func(i, j int) bool { return ring[i].Self().ID.Less(ring[j].Self().ID) })
+	placed := func(k keys.Key) bool {
+		o := sort.Search(len(ring), func(i int) bool { return !ring[i].Self().ID.Less(k) })
+		for j := 0; j < 3; j++ {
+			if b, ok := ring[(o+j)%len(ring)].Store().Get(k); !ok || b.IsPointer() {
+				return false
+			}
+		}
+		return copies(k) == 3
+	}
+
+	// Converge: every key sits on exactly its r replica-group nodes.
 	deadline := time.Now().Add(10 * time.Second)
 	for {
 		short := -1
 		for i, k := range ks {
-			if copies(k) < 3 {
+			if !placed(k) {
 				short = i
 				break
 			}
@@ -506,7 +524,7 @@ func TestReplicaCountConvergesAndHolds(t *testing.T) {
 			break
 		}
 		if time.Now().After(deadline) {
-			t.Fatalf("key %d stuck at %d copies, want 3", short, copies(ks[short]))
+			t.Fatalf("key %d stuck at %d copies, want 3 on its replica group", short, copies(ks[short]))
 		}
 		time.Sleep(25 * time.Millisecond)
 	}

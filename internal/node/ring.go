@@ -27,7 +27,7 @@ func (n *Node) dispatch(ctx context.Context, from transport.Addr, req transport.
 		n.handleNotify(r.Cand)
 		return &transport.NotifyResp{}, nil
 	case *transport.PutReq:
-		return n.handlePut(ctx, r), nil
+		return n.handlePut(ctx, r)
 	case *transport.MultiPutReq:
 		return n.handleMultiPut(ctx, r)
 	case *transport.GetReq:
@@ -101,14 +101,10 @@ func (n *Node) handleHealth() transport.Message {
 
 // handleCensus answers the placement-census scrape: the node's latest
 // sweep report plus the load summary, so d2ctl frag/map can compute
-// the §5 locality metrics and §10 imbalance in one ring walk. Nodes
-// without a sweeper (census disabled) answer with a nil report.
+// the §5 locality metrics and §10 imbalance in one ring walk.
 func (n *Node) handleCensus() transport.Message {
-	r := &transport.CensusResp{}
+	r := &transport.CensusResp{ReportJSON: n.census.ReportJSON()}
 	r.Self, r.Pred, r.RespBytes, r.StoredBytes, r.Blocks = n.load()
-	if n.census != nil {
-		r.ReportJSON = n.census.ReportJSON()
-	}
 	return r
 }
 

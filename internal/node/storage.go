@@ -23,46 +23,52 @@ func (n *Node) ttlOf(seconds int64) time.Duration {
 	return time.Duration(seconds) * time.Second
 }
 
-// handlePut stores a replica; when Replicate is set (the primary's copy),
-// the block goes to the r-1 following successors while it is stored here.
-// A put of a key with a delayed removal pending keeps the block: the
-// writer has stored it again since asking for the removal.
-func (n *Node) handlePut(ctx context.Context, r *transport.PutReq) transport.Message {
-	ttl := n.ttlOf(r.TTL)
-	n.cancelRemovals(r.Key)
+// handlePut stores one block through storeBlocks; when Replicate is set
+// (the primary's copy), the block goes to the r-1 following successors
+// while it is stored here.
+func (n *Node) handlePut(ctx context.Context, r *transport.PutReq) (transport.Message, error) {
 	var fwd transport.Message
 	if r.Replicate {
 		fwd = &transport.PutReq{Key: r.Key, Data: r.Data, TTL: r.TTL}
 	}
-	n.replicate(ctx, fwd, func() { n.st.Put(r.Key, r.Data, ttl, time.Now()) })
-	return &transport.PutResp{}
+	if err := n.storeBlocks(ctx, []keys.Key{r.Key}, [][]byte{r.Data}, r.TTL, fwd); err != nil {
+		return nil, err
+	}
+	return &transport.PutResp{}, nil
 }
 
-// handleMultiPut stores a batch of replicas as one engine step (one WAL
-// append and one fsync on the disk engine) while, when Replicate is set,
-// the same batch goes to the r-1 successors as one non-replicating
-// MultiPut each. The ack rule: the batch is acknowledged once it is
-// durable here and every forward has returned — a forward that failed is
-// counted and logged, not fatal (repair restores the missing copies) —
-// and a batch this node could not make durable is answered with an error
-// instead, so the writer keeps it in its write-back window.
+// handleMultiPut stores a batch through storeBlocks as one engine step
+// (one WAL append and one fsync on the disk engine) while, when Replicate
+// is set, the same batch goes to the r-1 successors as one non-replicating
+// MultiPut each.
 func (n *Node) handleMultiPut(ctx context.Context, r *transport.MultiPutReq) (transport.Message, error) {
 	if len(r.Keys) != len(r.Data) {
 		return nil, fmt.Errorf("node: multi_put with %d keys, %d payloads", len(r.Keys), len(r.Data))
 	}
 	n.metrics.multiPutBlocks.Observe(int64(len(r.Keys)))
-	ttl := n.ttlOf(r.TTL)
-	n.cancelRemovals(r.Keys...)
 	var fwd transport.Message
 	if r.Replicate {
 		fwd = &transport.MultiPutReq{Keys: r.Keys, Data: r.Data, TTL: r.TTL}
 	}
-	var err error
-	n.replicate(ctx, fwd, func() { err = store.PutBatch(n.st, r.Keys, r.Data, ttl, time.Now()) })
-	if err != nil {
+	if err := n.storeBlocks(ctx, r.Keys, r.Data, r.TTL, fwd); err != nil {
 		return nil, err
 	}
 	return &transport.MultiPutResp{}, nil
+}
+
+// storeBlocks is the write step under both puts. The ack rule: a put is
+// acknowledged once it is durable here and every forward has returned — a
+// forward that failed is counted and logged, not fatal (repair restores
+// the missing copies) — and a put this node could not make durable is
+// answered with an error instead, so the writer keeps it. A put of a key
+// with a delayed removal pending keeps the block: the writer has stored
+// it again since asking for the removal.
+func (n *Node) storeBlocks(ctx context.Context, ks []keys.Key, data [][]byte, ttlSec int64, fwd transport.Message) error {
+	ttl := n.ttlOf(ttlSec)
+	n.cancelRemovals(ks...)
+	var err error
+	n.replicate(ctx, fwd, func() { err = store.PutBatch(n.st, ks, data, ttl, time.Now()) })
+	return err
 }
 
 // handleGet serves a block, redirecting when only a pointer is held.
@@ -199,15 +205,37 @@ func (n *Node) cancelRemovals(ks ...keys.Key) {
 	}
 }
 
-// doomed reports whether k has a delayed removal pending. Repair and
-// handoff must not push doomed blocks: the copy would land without a
-// removal schedule and resurrect the block after every holder that knew
-// about the remove has deleted it (§3).
-func (n *Node) doomed(k keys.Key) bool {
+// undoomed filters ks in place down to the keys with no delayed removal
+// pending, under one lock hold. Pushes must not carry doomed blocks: the
+// copy would land without a removal schedule and resurrect the block
+// after every holder that knew about the remove has deleted it (§3).
+func (n *Node) undoomed(ks []keys.Key) []keys.Key {
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	_, ok := n.removeTimers[k]
-	return ok
+	if len(n.removeTimers) == 0 {
+		return ks
+	}
+	live := ks[:0]
+	for _, k := range ks {
+		if _, doomed := n.removeTimers[k]; !doomed {
+			live = append(live, k)
+		}
+	}
+	return live
+}
+
+// replicaTargets returns the nodes holding this node's replicas: its
+// first r-1 successors, fewer when the ring is smaller.
+func (n *Node) replicaTargets() []transport.PeerInfo {
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	targets := make([]transport.PeerInfo, 0, n.cfg.Replicas-1)
+	for _, p := range n.succs {
+		if p.Addr != n.self.Addr && len(targets) < n.cfg.Replicas-1 {
+			targets = append(targets, p)
+		}
+	}
+	return targets
 }
 
 // replicate runs local — this node's own store step — while fwd, when
@@ -224,18 +252,7 @@ func (n *Node) replicate(ctx context.Context, fwd transport.Message, local func(
 		local()
 		return
 	}
-	n.mu.Lock()
-	targets := make([]transport.PeerInfo, 0, n.cfg.Replicas-1)
-	for _, p := range n.succs {
-		if p.Addr == n.self.Addr {
-			continue
-		}
-		targets = append(targets, p)
-		if len(targets) == n.cfg.Replicas-1 {
-			break
-		}
-	}
-	n.mu.Unlock()
+	targets := n.replicaTargets()
 	ctx, cancel := context.WithTimeout(ctx, 10*time.Second)
 	defer cancel()
 	var wg sync.WaitGroup
@@ -284,15 +301,12 @@ func (n *Node) handleSplit(ctx context.Context) transport.Message {
 	// predecessor will shrink our primary range, and its own delta event
 	// records the after-state; logging ours here gives the event log both
 	// ends of the migration round.
-	if n.census != nil {
-		n.census.SweepNow()
-		runs, files := n.census.Totals()
-		n.events.LogCtx(ctx, obs.LevelInfo, "census.delta",
-			"op", "balance.split_handout",
-			"frag_milli", strconv.FormatInt(n.census.FragMilli(), 10),
-			"runs", strconv.FormatInt(runs, 10),
-			"files", strconv.FormatInt(files, 10))
-	}
+	runs, files, frag := n.census.SweepNow()
+	n.events.LogCtx(ctx, obs.LevelInfo, "census.delta",
+		"op", "balance.split_handout",
+		"frag_milli", strconv.FormatInt(frag, 10),
+		"runs", strconv.FormatInt(runs, 10),
+		"files", strconv.FormatInt(files, 10))
 	return &transport.SplitResp{Ok: true, Median: m}
 }
 
@@ -317,199 +331,4 @@ func (n *Node) handleRange(r *transport.RangeReq) transport.Message {
 		}
 	}
 	return resp
-}
-
-// dataKeys returns the keys of the data blocks (pointers excluded) held in
-// the arc (lo, hi] that satisfy keep (nil keeps all) — from index metadata
-// alone, so the maintenance rounds never hold more than one payload at a
-// time.
-func (n *Node) dataKeys(lo, hi keys.Key, keep func(keys.Key) bool) []keys.Key {
-	var ks []keys.Key
-	n.st.ArcVisit(lo, hi, func(k keys.Key, m store.Meta) bool {
-		if !m.IsPointer() && (keep == nil || keep(k)) {
-			ks = append(ks, k)
-		}
-		return true
-	})
-	return ks
-}
-
-// pushBlock sends this node's copy of k to a peer, reporting whether it
-// was delivered. A block that has vanished, turned into a pointer or been
-// doomed since it was listed is not sent.
-func (n *Node) pushBlock(ctx context.Context, to transport.Addr, k keys.Key, replicate bool) bool {
-	if n.doomed(k) {
-		return false
-	}
-	b, ok := n.st.Get(k)
-	if !ok || b.IsPointer() {
-		return false
-	}
-	_, err := transport.Expect[*transport.PutResp](n.call(ctx, to, &transport.PutReq{
-		Key: k, Data: b.Data, Replicate: replicate,
-	}))
-	return err == nil
-}
-
-// repair runs one replica-maintenance round:
-//  1. push blocks of our primary range to our r-1 successors (diffing
-//     keys first so data moves only when missing), and
-//  2. hand blocks outside our replica responsibility to their primary,
-//     then drop them.
-func (n *Node) repair() {
-	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-	defer cancel()
-
-	n.mu.Lock()
-	self := n.self
-	pred := n.pred
-	succs := make([]transport.PeerInfo, len(n.succs))
-	copy(succs, n.succs)
-	n.mu.Unlock()
-	if pred.IsZero() || len(succs) == 0 || succs[0].Addr == self.Addr {
-		return
-	}
-
-	// (1) Primary-range replication to successors. Track the replica
-	// deficit while pushing: slots with no successor to fill them (ring
-	// smaller than the replication target, e.g. after churn) plus blocks
-	// we could not confirm on a successor this round. The gauge feeds the
-	// health engine's replica_deficit check.
-	primary := n.dataKeys(pred.ID, self.ID, nil)
-	live := primary[:0]
-	for _, k := range primary {
-		if !n.doomed(k) {
-			live = append(live, k)
-		}
-	}
-	desired := n.cfg.Replicas - 1
-	replicas := desired
-	if replicas > len(succs) {
-		replicas = len(succs)
-	}
-	deficit := int64(desired-replicas) * int64(len(live))
-	for i := 0; i < replicas; i++ {
-		deficit += n.pushMissing(ctx, succs[i], pred.ID, self.ID, live)
-	}
-	n.metrics.replicaDeficit.Set(deficit)
-
-	// (2) Hand off blocks we should not hold. Our responsibility reaches
-	// back r-1 predecessors; walk the pred chain to find the boundary.
-	lo, ok := n.replicaRangeStart(ctx)
-	if !ok {
-		return
-	}
-	n.handOffOutside(ctx, lo, self.ID)
-}
-
-// pushMissing ships the primary data blocks ks of (lo, hi] that the target
-// lacks. It returns the number it could not confirm on the target this
-// round (an unreachable target counts every block: the replica may be
-// gone), feeding repair's deficit gauge.
-func (n *Node) pushMissing(ctx context.Context, target transport.PeerInfo, lo, hi keys.Key, ks []keys.Key) int64 {
-	if target.Addr == n.tr.Addr() {
-		return 0
-	}
-	resp, err := transport.Expect[*transport.RangeResp](
-		n.call(ctx, target.Addr, &transport.RangeReq{Lo: lo, Hi: hi}))
-	if err != nil {
-		return int64(len(ks))
-	}
-	have := make(map[keys.Key]bool, len(resp.Items))
-	for _, it := range resp.Items {
-		have[it.Key] = true
-	}
-	var missing int64
-	for _, k := range ks {
-		if have[k] || n.doomed(k) {
-			continue
-		}
-		if n.pushBlock(ctx, target.Addr, k, false) {
-			n.metrics.repairPushes.Inc()
-		} else {
-			missing++
-		}
-	}
-	return missing
-}
-
-// replicaRangeStart returns the lower bound of the keys this node should
-// hold. We replicate for any owner among our r-1 predecessors, and an
-// owner's range starts at ITS predecessor — so the bound is the r-th
-// predecessor's ID, one hop past the farthest owner. Stopping a hop
-// short (the farthest owner's own ID) excludes that owner's entire
-// primary range: its second successor then hands those replicas off,
-// the owner's repair pushes them back, and the pair ping-pongs the
-// blocks forever while the cluster silently keeps r-1 copies.
-func (n *Node) replicaRangeStart(ctx context.Context) (keys.Key, bool) {
-	cur := n.Predecessor()
-	if cur.IsZero() {
-		return keys.Key{}, false
-	}
-	if cur.Addr == n.tr.Addr() {
-		return n.Self().ID, true // alone: every key is ours
-	}
-	for i := 1; i < n.cfg.Replicas; i++ {
-		resp, err := transport.Expect[*transport.NeighborsResp](
-			n.call(ctx, cur.Addr, &transport.NeighborsReq{}))
-		if err != nil || resp.Pred.IsZero() {
-			return cur.ID, true
-		}
-		if resp.Pred.Addr == n.tr.Addr() {
-			// The pred chain wrapped back to us within r hops: the ring
-			// has at most r nodes, so we replicate every key. (lo == hi
-			// is the whole-ring interval.)
-			return n.Self().ID, true
-		}
-		cur = resp.Pred
-	}
-	return cur.ID, true
-}
-
-// handOffOutside pushes blocks outside (lo, hi] to their primary owner and
-// drops the local copy once delivered.
-func (n *Node) handOffOutside(ctx context.Context, lo, hi keys.Key) {
-	// hi..hi is the whole store in key order.
-	for _, k := range n.dataKeys(hi, hi, func(k keys.Key) bool { return !k.Between(lo, hi) }) {
-		if n.doomed(k) {
-			continue
-		}
-		owner, _, err := n.Lookup(ctx, k)
-		if err != nil || owner.Addr == n.tr.Addr() {
-			continue
-		}
-		if n.pushBlock(ctx, owner.Addr, k, true) {
-			n.st.Delete(k)
-			n.metrics.handoffs.Inc()
-		}
-	}
-}
-
-// stabilizePointers fetches the data for pointers held longer than the
-// pointer stabilization time (§6).
-func (n *Node) stabilizePointers() {
-	deadline := time.Now().Add(-n.cfg.PointerStabilization)
-	stale := n.st.StalePointers(deadline)
-	if len(stale) == 0 {
-		return
-	}
-	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-	defer cancel()
-	for _, it := range stale {
-		resp, err := transport.Expect[*transport.GetResp](
-			n.call(ctx, it.Block.Pointer, &transport.GetReq{Key: it.Key}))
-		if err != nil || !resp.Found {
-			continue
-		}
-		if resp.Redirect != "" {
-			// Pointer chain: follow one level.
-			resp, err = transport.Expect[*transport.GetResp](
-				n.call(ctx, resp.Redirect, &transport.GetReq{Key: it.Key}))
-			if err != nil || !resp.Found || resp.Redirect != "" {
-				continue
-			}
-		}
-		n.st.Put(it.Key, resp.Data, n.cfg.DefaultTTL, time.Now())
-		n.metrics.ptrResolved.Inc()
-	}
 }

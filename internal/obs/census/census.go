@@ -154,9 +154,9 @@ type Sweeper struct {
 	st         store.Engine
 	bounds     func() Bounds
 	staleAfter time.Duration
-	visit      func(keys.Key, store.Meta) bool // pre-bound s.step
+	visit      func(keys.Key, store.Meta) bool // pre-bound s.Step
 
-	mu sync.Mutex // serializes sweeps and guards everything below
+	mu sync.Mutex // held from Begin to End; guards everything below
 
 	// Totals of the last completed sweep.
 	primaryBlocks, primaryBytes int64
@@ -168,6 +168,7 @@ type Sweeper struct {
 	vols                        map[keys.VolumeID]*volAcc
 
 	// Walk state, valid only inside a sweep.
+	start       time.Time
 	self, pred  keys.Key
 	wholeRing   bool
 	staleBefore int64
@@ -194,9 +195,10 @@ type runState struct {
 	len  int64
 }
 
-// New creates a sweeper. It does not start anything: the owner calls
-// Sweep on its own cadence (the node ticker loop, or SweepNow around a
-// balance move).
+// New creates a sweeper. It does not start anything: the owner drives
+// Begin → Step → End from its own index walk (the node's maintenance
+// round), or calls Sweep for a standalone pass (SweepNow around a balance
+// move).
 func New(cfg Config) *Sweeper {
 	reg := cfg.Registry
 	if reg == nil {
@@ -224,23 +226,44 @@ func New(cfg Config) *Sweeper {
 		gSweepNanos:    reg.Gauge("d2_census_sweep_nanos"),
 		cSweeps:        reg.Counter("d2_census_sweeps_total"),
 	}
-	s.visit = s.step
+	s.visit = s.Step
 	return s
 }
 
-// Sweep runs one census pass: reset the persistent accumulators, walk
-// the whole store index once in key order, publish gauges. Safe to call
-// from multiple goroutines (the ticker loop and SweepNow callers); the
-// steady-state call allocates nothing.
+// Sweep runs one standalone census pass: Begin against the node's current
+// bounds, walk the whole store index once in key order through Step, End.
+// The steady-state call allocates nothing.
 func (s *Sweeper) Sweep() {
-	b := s.bounds()
-	if !b.Ok {
-		return
+	if s.Begin(s.bounds()) {
+		// Arc (self, self] is the whole ring: one linear walk from the key
+		// origin, which is exactly the order run detection needs.
+		s.st.ArcVisit(s.self, s.self, s.visit)
+		s.End()
 	}
-	start := time.Now()
+}
 
+// SweepNow runs Sweep out of cadence and returns what the census-delta
+// events around a balance move or split record: the primary run and file
+// counts and the fragmentation ratio ×1000.
+func (s *Sweeper) SweepNow() (runs, files, fragMilli int64) {
+	s.Sweep()
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	return s.runs, s.files, s.fragMilli()
+}
+
+// Begin opens a sweep against b: it takes the sweeper's lock (sweeps are
+// serialized) and resets the persistent accumulators. It reports false,
+// holding nothing, when b has no ring position. After a true Begin the
+// caller feeds every index entry of one whole-store walk (key order, from
+// the key origin) to Step and then must call End.
+func (s *Sweeper) Begin(b Bounds) bool {
+	if !b.Ok {
+		return false
+	}
+	start := time.Now()
+	s.mu.Lock()
+	s.start = start
 	s.self, s.pred = b.Self, b.Pred
 	s.wholeRing = b.Pred.IsZero() || b.Pred.Equal(b.Self)
 	s.staleBefore = start.Add(-s.staleAfter).UnixNano()
@@ -253,24 +276,23 @@ func (s *Sweeper) Sweep() {
 		*acc = volAcc{name: acc.name}
 	}
 	s.run = runState{}
-
-	// Arc (self, self] is the whole ring: one linear walk from the key
-	// origin, which is exactly the order run detection needs.
-	s.st.ArcVisit(s.self, s.self, s.visit)
-	s.closeRun()
-
-	s.sweeps++
-	s.sweepNanos = time.Since(start).Nanoseconds()
-	s.publishLocked()
+	return true
 }
 
-// SweepNow is Sweep under a name that documents intent at call sites
-// that force an out-of-cadence census (balance-move delta capture).
-func (s *Sweeper) SweepNow() { s.Sweep() }
+// End closes the sweep Begin opened: it books the last run, records the
+// walk's duration, publishes the gauges and releases the lock.
+func (s *Sweeper) End() {
+	s.closeRun()
+	s.sweeps++
+	s.sweepNanos = time.Since(s.start).Nanoseconds()
+	s.publishLocked()
+	s.mu.Unlock()
+}
 
-// step classifies one index entry. It is the per-entry hot path: no
+// Step classifies one index entry; it always reports true, so it can be
+// an ArcVisit callback itself. It is the per-entry hot path: no
 // allocation, no payload access.
-func (s *Sweeper) step(k keys.Key, m store.Meta) bool {
+func (s *Sweeper) Step(k keys.Key, m store.Meta) bool {
 	if m.IsPointer() {
 		s.pointerBlocks++
 		s.pointerBytes += m.Size
@@ -340,32 +362,18 @@ func (s *Sweeper) publishLocked() {
 		switches = 0
 	}
 	s.gSwitches.Set(switches)
-	var fragMilli int64
-	if s.files > 0 {
-		fragMilli = s.runs * 1000 / s.files
-	}
-	s.gFragMilli.Set(fragMilli)
+	s.gFragMilli.Set(s.fragMilli())
 	s.gSweepNanos.Set(s.sweepNanos)
 	s.cSweeps.Inc()
 }
 
-// FragMilli returns the last sweep's fragmentation ratio ×1000 — the
-// cheap handle balance-move delta events read before and after a move.
-func (s *Sweeper) FragMilli() int64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
+// fragMilli is the last sweep's fragmentation ratio ×1000 (mean runs
+// per file). s.mu is held.
+func (s *Sweeper) fragMilli() int64 {
 	if s.files == 0 {
 		return 0
 	}
 	return s.runs * 1000 / s.files
-}
-
-// Totals returns the last sweep's primary run and file counts — the
-// cheap handles balance/split census-delta events record.
-func (s *Sweeper) Totals() (runs, files int64) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.runs, s.files
 }
 
 // Snapshot materializes the last sweep as a Report (volumes sorted by

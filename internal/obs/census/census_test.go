@@ -246,8 +246,8 @@ func TestMergeAssociative(t *testing.T) {
 }
 
 // TestBuildClusterGolden checks the derived §5/§10 metrics over
-// hand-built node reports, including a census-less node that must be
-// listed but contribute nothing.
+// hand-built node reports, including a node without a report that must
+// be listed but contribute nothing.
 func TestBuildClusterGolden(t *testing.T) {
 	nodes := []NodeReport{
 		{Addr: "a:1", ID: "aa", Rep: &Report{
@@ -260,7 +260,7 @@ func TestBuildClusterGolden(t *testing.T) {
 			Files: 1, Runs: 4, OwnerSwitches: 3, StalePointers: 2,
 			Volumes: []VolumeCensus{{Volume: "v1", Blocks: 10, Bytes: 3000, Files: 1, Runs: 4, MaxRun: 3}},
 		}},
-		{Addr: "c:1", ID: "cc"}, // census disabled
+		{Addr: "c:1", ID: "cc"}, // no report
 	}
 	c := BuildCluster(nodes)
 

@@ -116,8 +116,8 @@ func mergeVolumes(a, b []VolumeCensus) []VolumeCensus {
 }
 
 // BuildCluster merges per-node reports into the cluster view and
-// derives the §5/§10 metrics. Nodes with a nil report (census disabled
-// or an older binary) still appear in Nodes but contribute nothing.
+// derives the §5/§10 metrics. Nodes with a nil report (an unparsable
+// or older binary's answer) still appear in Nodes but contribute nothing.
 func BuildCluster(nodes []NodeReport) *Cluster {
 	c := &Cluster{Nodes: nodes, State: "ok"}
 	merged := &Report{}

@@ -45,18 +45,21 @@
 #   scripts/verify.sh census census tier: the placement-census tests under
 #                            -race (golden layouts, merge associativity,
 #                            the live balance-improves-locality e2e, the
-#                            store ArcVisit walk on the shared index), a
-#                            10 s sweep-during-churn soak, and the alloc
-#                            gate proving the steady-state sweep tick
-#                            stays zero-allocation
+#                            store ArcVisit walk on the shared index, the
+#                            maintenance round walking the index once and
+#                            matching a standalone sweep), a 10 s
+#                            sweep-during-churn soak, and the alloc gate
+#                            proving the standalone sweep stays
+#                            zero-allocation
 #   scripts/verify.sh disk   disk tier: the shared-index and durable-
 #                            engine tests under -race (engine parity
 #                            incl. PutBatch, MedianKey and Refresh
 #                            hammers, recovery, checkpoint, torn tails and
 #                            torn batches, injected WAL write/fsync
 #                            failures, the kill -9 process e2es — single
-#                            puts and mid-MultiPut — and the group-commit
-#                            check on a durable TCP ring), a 10 s
+#                            puts and mid-MultiPut — the group-commit
+#                            check on a durable TCP ring, and the durable
+#                            ack of single puts and hand-offs), a 10 s
 #                            crash-loop soak
 #                            (repeated recover cycles with checkpoints
 #                            interleaved), a 10 s WAL-replay fuzz pass,
@@ -155,6 +158,7 @@ if [ "${1:-}" = "census" ]; then
 	go test -race ./internal/obs/census/
 	go test -race -run 'TestArcVisit' ./internal/store/
 	go test -race -run 'TestCensusLocalityImprovesAfterBalance' .
+	go test -race -run 'TestMaintenanceRoundWalksOnce' ./internal/node/
 	echo "== census tier: 10s sweep-during-churn soak under -race"
 	D2_CENSUS_SOAK=10s go test -race -run 'TestSweepDuringChurn' ./internal/obs/census/
 	echo "== census tier: sweep-tick alloc gate (want 0 allocs/op)"
@@ -171,6 +175,7 @@ if [ "${1:-}" = "disk" ]; then
 	echo "== disk tier: durable-engine tests under -race (incl. kill -9 e2e)"
 	go test -race ./internal/store/ ./internal/store/disk/
 	go test -race -run 'TestDiskNodeCrash|TestWritePathGroupsCommits' .
+	go test -race -run 'TestDurableAck' ./internal/node/
 	echo "== disk tier: 10s crash-loop soak"
 	D2_DISK_SOAK=10s go test -race -run 'TestCrashLoop' ./internal/store/disk/
 	echo "== disk tier: WAL replay fuzz (10s)"
