@@ -26,6 +26,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"net/http"
+	"slices"
 	"time"
 
 	"github.com/defragdht/d2/internal/fs"
@@ -35,6 +36,7 @@ import (
 	"github.com/defragdht/d2/internal/obs/census"
 	"github.com/defragdht/d2/internal/obs/history"
 	"github.com/defragdht/d2/internal/obs/tracing"
+	"github.com/defragdht/d2/internal/ring"
 	"github.com/defragdht/d2/internal/store/disk"
 	"github.com/defragdht/d2/internal/transport"
 )
@@ -134,6 +136,14 @@ func (o NodeOptions) tracer(label string) *tracing.Tracer {
 	})
 }
 
+// replicas returns r, with the node's default applied.
+func (o NodeOptions) replicas() int {
+	if o.Replicas == 0 {
+		return 3
+	}
+	return o.Replicas
+}
+
 func (o NodeOptions) toConfig(seed uint64) node.Config {
 	if o.Seed != 0 {
 		seed = o.Seed
@@ -159,8 +169,18 @@ type Cluster struct {
 	reg   *obs.Registry
 }
 
-// NewCluster starts an in-process cluster of n nodes and waits for the
-// ring to form.
+// NewCluster starts an in-process cluster of n nodes and waits, bounded by
+// ctx, until the ring has settled: every node's predecessor and first
+// min(r, n)-1 successors agree with ID order. A writer caches owner ranges
+// from the ring it first sees; from a half-formed ring it would send
+// blocks to nodes that do not own them.
+//
+// Nodes join in rounds, at most one per gap of the ring formed so far and
+// through the node that will be its successor, so each join lookup answers
+// in one hop from settled state and each gap closes in one stabilization
+// round: 1,000 nodes settle in a dozen-odd rounds. Joining everyone at
+// once through one seed leaves most successor pointers wrong, and Chord
+// stabilization repairs them one hop per round.
 func NewCluster(ctx context.Context, n int, opts NodeOptions) (*Cluster, error) {
 	if n < 1 {
 		return nil, fmt.Errorf("d2: cluster needs at least one node, got %d", n)
@@ -170,20 +190,72 @@ func NewCluster(ctx context.Context, n int, opts NodeOptions) (*Cluster, error) 
 	// observed as a unit); each node still has its own registry.
 	c.net.UseMetrics(transport.NewRPCMetrics(c.reg))
 	for i := 0; i < n; i++ {
-		if err := c.AddNode(ctx); err != nil {
-			c.Close()
-			return nil, err
+		c.nodes = append(c.nodes, c.startNode())
+	}
+	fail := func(err error) (*Cluster, error) {
+		c.Close()
+		return nil, err
+	}
+	joined := []*node.Node{c.nodes[0]}
+	pending := append([]*node.Node(nil), c.nodes[1:]...)
+	for len(pending) > 0 {
+		// Ranks of rg index the sorted joined prefix; joiners append after it.
+		slices.SortFunc(joined, func(a, b *node.Node) int { return a.Self().ID.Compare(b.Self().ID) })
+		ids := make([]keys.Key, len(joined))
+		for i, nd := range joined {
+			ids[i] = nd.Self().ID
 		}
+		rg := ring.New(ids)
+		gapTaken := make(map[int]bool)
+		later := pending[:0]
+		for _, nd := range pending {
+			succ := rg.SuccessorIndex(nd.Self().ID)
+			if gapTaken[succ] {
+				later = append(later, nd)
+				continue
+			}
+			gapTaken[succ] = true
+			if err := nd.Join(ctx, joined[succ].Self().Addr); err != nil {
+				return fail(fmt.Errorf("d2: add node: %w", err))
+			}
+			joined = append(joined, nd)
+		}
+		pending = later
+		if err := waitSettled(ctx, joined, 2); err != nil {
+			return fail(err)
+		}
+	}
+	if err := waitSettled(ctx, c.nodes, opts.replicas()); err != nil {
+		return fail(err)
 	}
 	return c, nil
 }
 
-// AddNode starts one more node and joins it to the ring.
-func (c *Cluster) AddNode(ctx context.Context) error {
+// waitSettled polls until node.Settled(nodes, rep) holds or ctx ends.
+func waitSettled(ctx context.Context, nodes []*node.Node, rep int) error {
+	tick := time.NewTicker(5 * time.Millisecond)
+	defer tick.Stop()
+	for !node.Settled(nodes, rep) {
+		select {
+		case <-ctx.Done():
+			return fmt.Errorf("d2: ring of %d nodes did not settle: %w", len(nodes), ctx.Err())
+		case <-tick.C:
+		}
+	}
+	return nil
+}
+
+// startNode starts the cluster's next node, not yet joined to the ring.
+func (c *Cluster) startNode() *node.Node {
 	ep := c.net.NewEndpoint()
 	cfg := c.opts.toConfig(uint64(len(c.nodes) + 1))
 	cfg.Tracer = c.opts.tracer(string(ep.Addr()))
-	nd := node.Start(ep, cfg)
+	return node.Start(ep, cfg)
+}
+
+// AddNode starts one more node and joins it to the ring.
+func (c *Cluster) AddNode(ctx context.Context) error {
+	nd := c.startNode()
 	if len(c.nodes) > 0 {
 		if err := nd.Join(ctx, c.nodes[0].Self().Addr); err != nil {
 			_ = nd.Close()
@@ -229,13 +301,9 @@ func (c *Cluster) CloseNode(i int) error {
 
 // Client creates a block-level client attached to the cluster.
 func (c *Cluster) Client() (*Client, error) {
-	replicas := c.opts.Replicas
-	if replicas == 0 {
-		replicas = 3
-	}
 	inner, err := node.NewClient(c.net.NewEndpoint(), node.ClientConfig{
 		Seeds:    c.Seeds(),
-		Replicas: replicas,
+		Replicas: c.opts.replicas(),
 		Tracer:   c.opts.tracer("client"),
 	})
 	if err != nil {

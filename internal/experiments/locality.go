@@ -101,15 +101,7 @@ func buildCensus(tr *trace.Trace, perNode int64) *census {
 				node = int32(nodes) - 1
 			}
 			c.nameNode[trace.BlockID{FileIdx: fi, BlockNum: b}] = node
-			if b == 0 {
-				acc += 512
-			} else {
-				bs := size - (b-1)*trace.BlockSize
-				if bs > trace.BlockSize {
-					bs = trace.BlockSize
-				}
-				acc += bs
-			}
+			acc += trace.BlockBytes(size, b)
 		}
 	}
 	return c
@@ -141,7 +133,7 @@ func (c *census) eventBlocks(e *trace.Event, fn func(trace.BlockID, int64)) {
 	if !ok {
 		return
 	}
-	fn(trace.BlockID{FileIdx: fi, BlockNum: 0}, 512)
+	fn(trace.BlockID{FileIdx: fi, BlockNum: 0}, trace.InodeBytes)
 	first, count := e.BlockSpan()
 	for b := first; b < first+count; b++ {
 		fn(trace.BlockID{FileIdx: fi, BlockNum: b}, trace.BlockSize)

@@ -3,7 +3,6 @@ package fs
 import (
 	"context"
 	"fmt"
-	"time"
 
 	"github.com/defragdht/d2/internal/obs/tracing"
 )
@@ -382,6 +381,3 @@ func (v *Volume) Rename(ctx context.Context, oldPath, newPath string) error {
 	newParent.entries = append(newParent.entries, entry)
 	return v.commitChain(ctx, root, newChain)
 }
-
-// FlushAfter exposes the write-back delay for callers pacing Sync calls.
-func (v *Volume) FlushAfter() time.Duration { return v.opts.WriteBackDelay }

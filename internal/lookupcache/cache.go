@@ -55,10 +55,6 @@ func (c *Cache[V]) Len() int { return len(c.entries) }
 // Stats returns the hit and miss counts accumulated by Lookup.
 func (c *Cache[V]) Stats() (hits, misses uint64) { return c.hits, c.misses }
 
-// ResetStats zeroes the hit/miss counters (used between measurement
-// windows).
-func (c *Cache[V]) ResetStats() { c.hits, c.misses = 0, 0 }
-
 // Lookup returns the cached value whose range covers k, if fresh.
 func (c *Cache[V]) Lookup(k keys.Key, now time.Duration) (V, bool) {
 	i := c.search(k)

@@ -7,6 +7,7 @@ import (
 
 	"github.com/defragdht/d2/internal/keys"
 	"github.com/defragdht/d2/internal/obs"
+	"github.com/defragdht/d2/internal/ring"
 	"github.com/defragdht/d2/internal/store"
 	"github.com/defragdht/d2/internal/transport"
 )
@@ -30,8 +31,7 @@ func (n *Node) balanceProbe() {
 	if err != nil {
 		return
 	}
-	mine := n.RespBytes()
-	if float64(load.RespBytes) <= n.cfg.BalanceThreshold*float64(mine) {
+	if !ring.Heavier(load.RespBytes, n.RespBytes(), n.cfg.BalanceThreshold) {
 		return
 	}
 	n.moveTo(ctx, load.Self)

@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"github.com/defragdht/d2/internal/keys"
+	"github.com/defragdht/d2/internal/ring"
 	"github.com/defragdht/d2/internal/store"
 	"github.com/defragdht/d2/internal/transport"
 )
@@ -31,9 +32,8 @@ func (n *Node) maintain() {
 	targets := n.replicaTargets()
 	repair := !b.Pred.IsZero() && len(targets) > 0
 	var lo keys.Key
-	handOff := false
 	if repair {
-		lo, handOff = n.replicaRangeStart(ctx)
+		lo = n.replicaRangeStart(ctx)
 	}
 
 	var primary, outside []keys.Key
@@ -50,7 +50,7 @@ func (n *Node) maintain() {
 		case !repair:
 		case k.Between(b.Pred, b.Self):
 			primary = append(primary, k)
-		case handOff && !k.Between(lo, b.Self):
+		case !k.Between(lo, b.Self):
 			outside = append(outside, k)
 		}
 		return true
@@ -70,36 +70,34 @@ func (n *Node) maintain() {
 }
 
 // replicaRangeStart returns the lower bound of the keys this node should
-// hold. We replicate for any owner among our r-1 predecessors, and an
-// owner's range starts at ITS predecessor — so the bound is the r-th
-// predecessor's ID, one hop past the farthest owner. Stopping a hop
-// short (the farthest owner's own ID) excludes that owner's entire
-// primary range: its second successor then hands those replicas off,
-// the owner's repair pushes them back, and the pair ping-pongs the
-// blocks forever while the cluster silently keeps r-1 copies.
-func (n *Node) replicaRangeStart(ctx context.Context) (keys.Key, bool) {
-	cur := n.Predecessor()
-	if cur.IsZero() {
-		return keys.Key{}, false
-	}
-	if cur.Addr == n.tr.Addr() {
-		return n.Self().ID, true // alone: every key is ours
-	}
-	for i := 1; i < n.cfg.Replicas; i++ {
+// hold: its replica floor (ring.Ring.Floor), the r-th predecessor's ID.
+// We replicate for any owner among our r-1 predecessors, and an owner's
+// range starts at ITS predecessor — so the bound is one hop past the
+// farthest owner. Stopping a hop short (the farthest owner's own ID)
+// excludes that owner's entire primary range: its second successor then
+// hands those replicas off, the owner's repair pushes them back, and the
+// pair ping-pongs the blocks forever while the cluster silently keeps r-1
+// copies. The predecessor chain is walked with NeighborsReq; a chain that
+// returns to us within r hops (a ring of at most r nodes) or breaks off
+// early yields our own ID, the whole ring, so nothing is handed off on a
+// partial view.
+func (n *Node) replicaRangeStart(ctx context.Context) keys.Key {
+	self := n.Self()
+	chain := []keys.Key{self.ID}
+	for cur := n.Predecessor(); !cur.IsZero() && cur.Addr != self.Addr; {
+		if chain = append(chain, cur.ID); len(chain) > n.cfg.Replicas {
+			break
+		}
 		resp, err := transport.Expect[*transport.NeighborsResp](
 			n.call(ctx, cur.Addr, &transport.NeighborsReq{}))
-		if err != nil || resp.Pred.IsZero() {
-			return cur.ID, true
-		}
-		if resp.Pred.Addr == n.tr.Addr() {
-			// The pred chain wrapped back to us within r hops: the ring
-			// has at most r nodes, so we replicate every key. (lo == hi
-			// is the whole-ring interval.)
-			return n.Self().ID, true
+		if err != nil {
+			break
 		}
 		cur = resp.Pred
 	}
-	return cur.ID, true
+	walked := ring.New(chain)
+	i, _ := walked.Rank(self.ID)
+	return walked.Floor(i, n.cfg.Replicas)
 }
 
 // repairReplicas pushes to each replica target the primary blocks ks of
@@ -133,17 +131,28 @@ func (n *Node) repairReplicas(ctx context.Context, lo, hi keys.Key, targets []tr
 }
 
 // pushToOwners pushes the key-sorted ks to their owners, replicating, in
-// owner runs: one Lookup resolves a key's owner and predecessor, and the
-// following keys inside that (pred, owner] ride along without a lookup of
-// their own. Runs this node owns itself are skipped.
+// owner runs: one Lookup resolves a key's owner, the owner confirms the
+// range it claims, (pred, owner], and the following keys inside that range
+// ride along without a lookup of their own. Runs this node owns itself are
+// skipped, and so are runs no node confirms this round. The confirmation
+// matters because a lookup's last hop answers from its successor pointer:
+// right after a node (re)joins, the node before it still names the next
+// node, which would ack the copies it already holds while the new owner —
+// a primary restarting on an empty store — never receives them, leaving
+// its keys on r-1 nodes for good.
 func (n *Node) pushToOwners(ctx context.Context, ks []keys.Key, acked func([]keys.Key)) {
 	for i := 0; i < len(ks); {
-		owner, pred, err := n.Lookup(ctx, ks[i])
-		j := i + 1
-		for err == nil && !pred.IsZero() && j < len(ks) && ks[j].Between(pred.ID, owner.ID) {
-			j++
-		}
+		owner, _, err := n.Lookup(ctx, ks[i])
+		var claim *transport.NeighborsResp
 		if err == nil && owner.Addr != n.tr.Addr() {
+			claim, err = transport.Expect[*transport.NeighborsResp](
+				n.call(ctx, owner.Addr, &transport.NeighborsReq{}))
+		}
+		j := i + 1
+		if claim != nil && !claim.Pred.IsZero() && ks[i].Between(claim.Pred.ID, owner.ID) {
+			for j < len(ks) && ks[j].Between(claim.Pred.ID, owner.ID) {
+				j++
+			}
 			n.push(ctx, owner.Addr, ks[i:j], true, acked)
 		}
 		i = j

@@ -21,6 +21,7 @@ import (
 	"github.com/defragdht/d2/internal/obs/census"
 	"github.com/defragdht/d2/internal/obs/history"
 	"github.com/defragdht/d2/internal/obs/tracing"
+	"github.com/defragdht/d2/internal/ring"
 	"github.com/defragdht/d2/internal/store"
 	"github.com/defragdht/d2/internal/transport"
 )
@@ -275,6 +276,21 @@ func (n *Node) Neighbors() (pred transport.PeerInfo, succs []transport.PeerInfo)
 	succs = make([]transport.PeerInfo, len(n.succs))
 	copy(succs, n.succs)
 	return n.pred, succs
+}
+
+// Settled reports whether nodes form a settled ring under ring.Settled:
+// in ID order, each node's predecessor and its first min(rep, n)-1
+// successors are the nodes around it.
+func Settled(nodes []*Node, rep int) bool {
+	views := make([]ring.View, len(nodes))
+	for i, nd := range nodes {
+		pred, succs := nd.Neighbors()
+		views[i] = ring.View{Self: nd.Self().ID, Pred: pred.ID}
+		for _, s := range succs {
+			views[i].Succs = append(views[i].Succs, s.ID)
+		}
+	}
+	return ring.Settled(views, rep)
 }
 
 // Metrics returns the node's registry (for the admin plane and tests).

@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"github.com/defragdht/d2/internal/keys"
+	"github.com/defragdht/d2/internal/ring"
 	"github.com/defragdht/d2/internal/transport"
 )
 
@@ -48,12 +49,13 @@ func startRing(t testing.TB, net *transport.MemNetwork, n int, mutate func(i int
 	return nodes
 }
 
-// waitConverged polls until successor pointers form the correct cycle.
+// waitConverged polls until successor and predecessor pointers form the
+// correct cycle.
 func waitConverged(t testing.TB, nodes []*Node, timeout time.Duration) {
 	t.Helper()
 	deadline := time.Now().Add(timeout)
 	for {
-		if ringConsistent(nodes) {
+		if Settled(nodes, 2) {
 			return
 		}
 		if time.Now().After(deadline) {
@@ -61,37 +63,6 @@ func waitConverged(t testing.TB, nodes []*Node, timeout time.Duration) {
 		}
 		time.Sleep(20 * time.Millisecond)
 	}
-}
-
-// ringConsistent checks that following first successors visits every node
-// in ID order.
-func ringConsistent(nodes []*Node) bool {
-	type entry struct {
-		id   keys.Key
-		addr transport.Addr
-		succ transport.Addr
-		pred transport.Addr
-	}
-	entries := make([]entry, len(nodes))
-	for i, n := range nodes {
-		entries[i] = entry{
-			id:   n.Self().ID,
-			addr: n.Self().Addr,
-			succ: n.Successor().Addr,
-			pred: n.Predecessor().Addr,
-		}
-	}
-	sort.Slice(entries, func(i, j int) bool { return entries[i].id.Less(entries[j].id) })
-	for i, e := range entries {
-		next := entries[(i+1)%len(entries)]
-		if e.succ != next.addr {
-			return false
-		}
-		if next.pred != e.addr {
-			return false
-		}
-	}
-	return true
 }
 
 func closeAll(t testing.TB, nodes []*Node) {
@@ -145,12 +116,10 @@ func TestRingConvergesAndRoutes(t *testing.T) {
 
 	// Every key's lookup must agree with the ground-truth ring.
 	ids := make([]keys.Key, len(nodes))
-	byID := map[keys.Key]*Node{}
 	for i, n := range nodes {
 		ids[i] = n.Self().ID
-		byID[n.Self().ID] = n
 	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i].Less(ids[j]) })
+	rg := ring.New(ids)
 	ctx := context.Background()
 	for i := 0; i < 50; i++ {
 		k := keys.HashString(fmt.Sprintf("probe-%d", i))
@@ -158,8 +127,7 @@ func TestRingConvergesAndRoutes(t *testing.T) {
 		if err != nil {
 			t.Fatalf("lookup %d: %v", i, err)
 		}
-		j := sort.Search(len(ids), func(j int) bool { return !ids[j].Less(k) })
-		want := ids[j%len(ids)]
+		want := rg.At(rg.SuccessorIndex(k))
 		if owner.ID != want {
 			t.Fatalf("lookup %d: owner %s, want %s", i, owner.ID.Short(), want.Short())
 		}
@@ -498,12 +466,16 @@ func TestReplicaCountConvergesAndHolds(t *testing.T) {
 	// successor list settled leaves a replica outside the group, r copies
 	// in all until repair fills the group, and the stray copy's hand-off
 	// would then land in the hold window below.
-	ring := append([]*Node(nil), nodes...)
-	sort.Slice(ring, func(i, j int) bool { return ring[i].Self().ID.Less(ring[j].Self().ID) })
+	ids := make([]keys.Key, len(nodes))
+	byID := make(map[keys.Key]*Node, len(nodes))
+	for i, nd := range nodes {
+		ids[i] = nd.Self().ID
+		byID[ids[i]] = nd
+	}
+	rg := ring.New(ids)
 	placed := func(k keys.Key) bool {
-		o := sort.Search(len(ring), func(i int) bool { return !ring[i].Self().ID.Less(k) })
-		for j := 0; j < 3; j++ {
-			if b, ok := ring[(o+j)%len(ring)].Store().Get(k); !ok || b.IsPointer() {
+		for _, rank := range rg.AppendReplicas(nil, k, 3) {
+			if b, ok := byID[rg.At(rank)].Store().Get(k); !ok || b.IsPointer() {
 				return false
 			}
 		}
@@ -549,4 +521,104 @@ func TestReplicaCountConvergesAndHolds(t *testing.T) {
 			t.Fatalf("key dropped to %d copies in steady state", got)
 		}
 	}
+}
+
+// TestRestartedPrimaryRegainsItsBlocks crashes the primary of a run of
+// keys and restarts it at its ID on an empty store. Its blocks come back
+// only through the hand-off of the node that held the third copy while it
+// was down, and that hand-off must reach the restarted node itself. Right
+// after the rejoin the node before it still names the next node as its
+// successor, so a lookup can answer with that next node — which already
+// holds a copy, acks, and leaves the keys on r-1 nodes for good. Slow
+// stabilization keeps that stale pointer alive across many repair rounds.
+func TestRestartedPrimaryRegainsItsBlocks(t *testing.T) {
+	net := transport.NewMemNetwork(0)
+	slow := func(i int, c *Config) { c.StabilizeInterval = 150 * time.Millisecond }
+	nodes := startRing(t, net, 6, slow)
+	defer func() { closeAll(t, nodes) }()
+	c := newClient(t, net, nodes)
+	defer c.Close()
+
+	ctx := context.Background()
+	var ks []keys.Key
+	for i := 0; i < 24; i++ {
+		k := keys.HashString(fmt.Sprintf("restart-%d", i))
+		if err := c.Put(ctx, k, []byte("v")); err != nil {
+			t.Fatal(err)
+		}
+		ks = append(ks, k)
+	}
+	// placed reports whether every key sits on exactly its replica group.
+	placed := func() bool {
+		ids := make([]keys.Key, len(nodes))
+		byID := make(map[keys.Key]*Node, len(nodes))
+		for i, nd := range nodes {
+			ids[i] = nd.Self().ID
+			byID[ids[i]] = nd
+		}
+		rg := ring.New(ids)
+		for _, k := range ks {
+			held := 0
+			for _, nd := range nodes {
+				if hasData(nd, k) {
+					held++
+				}
+			}
+			for _, rank := range rg.AppendReplicas(nil, k, 3) {
+				if !hasData(byID[rg.At(rank)], k) {
+					return false
+				}
+			}
+			if held != 3 {
+				return false
+			}
+		}
+		return true
+	}
+	waitPlaced := func(stage string) {
+		t.Helper()
+		for deadline := time.Now().Add(10 * time.Second); !placed(); time.Sleep(25 * time.Millisecond) {
+			if time.Now().After(deadline) {
+				t.Fatalf("%s: keys not on exactly their replica groups", stage)
+			}
+		}
+	}
+	waitPlaced("after writes")
+
+	owner, err := c.Lookup(ctx, ks[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	vi := -1
+	for i, nd := range nodes {
+		if nd.Self().Addr == owner.Addr {
+			vi = i
+		}
+	}
+	id := nodes[vi].Self().ID
+	if err := nodes[vi].Close(); err != nil {
+		t.Fatal(err)
+	}
+	nodes = append(nodes[:vi], nodes[vi+1:]...)
+	waitConverged(t, nodes, 10*time.Second)
+	waitPlaced("after the crash")
+
+	cfg := testConfig(0)
+	cfg.ID = id
+	slow(0, &cfg)
+	restarted := Start(net.NewEndpoint(), cfg)
+	nodes = append(nodes, restarted)
+	// A join lookup may still route through a link to the dead
+	// incarnation; retry as an operator would.
+	for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(50 * time.Millisecond) {
+		err := restarted.Join(ctx, nodes[0].Self().Addr)
+		if err == nil {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatal(err)
+		}
+	}
+	waitConverged(t, nodes, 10*time.Second)
+	waitPlaced("after the restart")
 }

@@ -125,23 +125,6 @@ func (v *View) Ratio(num, den string) float64 {
 	return v.CounterDelta(num) / d
 }
 
-// DeltaCount returns how many observations the named histogram recorded
-// inside the window.
-func (v *View) DeltaCount(name string) float64 {
-	if v.newest == nil || v.newest == v.oldest {
-		return 0
-	}
-	i, ok := v.e.histIdx[name]
-	if !ok {
-		return 0
-	}
-	var n uint64
-	for b, c := range v.newest.histCounts[i] {
-		n += c - v.oldest.histCounts[i][b]
-	}
-	return float64(n)
-}
-
 // DeltaMean returns the mean of the named histogram's observations
 // inside the window.
 func (v *View) DeltaMean(name string) float64 {
@@ -160,29 +143,6 @@ func (v *View) DeltaMean(name string) float64 {
 		return 0
 	}
 	return float64(v.newest.histSums[i]-v.oldest.histSums[i]) / float64(n)
-}
-
-// DeltaQuantile returns the q-th quantile of the named histogram's
-// observations inside the window, interpolated over interval bucket
-// deltas in the engine's scratch buffer.
-func (v *View) DeltaQuantile(name string, q float64) float64 {
-	if v.newest == nil || v.newest == v.oldest {
-		return 0
-	}
-	i, ok := v.e.histIdx[name]
-	if !ok {
-		return 0
-	}
-	var n uint64
-	for b, c := range v.newest.histCounts[i] {
-		d := c - v.oldest.histCounts[i][b]
-		v.e.scratch[b] = d
-		n += d
-	}
-	if n == 0 {
-		return 0
-	}
-	return quantileFromCounts(v.e.hists[i], v.e.scratch[:len(v.newest.histCounts[i])], n, q)
 }
 
 // DefaultChecks returns the node health check set:
@@ -304,15 +264,6 @@ func (e *Engine) State() State {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	return e.state
-}
-
-// Results copies the current per-check results (newest evaluation).
-func (e *Engine) Results() []CheckResult {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	out := make([]CheckResult, len(e.results))
-	copy(out, e.results)
-	return out
 }
 
 // CheckStatus is one check in a rendered status document.

@@ -413,13 +413,13 @@ func (e *Engine) Rates() Rates {
 			continue
 		}
 		counts := e.scratch[:len(newest.histCounts[i])]
-		h := e.hists[i]
+		bounds := e.hists[i].Bounds()
 		out.Histograms[name] = HistQuantiles{
 			Count: count,
 			Mean:  float64(newest.histSums[i]-oldest.histSums[i]) / float64(count),
-			P50:   quantileFromCounts(h, counts, count, 0.50),
-			P90:   quantileFromCounts(h, counts, count, 0.90),
-			P99:   quantileFromCounts(h, counts, count, 0.99),
+			P50:   obs.Quantile(bounds, counts, count, 0.50),
+			P90:   obs.Quantile(bounds, counts, count, 0.90),
+			P99:   obs.Quantile(bounds, counts, count, 0.99),
 		}
 	}
 	return out
@@ -490,42 +490,6 @@ func (e *Engine) DumpHistory(maxPoints int) Dump {
 		d.Points = append(d.Points, p)
 	}
 	return d
-}
-
-// quantileFromCounts estimates a quantile by linear interpolation over
-// interval bucket deltas — HistSnapshot.Quantile's algorithm lifted to
-// operate on a scratch count vector without building a snapshot.
-func quantileFromCounts(h *obs.Histogram, counts []uint64, total uint64, q float64) float64 {
-	nb := h.NumBounds()
-	if total == 0 || nb == 0 {
-		return 0
-	}
-	if q < 0 {
-		q = 0
-	}
-	if q > 1 {
-		q = 1
-	}
-	rank := q * float64(total)
-	var cum float64
-	for i, c := range counts {
-		prev := cum
-		cum += float64(c)
-		if cum < rank || c == 0 {
-			continue
-		}
-		if i >= nb {
-			return float64(h.Bound(nb - 1))
-		}
-		lo := float64(0)
-		if i > 0 {
-			lo = float64(h.Bound(i - 1))
-		}
-		hi := float64(h.Bound(i))
-		frac := (rank - prev) / float64(c)
-		return lo + (hi-lo)*frac
-	}
-	return float64(h.Bound(nb - 1))
 }
 
 // ratePrefixLocked returns the per-second rate summed over every counter

@@ -90,11 +90,9 @@ func (h *Histogram) Sum() int64 { return h.sum.Load() }
 // NumBuckets returns the bucket count including the overflow bucket.
 func (h *Histogram) NumBuckets() int { return len(h.counts) }
 
-// NumBounds returns the number of finite upper bounds (NumBuckets - 1).
-func (h *Histogram) NumBounds() int { return len(h.bounds) }
-
-// Bound returns the i-th finite upper bound.
-func (h *Histogram) Bound(i int) int64 { return h.bounds[i] }
+// Bounds returns the finite upper bounds (NumBuckets - 1 of them). The
+// slice is the histogram's own and must not be modified.
+func (h *Histogram) Bounds() []int64 { return h.bounds }
 
 // ReadCounts copies the current per-bucket counts into dst, which must
 // hold NumBuckets entries. Allocation-free: history samplers read whole

@@ -36,13 +36,19 @@ func (h HistSnapshot) Mean() float64 {
 	return float64(h.Sum) / float64(n)
 }
 
-// Quantile estimates the q-th quantile (0 ≤ q ≤ 1) by linear
-// interpolation inside the bucket containing it, the standard
-// fixed-bucket estimate. Observations in the overflow bucket report the
-// largest bound.
+// Quantile estimates the q-th quantile (0 ≤ q ≤ 1); see Quantile.
 func (h HistSnapshot) Quantile(q float64) float64 {
-	total := h.Count()
-	if total == 0 || len(h.Bounds) == 0 {
+	return Quantile(h.Bounds, h.Counts, h.Count(), q)
+}
+
+// Quantile estimates the q-th quantile (0 ≤ q ≤ 1) of total observations
+// spread over fixed buckets — counts has len(bounds)+1 entries, the last
+// the overflow bucket — by linear interpolation inside the bucket
+// containing it, the standard fixed-bucket estimate. Observations in the
+// overflow bucket report the largest bound. It reads counts in place, so
+// a sampler can pass a scratch vector of interval deltas.
+func Quantile(bounds []int64, counts []uint64, total uint64, q float64) float64 {
+	if total == 0 || len(bounds) == 0 {
 		return 0
 	}
 	if q < 0 {
@@ -53,24 +59,24 @@ func (h HistSnapshot) Quantile(q float64) float64 {
 	}
 	rank := q * float64(total)
 	var cum float64
-	for i, c := range h.Counts {
+	for i, c := range counts {
 		prev := cum
 		cum += float64(c)
 		if cum < rank || c == 0 {
 			continue
 		}
-		if i >= len(h.Bounds) {
-			return float64(h.Bounds[len(h.Bounds)-1])
+		if i >= len(bounds) {
+			return float64(bounds[len(bounds)-1])
 		}
 		lo := float64(0)
 		if i > 0 {
-			lo = float64(h.Bounds[i-1])
+			lo = float64(bounds[i-1])
 		}
-		hi := float64(h.Bounds[i])
+		hi := float64(bounds[i])
 		frac := (rank - prev) / float64(c)
 		return lo + (hi-lo)*frac
 	}
-	return float64(h.Bounds[len(h.Bounds)-1])
+	return float64(bounds[len(bounds)-1])
 }
 
 // Snapshot freezes the registry's current state. Gauge functions are

@@ -134,6 +134,7 @@ type runner struct {
 	router  *router
 	tcp     *netmodel.TCP
 	links   []*sim.Link // per node rank: upload link
+	reps    []int       // replica-rank scratch for fetchBlock
 
 	gateway map[int32]int                     // user → node rank
 	caches  map[int32]*lookupcache.Cache[int] // user → lookup cache
@@ -193,9 +194,8 @@ func (r *runner) buildRing() {
 		}
 		var all []kb
 		for _, f := range r.tr.Initial {
-			all = append(all, kb{r.sys.Keyer.BlockKey(f.Path, 0), InodeBytes})
-			for b := int64(1); b <= f.NumBlocks(); b++ {
-				all = append(all, kb{r.sys.Keyer.BlockKey(f.Path, uint64(b)), blockBytes(f.Size, b)})
+			for b := int64(0); b <= f.NumBlocks(); b++ {
+				all = append(all, kb{r.sys.Keyer.BlockKey(f.Path, uint64(b)), trace.BlockBytes(f.Size, b)})
 			}
 		}
 		sort.Slice(all, func(i, j int) bool { return all[i].k.Less(all[j].k) })
@@ -210,20 +210,6 @@ func (r *runner) buildRing() {
 		ids = randomRing(r.cfg.Nodes, r.rng)
 	}
 	r.router = newRouter(ids, r.rng)
-}
-
-// InodeBytes matches the simulator's modeled metadata block size.
-const InodeBytes = 512
-
-func blockBytes(fileSize, i int64) int64 {
-	rem := fileSize - (i-1)*trace.BlockSize
-	if rem >= trace.BlockSize {
-		return trace.BlockSize
-	}
-	if rem < 0 {
-		return 0
-	}
-	return rem
 }
 
 // windowStarts picks the measured windows: evenly spread over the trace's
@@ -300,8 +286,8 @@ func (r *runner) warmRead(e *trace.Event) {
 	r.forEachBlock(e, func(k keys.Key) {
 		cache := r.caches[e.User]
 		if _, ok := cache.Lookup(k, e.At); !ok {
-			owner := r.router.ownerRank(k)
-			lo, hi := r.router.rangeOf(owner)
+			owner := r.router.SuccessorIndex(k)
+			lo, hi := r.router.Range(owner)
 			cache.Insert(lo, hi, owner, e.At)
 		}
 	})
@@ -347,7 +333,7 @@ func (r *runner) scheduleGroup(gi int, g *trace.Task, busyUntil map[int32]time.D
 			seen[k] = true
 			n := int64(trace.BlockSize)
 			if k.Equal(r.sys.Keyer.BlockKey(e.Path, 0)) {
-				n = InodeBytes
+				n = trace.InodeBytes
 			} else if size < trace.BlockSize {
 				n = size
 			}
@@ -436,20 +422,17 @@ func (r *runner) fetchBlock(user int32, f blockFetch, done func()) {
 			lookupDelay += r.topo.OneWay(prev, hop)
 			prev = hop
 		}
-		owner = r.router.ownerRank(f.key)
+		owner = r.router.SuccessorIndex(f.key)
 		lookupDelay += r.topo.OneWay(owner, client) // result returns directly
-		lo, hi := r.router.rangeOf(owner)
+		lo, hi := r.router.Range(owner)
 		cache.Insert(lo, hi, owner, now)
 	}
 	r.res.PerUserMiss[user] = hm
 
 	// Pick a random replica (§4.3: D2 selects replicas randomly) among
 	// the r successors of the owner.
-	rep := r.cfg.Replicas
-	if rep > r.cfg.Nodes {
-		rep = r.cfg.Nodes
-	}
-	server := (owner + r.rngRep.IntN(rep)) % r.cfg.Nodes
+	r.reps = r.router.AppendReplicas(r.reps[:0], f.key, r.cfg.Replicas)
+	server := r.reps[r.rngRep.IntN(len(r.reps))]
 
 	r.eng.After(lookupDelay+r.topo.OneWay(client, server), func() {
 		// Request arrived at the server: window rounds + upload queueing.

@@ -28,7 +28,7 @@ func TestRouterReachesOwner(t *testing.T) {
 		start := rng.IntN(200)
 		key := keys.Random(rng)
 		path := r.lookup(start, key)
-		owner := r.ownerRank(key)
+		owner := r.SuccessorIndex(key)
 		if start == owner {
 			if len(path) != 0 {
 				t.Fatalf("lookup from owner took %d hops", len(path))
@@ -84,7 +84,7 @@ func TestBalancedRingEqualizesBytes(t *testing.T) {
 	r := newRouter(ids, rand.New(rand.NewPCG(5, 6)))
 	counts := make([]int, 10)
 	for _, b := range blocks {
-		counts[r.ownerRank(b)]++
+		counts[r.SuccessorIndex(b)]++
 	}
 	for i, c := range counts {
 		if c < 80 || c > 120 {

@@ -12,6 +12,7 @@ import (
 	"sort"
 
 	"github.com/defragdht/d2/internal/keys"
+	"github.com/defragdht/d2/internal/ring"
 )
 
 // router answers lookups over a static ring snapshot with hop counting.
@@ -19,14 +20,14 @@ import (
 // Mercury's harmonic rank-distance sampling, which yields O(log n)-hop
 // greedy routes even under non-uniform key distributions (§6).
 type router struct {
-	ids   []keys.Key // sorted node IDs
-	links [][]int    // per rank: outgoing link ranks (successor first)
+	*ring.Ring
+	links [][]int // per rank: outgoing link ranks (successor first)
 }
 
 // newRouter builds routing tables over the sorted IDs.
 func newRouter(ids []keys.Key, rng *rand.Rand) *router {
 	n := len(ids)
-	r := &router{ids: ids, links: make([][]int, n)}
+	r := &router{Ring: ring.New(ids), links: make([][]int, n)}
 	if n == 0 {
 		return r
 	}
@@ -51,39 +52,18 @@ func newRouter(ids []keys.Key, rng *rand.Rand) *router {
 	return r
 }
 
-// ownerRank returns the rank of the node owning key k.
-func (r *router) ownerRank(k keys.Key) int {
-	i := sort.Search(len(r.ids), func(i int) bool { return !r.ids[i].Less(k) })
-	if i == len(r.ids) {
-		return 0
-	}
-	return i
-}
-
-// rangeOf returns the (pred, id] range of the node at the given rank.
-func (r *router) rangeOf(rank int) (lo, hi keys.Key) {
-	n := len(r.ids)
-	return r.ids[(rank-1+n)%n], r.ids[rank]
-}
-
-// rankDist returns the clockwise rank distance from a to b.
-func (r *router) rankDist(a, b int) int {
-	n := len(r.ids)
-	return ((b-a)%n + n) % n
-}
-
 // lookup routes greedily from the start rank to the owner of key k,
 // returning the ranks visited after start (one per message hop).
 func (r *router) lookup(start int, k keys.Key) []int {
-	owner := r.ownerRank(k)
+	owner := r.SuccessorIndex(k)
 	var path []int
 	cur := start
 	for cur != owner {
-		remaining := r.rankDist(cur, owner)
+		remaining := r.RankDistance(cur, owner)
 		best := -1
 		bestAdvance := 0
 		for _, l := range r.links[cur] {
-			adv := r.rankDist(cur, l)
+			adv := r.RankDistance(cur, l)
 			if adv <= remaining && adv > bestAdvance {
 				best = l
 				bestAdvance = adv
@@ -94,7 +74,7 @@ func (r *router) lookup(start int, k keys.Key) []int {
 		}
 		cur = best
 		path = append(path, cur)
-		if len(path) > len(r.ids) {
+		if len(path) > r.Len() {
 			// Defensive: greedy clockwise routing cannot loop, but never
 			// spin if an invariant breaks.
 			break
@@ -105,34 +85,25 @@ func (r *router) lookup(start int, k keys.Key) []int {
 
 // balancedRing returns n node IDs that partition the given sorted block
 // keys into equal-byte ranges: the steady state D2's balancer converges to
-// (§6). sizes[i] is the byte size of blocks[i].
+// (§6). sizes[i] is the byte size of blocks[i]; the blocks must hold
+// bytes.
 func balancedRing(blocks []keys.Key, sizes []int64, n int) []keys.Key {
-	if len(blocks) == 0 || n == 0 {
-		return nil
-	}
-	var total int64
-	for _, s := range sizes {
-		total += s
-	}
 	ids := make([]keys.Key, 0, n)
-	var acc int64
-	next := 1
-	for i, k := range blocks {
-		acc += sizes[i]
-		for next <= n && acc >= total*int64(next)/int64(n) {
-			id := k
-			// Guarantee uniqueness when several boundaries land on one
-			// block (gigantic files).
-			for len(ids) > 0 && !ids[len(ids)-1].Less(id) {
-				id = id.Next()
+	ring.ByteSplit(func(visit func(keys.Key, int64) bool) {
+		for i, k := range blocks {
+			if !visit(k, sizes[i]) {
+				return
 			}
-			ids = append(ids, id)
-			next++
 		}
-	}
-	for len(ids) < n {
-		ids = append(ids, ids[len(ids)-1].Next())
-	}
+	}, n, func(id keys.Key) bool {
+		// Guarantee uniqueness when several boundaries land on one block
+		// (gigantic files).
+		for len(ids) > 0 && !ids[len(ids)-1].Less(id) {
+			id = id.Next()
+		}
+		ids = append(ids, id)
+		return true
+	})
 	return ids
 }
 

@@ -4,6 +4,7 @@ import (
 	"time"
 
 	"github.com/defragdht/d2/internal/keys"
+	"github.com/defragdht/d2/internal/ring"
 	"github.com/defragdht/d2/internal/stats"
 )
 
@@ -29,14 +30,14 @@ func (c *Cluster) probeLoop(n *Node) {
 // predecessor, taking half of A's load. The ID change is a voluntary
 // leave+rejoin, so data moves through block pointers.
 func (c *Cluster) probe(b *Node) {
-	if len(c.members) < 3 {
+	if c.ring.Len() < 3 {
 		return
 	}
-	a := c.nodes[c.members[c.rng.IntN(len(c.members))].node]
+	a := c.nodes[c.nodeAt[c.rng.IntN(c.ring.Len())]]
 	if a.Idx == b.Idx || !a.Up {
 		return
 	}
-	if float64(a.RespBytes) <= c.cfg.BalanceThreshold*float64(b.RespBytes) {
+	if !ring.Heavier(a.RespBytes, b.RespBytes, c.cfg.BalanceThreshold) {
 		return
 	}
 	c.moveNode(b, a)
@@ -49,7 +50,7 @@ func (c *Cluster) moveNode(b, a *Node) {
 	if !ok {
 		return
 	}
-	if _, taken := c.rankOf(newID); taken {
+	if _, taken := c.ring.Rank(newID); taken {
 		return // the split key is an existing member ID; skip this round
 	}
 	if newID.Equal(b.ID) {
@@ -60,7 +61,7 @@ func (c *Cluster) moveNode(b, a *Node) {
 	// the data).
 	oldID := b.ID
 	c.deleteMember(b)
-	if len(c.members) > 0 {
+	if c.ring.Len() > 0 {
 		lo, hi := c.affectedArc(oldID)
 		c.resyncArc(lo, hi, true)
 		c.recomputeResp(c.nodes[c.ownerNode(oldID)])
@@ -85,26 +86,16 @@ func (c *Cluster) medianSplit(a *Node) (keys.Key, bool) {
 	if rank < 0 {
 		return keys.Key{}, false
 	}
-	lo, hi := c.rangeOf(rank)
-	var total int64
-	c.global.AscendArc(lo, hi, func(_ keys.Key, h int32) bool {
-		total += int64(c.blocks[h].size)
-		return true
-	})
-	if total == 0 {
-		return keys.Key{}, false
-	}
-	var acc int64
+	lo, hi := c.ring.Range(rank)
 	var split keys.Key
 	found := false
-	c.global.AscendArc(lo, hi, func(k keys.Key, h int32) bool {
-		acc += int64(c.blocks[h].size)
-		if acc >= total/2 {
-			split = k
-			found = true
-			return false
-		}
-		return true
+	ring.ByteSplit(func(visit func(keys.Key, int64) bool) {
+		c.global.AscendArc(lo, hi, func(k keys.Key, h int32) bool {
+			return visit(k, int64(c.blocks[h].size))
+		})
+	}, 2, func(k keys.Key) bool {
+		split, found = k, true
+		return false
 	})
 	if !found || split.Equal(a.ID) {
 		return keys.Key{}, false

@@ -10,13 +10,13 @@ package simdht
 import (
 	"fmt"
 	"math/rand/v2"
-	"sort"
 	"time"
 
 	"github.com/defragdht/d2/internal/btree"
 	"github.com/defragdht/d2/internal/keys"
 	"github.com/defragdht/d2/internal/obs"
 	"github.com/defragdht/d2/internal/obs/tracing"
+	"github.com/defragdht/d2/internal/ring"
 	"github.com/defragdht/d2/internal/sim"
 )
 
@@ -117,12 +117,6 @@ type Node struct {
 	link  *sim.Link
 }
 
-// member pairs a ring position with the node occupying it.
-type member struct {
-	id   keys.Key
-	node int
-}
-
 // ptrRef records that node holds a pointer for a block, targeting the
 // node that actually stores it.
 type ptrRef struct {
@@ -145,11 +139,13 @@ type Cluster struct {
 	cfg Config
 	rng *rand.Rand
 
-	nodes   []*Node
-	members []member // sorted by id; only up nodes
-	// rankByNode maps node index → current rank in members (-1 when the
-	// node is not a member), maintained on every membership change so a
-	// member's own rank never needs a binary search.
+	nodes []*Node
+	// ring holds the up nodes' IDs and nodeAt, rank for rank, the node at
+	// each position. rankByNode maps node index → current rank (-1 when
+	// the node is not a member), maintained on every membership change so
+	// a member's own rank never needs a binary search.
+	ring       ring.Ring
+	nodeAt     []int
 	rankByNode []int
 
 	global btree.Tree[int32]
@@ -222,7 +218,7 @@ func New(eng *sim.Engine, cfg Config) *Cluster {
 		}
 		for {
 			n.ID = keys.Random(c.rng)
-			if _, taken := c.rankOf(n.ID); !taken {
+			if _, taken := c.ring.Rank(n.ID); !taken {
 				break
 			}
 			// Collision in a 512-bit space: effectively unreachable, but
@@ -246,48 +242,17 @@ func (c *Cluster) Nodes() []*Node { return c.nodes }
 // NumBlocks returns the number of live blocks.
 func (c *Cluster) NumBlocks() int { return c.global.Len() }
 
-// rankOf returns the sorted position of id among members and whether a
-// member with exactly that id exists. For a node's own current position
-// use memberRank, which is O(1).
-func (c *Cluster) rankOf(id keys.Key) (int, bool) {
-	i := sort.Search(len(c.members), func(i int) bool {
-		return !c.members[i].id.Less(id)
-	})
-	if i < len(c.members) && c.members[i].id.Equal(id) {
-		return i, true
-	}
-	return i, false
-}
-
-// memberRank returns the node's current rank in the member list, or -1
-// when the node is not a member.
+// memberRank returns the node's current rank on the ring, or -1 when the
+// node is not a member.
 func (c *Cluster) memberRank(n *Node) int { return c.rankByNode[n.Idx] }
-
-// succRank returns the rank of the member owning key k.
-func (c *Cluster) succRank(k keys.Key) int {
-	i, _ := c.rankOf(k)
-	if i == len(c.members) {
-		return 0
-	}
-	return i
-}
 
 // replicaNodes returns the node indices of the r members succeeding key k.
 // The returned slice aliases a scratch buffer valid only until the next
 // replicaNodes call; callers that nest resync operations must copy it.
 func (c *Cluster) replicaNodes(k keys.Key) []int {
-	l := len(c.members)
-	if l == 0 {
-		return nil
-	}
-	r := c.cfg.Replicas
-	if r > l {
-		r = l
-	}
-	out := c.repScratch[:0]
-	start := c.succRank(k)
-	for i := 0; i < r; i++ {
-		out = append(out, c.members[(start+i)%l].node)
+	out := c.ring.AppendReplicas(c.repScratch[:0], k, c.cfg.Replicas)
+	for i, rank := range out {
+		out[i] = c.nodeAt[rank]
 	}
 	c.repScratch = out
 	return out
@@ -296,63 +261,54 @@ func (c *Cluster) replicaNodes(k keys.Key) []int {
 // ownerNode returns the node index primarily responsible for key k, or -1
 // if the ring is empty.
 func (c *Cluster) ownerNode(k keys.Key) int {
-	if len(c.members) == 0 {
+	if c.ring.Len() == 0 {
 		return -1
 	}
-	return c.members[c.succRank(k)].node
+	return c.nodeAt[c.ring.SuccessorIndex(k)]
 }
 
-// rangeOf returns the primary range (pred, id] of the member at rank i.
-func (c *Cluster) rangeOf(i int) (lo, hi keys.Key) {
-	l := len(c.members)
-	return c.members[(i-1+l)%l].id, c.members[i].id
-}
-
-// insertMember adds the node to the sorted member list (no resync).
+// insertMember adds the node to the ring (no resync).
 func (c *Cluster) insertMember(n *Node) {
-	i, exists := c.rankOf(n.ID)
-	if exists {
-		panic(fmt.Sprintf("simdht: duplicate member ID %s", n.ID.Short()))
+	i, err := c.ring.Add(n.ID)
+	if err != nil {
+		panic(fmt.Sprintf("simdht: %v", err))
 	}
-	c.members = append(c.members, member{})
-	copy(c.members[i+1:], c.members[i:])
-	c.members[i] = member{id: n.ID, node: n.Idx}
-	for j := i; j < len(c.members); j++ {
-		c.rankByNode[c.members[j].node] = j
+	c.nodeAt = append(c.nodeAt, 0)
+	copy(c.nodeAt[i+1:], c.nodeAt[i:])
+	c.nodeAt[i] = n.Idx
+	for j := i; j < len(c.nodeAt); j++ {
+		c.rankByNode[c.nodeAt[j]] = j
 	}
 }
 
-// deleteMember removes the node from the member list (no resync).
+// deleteMember removes the node from the ring (no resync).
 func (c *Cluster) deleteMember(n *Node) {
 	i := c.memberRank(n)
-	if i < 0 || c.members[i].node != n.Idx || !c.members[i].id.Equal(n.ID) {
+	if j, err := c.ring.Remove(n.ID); err != nil || j != i || c.nodeAt[i] != n.Idx {
 		panic(fmt.Sprintf("simdht: removing absent member %s", n.ID.Short()))
 	}
-	c.members = append(c.members[:i], c.members[i+1:]...)
+	c.nodeAt = append(c.nodeAt[:i], c.nodeAt[i+1:]...)
 	c.rankByNode[n.Idx] = -1
-	for j := i; j < len(c.members); j++ {
-		c.rankByNode[c.members[j].node] = j
+	for j := i; j < len(c.nodeAt); j++ {
+		c.rankByNode[c.nodeAt[j]] = j
 	}
 }
 
 // affectedArc returns the key arc whose replica groups changed after a
-// membership change at position x: (r-th predecessor of x, x]. Call it
-// after the mutation. When the ring is too small, the whole ring is
-// affected (lo == hi).
+// membership change at position x: (lo, x], where lo is the replica floor
+// of x's rank — x's own if x joined, its successor's if x left (x's keys
+// now belong to that successor, and the groups changed for the same arc
+// ending at x). Call it after the mutation. When the ring is too small the
+// whole ring is affected (lo == hi).
 func (c *Cluster) affectedArc(x keys.Key) (lo, hi keys.Key) {
-	l := len(c.members)
-	if l == 0 || l <= c.cfg.Replicas {
+	if c.ring.Len() == 0 {
 		return x, x
 	}
-	rank, exists := c.rankOf(x)
-	if exists {
-		// x joined: walk back r members from it.
-		return c.members[(rank-c.cfg.Replicas+l)%l].id, x
+	i := c.ring.SuccessorIndex(x)
+	if lo = c.ring.Floor(i, c.cfg.Replicas); lo.Equal(c.ring.At(i)) {
+		return x, x
 	}
-	// x left: its keys now belong to its successor; groups changed for
-	// the same arc ending at x.
-	succ := c.succRank(x)
-	return c.members[(succ-c.cfg.Replicas+l)%l].id, x
+	return lo, x
 }
 
 // recomputeResp recalculates a node's primary responsibility bytes by
@@ -366,14 +322,8 @@ func (c *Cluster) recomputeResp(n *Node) {
 	if rank < 0 {
 		return
 	}
-	if len(c.members) == 1 {
-		c.global.AscendRange(keys.Zero, keys.MaxKey, func(_ keys.Key, h int32) bool {
-			n.RespBytes += int64(c.blocks[h].size)
-			return true
-		})
-		return
-	}
-	lo, hi := c.rangeOf(rank)
+	// A lone member's range (id, id] is the whole ring.
+	lo, hi := c.ring.Range(rank)
 	c.global.AscendArc(lo, hi, func(_ keys.Key, h int32) bool {
 		n.RespBytes += int64(c.blocks[h].size)
 		return true
@@ -390,7 +340,7 @@ func (c *Cluster) NodeFail(idx int) {
 	n.Up = false
 	c.deleteMember(n)
 	n.RespBytes = 0
-	if len(c.members) == 0 {
+	if c.ring.Len() == 0 {
 		return
 	}
 	lo, hi := c.affectedArc(n.ID)
@@ -407,7 +357,7 @@ func (c *Cluster) NodeRecover(idx int) {
 	}
 	n.Up = true
 	for {
-		if _, taken := c.rankOf(n.ID); !taken {
+		if _, taken := c.ring.Rank(n.ID); !taken {
 			break
 		}
 		// Another node moved onto this exact ID while we were down
@@ -418,10 +368,8 @@ func (c *Cluster) NodeRecover(idx int) {
 	lo, hi := c.affectedArc(n.ID)
 	c.resyncArc(lo, hi, false)
 	c.recomputeResp(n)
-	if rank := c.memberRank(n); rank >= 0 {
-		l := len(c.members)
-		c.recomputeResp(c.nodes[c.members[(rank+1)%l].node])
-	}
+	// Its successor's range shrank to (n, successor].
+	c.recomputeResp(c.nodes[c.ownerNode(n.ID.Next())])
 	// Blocks the node holds that no longer belong to it (groups moved on
 	// while it was down) are dropped as their arcs resync; sweep the ones
 	// outside the resynced arc now.
@@ -451,24 +399,11 @@ func (c *Cluster) sweepStale(n *Node) {
 	}
 }
 
-// nodeInGroup reports whether idx is one of the r successors of key k,
-// walking the member ring directly so no replica slice is built.
+// nodeInGroup reports whether idx is one of the r successors of key k:
+// whether k lies above the node's replica floor.
 func (c *Cluster) nodeInGroup(idx int, k keys.Key) bool {
-	l := len(c.members)
-	if l == 0 {
-		return false
-	}
-	r := c.cfg.Replicas
-	if r > l {
-		r = l
-	}
-	start := c.succRank(k)
-	for i := 0; i < r; i++ {
-		if c.members[(start+i)%l].node == idx {
-			return true
-		}
-	}
-	return false
+	rank := c.rankByNode[idx]
+	return rank >= 0 && c.ring.Holds(rank, c.cfg.Replicas, k)
 }
 
 // groupFullyStocked reports whether every desired replica of the block is

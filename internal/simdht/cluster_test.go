@@ -401,18 +401,19 @@ func TestAffectedArcCoversGroupChanges(t *testing.T) {
 	for trial := 0; trial < 50; trial++ {
 		probe := keys.Random(rng)
 		group := c.replicaNodes(probe)
-		for _, m := range c.members {
-			lo, hi := c.affectedArc(m.id)
+		for rank := 0; rank < c.ring.Len(); rank++ {
+			id := c.ring.At(rank)
+			lo, hi := c.affectedArc(id)
 			inArc := probe.Between(lo, hi)
 			inGroup := false
 			for _, g := range group {
-				if g == m.node {
+				if g == c.nodeAt[rank] {
 					inGroup = true
 				}
 			}
 			if inGroup && !inArc {
 				t.Fatalf("key %s in group of node %s but outside affectedArc",
-					probe.Short(), m.id.Short())
+					probe.Short(), id.Short())
 			}
 		}
 	}
@@ -441,7 +442,7 @@ func TestManyRandomOpsKeepInvariants(t *testing.T) {
 			}
 		case 7:
 			idx := rng.IntN(len(c.nodes))
-			if c.nodes[idx].Up && len(c.members) > 4 {
+			if c.nodes[idx].Up && c.ring.Len() > 4 {
 				c.NodeFail(idx)
 			}
 		case 8:

@@ -9,9 +9,6 @@ import (
 	"github.com/defragdht/d2/internal/trace"
 )
 
-// InodeBytes is the modeled size of a file's metadata block (block 0).
-const InodeBytes = 512
-
 // Replay drives a workload trace into a simulated cluster: initial files
 // are inserted instantly (as the paper initializes its simulations, §8.1),
 // then creates, writes, and deletes flow through user write links and the
@@ -32,29 +29,18 @@ func NewReplay(c *Cluster, keyer placement.Keyer, tr *trace.Trace, offset time.D
 	return &Replay{C: c, Keyer: keyer, Trace: tr, Offset: offset, sizes: make(map[string]int64)}
 }
 
-// blockSize returns the size of data block i (1-based) in a file of the
-// given total size.
-func blockSize(fileSize int64, i int64) int32 {
-	rem := fileSize - (i-1)*trace.BlockSize
-	if rem >= trace.BlockSize {
-		return trace.BlockSize
-	}
-	if rem < 0 {
-		return 0
-	}
-	return int32(rem)
-}
-
 // InsertInitial loads the trace's initial file system into the cluster.
 func (r *Replay) InsertInitial() {
 	for _, f := range r.Trace.Initial {
 		r.sizes[f.Path] = f.Size
-		r.C.PutInstant(r.Keyer.BlockKey(f.Path, 0), InodeBytes)
-		for b := int64(1); b <= f.NumBlocks(); b++ {
+		for b := int64(0); b <= f.NumBlocks(); b++ {
 			r.C.PutInstant(r.Keyer.BlockKey(f.Path, uint64(b)), blockSize(f.Size, b))
 		}
 	}
 }
+
+// blockSize is trace.BlockBytes in the simulator's block-size type.
+func blockSize(fileSize, i int64) int32 { return int32(trace.BlockBytes(fileSize, i)) }
 
 // ReadProbe is invoked for every read event with the availability verdict.
 type ReadProbe func(eventIdx int, ok bool)
@@ -76,9 +62,8 @@ func (r *Replay) apply(i int, onRead ReadProbe) {
 	switch e.Op {
 	case trace.OpCreate:
 		r.sizes[e.Path] = e.Length
-		r.C.Write(e.User, r.Keyer.BlockKey(e.Path, 0), InodeBytes, nil)
 		n := (e.Length + trace.BlockSize - 1) / trace.BlockSize
-		for b := int64(1); b <= n; b++ {
+		for b := int64(0); b <= n; b++ {
 			r.C.Write(e.User, r.Keyer.BlockKey(e.Path, uint64(b)), blockSize(e.Length, b), nil)
 		}
 	case trace.OpWrite:
@@ -96,7 +81,7 @@ func (r *Replay) apply(i int, onRead ReadProbe) {
 			r.C.Write(e.User, r.Keyer.BlockKey(e.Path, uint64(b)), blockSize(size, b), nil)
 		}
 		// Metadata update along the path: modeled as the inode rewrite.
-		r.C.Write(e.User, r.Keyer.BlockKey(e.Path, 0), InodeBytes, nil)
+		r.C.Write(e.User, r.Keyer.BlockKey(e.Path, 0), blockSize(size, 0), nil)
 	case trace.OpDelete:
 		size, ok := r.sizes[e.Path]
 		if !ok {

@@ -2,6 +2,7 @@ package simdht
 
 import (
 	"fmt"
+	"slices"
 	"time"
 
 	"github.com/defragdht/d2/internal/keys"
@@ -188,7 +189,7 @@ func (c *Cluster) resyncBlock(h int32, viaPointers bool) {
 	if len(b.pointers) > 0 {
 		out := b.pointers[:0]
 		for _, p := range b.pointers {
-			if c.inIntSlice(desired, p.node) {
+			if slices.Contains(desired, p.node) {
 				out = append(out, p)
 			} else {
 				delete(c.nodes[p.node].ptrs, h)
@@ -197,15 +198,6 @@ func (c *Cluster) resyncBlock(h int32, viaPointers bool) {
 		b.pointers = out
 	}
 	c.maybeDropExtras(h)
-}
-
-func (c *Cluster) inIntSlice(xs []int, v int) bool {
-	for _, x := range xs {
-		if x == v {
-			return true
-		}
-	}
-	return false
 }
 
 // maybeDropExtras deletes unnecessary replicas once every desired member
@@ -226,7 +218,7 @@ func (c *Cluster) maybeDropExtras(h int32) {
 	}
 	extras := c.extraScratch[:0]
 	for _, holder := range b.holders {
-		if !c.inIntSlice(desired, int(holder)) {
+		if !slices.Contains(desired, int(holder)) {
 			extras = append(extras, holder)
 		}
 	}

@@ -6,6 +6,7 @@ import (
 
 	"github.com/defragdht/d2/internal/btree"
 	"github.com/defragdht/d2/internal/keys"
+	"github.com/defragdht/d2/internal/ring"
 	"github.com/defragdht/d2/internal/transport"
 )
 
@@ -277,24 +278,18 @@ func (ix *Index[P]) ArcVisit(lo, hi keys.Key, fn func(k keys.Key, m Meta) bool) 
 }
 
 // MedianKey returns the key splitting the arc (lo, hi] into two
-// byte-balanced halves (false when the arc holds no bytes). Total and
-// split come from one lock hold: a write landing between them would leave
-// the walk chasing a stale half and miss a non-empty arc.
+// byte-balanced halves, ring.ByteSplit's first cut (false when the arc
+// holds no bytes). Total and split come from one lock hold: a write
+// landing between them would leave the walk chasing a stale half and miss
+// a non-empty arc.
 func (ix *Index[P]) MedianKey(lo, hi keys.Key) (split keys.Key, found bool) {
 	ix.mu.RLock()
 	defer ix.mu.RUnlock()
-	total := ix.arcBytes(lo, hi)
-	if total == 0 {
-		return keys.Key{}, false
-	}
-	var acc int64
-	ix.tree.AscendArc(lo, hi, func(k keys.Key, e *Entry[P]) bool {
-		acc += e.Size
-		if acc >= total/2 {
-			split, found = k, true
-			return false
-		}
-		return true
+	ring.ByteSplit(func(visit func(keys.Key, int64) bool) {
+		ix.tree.AscendArc(lo, hi, func(k keys.Key, e *Entry[P]) bool { return visit(k, e.Size) })
+	}, 2, func(k keys.Key) bool {
+		split, found = k, true
+		return false
 	})
 	return split, found
 }

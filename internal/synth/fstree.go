@@ -111,15 +111,6 @@ func GenTree(rng *rand.Rand, cfg TreeConfig) []Dir {
 	return out
 }
 
-// Flatten returns all files of the given directories, preorder.
-func Flatten(dirs []Dir) []trace.File {
-	var out []trace.File
-	for _, d := range dirs {
-		out = append(out, d.Files...)
-	}
-	return out
-}
-
 // TotalBytes sums the sizes of all files in dirs.
 func TotalBytes(dirs []Dir) int64 {
 	var total int64

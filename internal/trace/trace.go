@@ -13,6 +13,19 @@ import (
 // BlockSize is D2's storage unit: all blocks are at most 8 KB (§3).
 const BlockSize = 8 * 1024
 
+// InodeBytes is the modelled size of a file's metadata block (block 0).
+const InodeBytes = 512
+
+// BlockBytes returns the modelled size of block i of a file of the given
+// size: InodeBytes for the metadata block 0, and for data block i ≥ 1 the
+// file bytes it carries (zero past the end of the file).
+func BlockBytes(fileSize, i int64) int64 {
+	if i == 0 {
+		return InodeBytes
+	}
+	return max(0, min(BlockSize, fileSize-(i-1)*BlockSize))
+}
+
 // Op enumerates workload operations.
 type Op uint8
 

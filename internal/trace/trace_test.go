@@ -230,3 +230,21 @@ func TestOpString(t *testing.T) {
 		}
 	}
 }
+
+func TestBlockBytes(t *testing.T) {
+	tests := []struct {
+		fileSize, block, want int64
+	}{
+		{0, 0, InodeBytes},
+		{BlockSize * 3, 0, InodeBytes},
+		{BlockSize * 2, 2, BlockSize},
+		{BlockSize + 5, 2, 5},
+		{5, 1, 5},
+		{BlockSize, 2, 0},
+	}
+	for _, tt := range tests {
+		if got := BlockBytes(tt.fileSize, tt.block); got != tt.want {
+			t.Errorf("BlockBytes(%d, %d) = %d, want %d", tt.fileSize, tt.block, got, tt.want)
+		}
+	}
+}

@@ -45,8 +45,6 @@ type TCPTransport struct {
 	backoffMax  time.Duration
 	idleTimeout time.Duration
 
-	crc bool
-
 	metrics *RPCMetrics
 	tracer  *tracing.Tracer
 }
@@ -88,20 +86,6 @@ func (t *TCPTransport) rpcMetrics() *RPCMetrics {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	return t.metrics
-}
-
-// UseCRC toggles CRC-32C trailers on outbound frames. Inbound frames are
-// verified whenever they carry the flag, so mixed clusters interoperate.
-func (t *TCPTransport) UseCRC(on bool) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	t.crc = on
-}
-
-func (t *TCPTransport) useCRC() bool {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.crc
 }
 
 // SetPoolConfig tunes the per-peer connection pools: size is the stream
@@ -312,13 +296,13 @@ func (st *serveState) serveOne(sr *serveReq) {
 	st.m.serveEnd()
 
 	enc := getEncoder()
-	err := enc.encode(sr.tag, 0, 0, st.t.addr, resp, st.t.useCRC())
+	err := enc.encode(sr.tag, 0, 0, st.t.addr, resp, false)
 	if err != nil {
 		// An unencodable response (typically one that overflows the frame
 		// cap) must still answer the call: silently dropping the reply
 		// leaves the client blocked on its tag forever. encode resets the
 		// encoder at entry, so reusing it for the error reply is safe.
-		err = enc.encode(sr.tag, 0, 0, st.t.addr, ToErrResp(err), st.t.useCRC())
+		err = enc.encode(sr.tag, 0, 0, st.t.addr, ToErrResp(err), false)
 	}
 	if err == nil {
 		st.wmu.Lock()
@@ -460,7 +444,7 @@ func (cc *clientConn) readLoop() {
 }
 
 // call sends one tagged request and waits for its response or ctx.
-func (cc *clientConn) call(ctx context.Context, from Addr, req Message, crc bool) (Message, error) {
+func (cc *clientConn) call(ctx context.Context, from Addr, req Message) (Message, error) {
 	ch := make(chan Message, 1)
 	cc.mu.Lock()
 	if cc.err != nil {
@@ -482,7 +466,7 @@ func (cc *clientConn) call(ctx context.Context, from Addr, req Message, crc bool
 
 	trace, span := tracing.WireContext(ctx)
 	enc := getEncoder()
-	err := enc.encode(tag, trace, span, from, req, crc)
+	err := enc.encode(tag, trace, span, from, req, false)
 	if err == nil {
 		cc.wmu.Lock()
 		if dl, ok := ctx.Deadline(); ok {
@@ -531,7 +515,6 @@ func (t *TCPTransport) Call(ctx context.Context, to Addr, req Message) (Message,
 
 // doCall is Call's retry loop, without instrumentation.
 func (t *TCPTransport) doCall(ctx context.Context, to Addr, req Message, m *RPCMetrics) (Message, error) {
-	crc := t.useCRC()
 	var lastErr error
 	for attempt := 0; attempt < 2; attempt++ {
 		if attempt > 0 {
@@ -545,7 +528,7 @@ func (t *TCPTransport) doCall(ctx context.Context, to Addr, req Message, m *RPCM
 		if err != nil {
 			return nil, err
 		}
-		resp, err := cc.call(ctx, t.addr, req, crc)
+		resp, err := cc.call(ctx, t.addr, req)
 		if err == nil {
 			return AsError(resp)
 		}

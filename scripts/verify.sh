@@ -65,6 +65,14 @@
 #                            interleaved), a 10 s WAL-replay fuzz pass,
 #                            and the alloc gate proving the indexed read
 #                            path (ReadInto) stays zero-allocation
+#   scripts/verify.sh sim    sim tier: the simulator/live-node
+#                            differential test (20 seeded schedules
+#                            through simdht and a real mem-transport
+#                            ring), the workers=1 vs workers=8
+#                            determinism check and the byte-for-byte
+#                            figure goldens, all under -race, plus the
+#                            alloc gates proving simdht's replica-group
+#                            and resync paths stay zero-allocation
 set -eu
 cd "$(dirname "$0")/.."
 
@@ -187,6 +195,22 @@ if [ "${1:-}" = "disk" ]; then
 		echo "disk tier: indexed read path allocates" >&2
 		exit 1
 	}
+	exit 0
+fi
+
+if [ "${1:-}" = "sim" ]; then
+	echo "== sim tier: differential, determinism and figure goldens under -race"
+	go test -race -run 'TestDifferentialLiveRing' ./internal/simdht/
+	go test -race -run 'TestParallelDeterminism|TestFiguresGolden' ./internal/experiments/
+	echo "== sim tier: replica-group and resync alloc gates (want 0 allocs/op)"
+	out=$(go test -run '^$' -bench 'BenchmarkReplicaNodes|BenchmarkNodeInGroup|BenchmarkResyncBlockStable' -benchmem \
+		./internal/simdht/ | tee /dev/stderr)
+	for b in BenchmarkReplicaNodes BenchmarkNodeInGroup BenchmarkResyncBlockStable; do
+		echo "$out" | grep -q "$b.* 0 B/op[[:space:]]*0 allocs/op" || {
+			echo "sim tier: $b allocates" >&2
+			exit 1
+		}
+	done
 	exit 0
 fi
 
