@@ -46,12 +46,12 @@ func (v *Volume) WriteFile(ctx context.Context, path string, data []byte) error 
 func (v *Volume) writeFileLocked(ctx context.Context, comps []string, data []byte) error {
 	root := v.root
 	dirComps, name := comps[:len(comps)-1], comps[len(comps)-1]
-	chain, err := v.walk(ctx, root, dirComps)
+	chain, err := v.walk(ctx, root, dirComps, true)
 	if err != nil {
 		return err
 	}
 	parent := &chain[len(chain)-1]
-	idx := findEntry(parent.entries, name)
+	idx := parent.find(name)
 
 	var cur pathCursor
 	var oldIno *Inode
@@ -62,7 +62,7 @@ func (v *Volume) writeFileLocked(ctx context.Context, comps []string, data []byt
 			return fmt.Errorf("%w: %s", ErrIsDir, name)
 		}
 		cur = parent.cur.child(e, name)
-		ino, err := v.readInode(ctx, cur, e.Ver, e.Hash)
+		ino, err := v.readInode(ctx, cur.blockKey(0, e.Ver), e.Hash)
 		if err != nil {
 			return err
 		}
@@ -123,14 +123,15 @@ func (v *Volume) readFile(ctx context.Context, path string, comps []string) ([]b
 }
 
 // fileAt walks to the file at comps (path names it in errors) and returns
-// its cursor and verified inode. v.mu is held.
+// its cursor and verified inode. An inode no cache holds is fetched with
+// the directory's readahead. v.mu is held.
 func (v *Volume) fileAt(ctx context.Context, root *RootBlock, path string, comps []string) (pathCursor, Inode, error) {
-	chain, err := v.walk(ctx, root, comps[:len(comps)-1])
+	chain, err := v.walk(ctx, root, comps[:len(comps)-1], false)
 	if err != nil {
 		return pathCursor{}, Inode{}, err
 	}
 	parent := &chain[len(chain)-1]
-	idx := findEntry(parent.entries, comps[len(comps)-1])
+	idx := parent.find(comps[len(comps)-1])
 	if idx < 0 {
 		return pathCursor{}, Inode{}, fmt.Errorf("%w: %s", ErrNotExist, path)
 	}
@@ -139,7 +140,11 @@ func (v *Volume) fileAt(ctx context.Context, root *RootBlock, path string, comps
 		return pathCursor{}, Inode{}, fmt.Errorf("%w: %s", ErrIsDir, path)
 	}
 	cur := parent.cur.child(e, e.Name)
-	ino, err := v.readInode(ctx, cur, e.Ver, e.Hash)
+	k := cur.blockKey(0, e.Ver)
+	if _, cached := v.cachedRead(k); !cached {
+		v.readAhead(ctx, parent, idx, k)
+	}
+	ino, err := v.readInode(ctx, k, e.Hash)
 	return cur, ino, err
 }
 
@@ -156,12 +161,12 @@ func (v *Volume) Mkdir(ctx context.Context, path string) error {
 	defer v.mu.Unlock()
 	root := v.root
 	dirComps, name := comps[:len(comps)-1], comps[len(comps)-1]
-	chain, err := v.walk(ctx, root, dirComps)
+	chain, err := v.walk(ctx, root, dirComps, true)
 	if err != nil {
 		return err
 	}
 	parent := &chain[len(chain)-1]
-	if findEntry(parent.entries, name) >= 0 {
+	if parent.find(name) >= 0 {
 		return fmt.Errorf("%w: %s", ErrExist, path)
 	}
 	slot := parent.ino.NextSlot
@@ -229,7 +234,7 @@ func (v *Volume) ReadDir(ctx context.Context, path string) ([]FileInfo, error) {
 	}
 	v.mu.Lock()
 	defer v.mu.Unlock()
-	chain, err := v.walk(ctx, root, splitPath(path))
+	chain, err := v.walk(ctx, root, splitPath(path), false)
 	if err != nil {
 		return nil, err
 	}
@@ -253,12 +258,12 @@ func (v *Volume) Stat(ctx context.Context, path string) (FileInfo, error) {
 	}
 	v.mu.Lock()
 	defer v.mu.Unlock()
-	chain, err := v.walk(ctx, root, comps[:len(comps)-1])
+	chain, err := v.walk(ctx, root, comps[:len(comps)-1], false)
 	if err != nil {
 		return FileInfo{}, err
 	}
 	parent := &chain[len(chain)-1]
-	idx := findEntry(parent.entries, comps[len(comps)-1])
+	idx := parent.find(comps[len(comps)-1])
 	if idx < 0 {
 		return FileInfo{}, fmt.Errorf("%w: %s", ErrNotExist, path)
 	}
@@ -280,19 +285,19 @@ func (v *Volume) Remove(ctx context.Context, path string) error {
 	v.mu.Lock()
 	defer v.mu.Unlock()
 	root := v.root
-	chain, err := v.walk(ctx, root, comps[:len(comps)-1])
+	chain, err := v.walk(ctx, root, comps[:len(comps)-1], true)
 	if err != nil {
 		return err
 	}
 	parent := &chain[len(chain)-1]
 	name := comps[len(comps)-1]
-	idx := findEntry(parent.entries, name)
+	idx := parent.find(name)
 	if idx < 0 {
 		return fmt.Errorf("%w: %s", ErrNotExist, path)
 	}
 	e := parent.entries[idx]
 	cur := parent.cur.child(&e, name)
-	ino, err := v.readInode(ctx, cur, e.Ver, e.Hash)
+	ino, err := v.readInode(ctx, cur.blockKey(0, e.Ver), e.Hash)
 	if err != nil {
 		return err
 	}
@@ -333,21 +338,21 @@ func (v *Volume) Rename(ctx context.Context, oldPath, newPath string) error {
 	// Validate the destination before touching the source, so a failed
 	// rename never unlinks anything.
 	newName := newComps[len(newComps)-1]
-	preChain, err := v.walk(ctx, root, newComps[:len(newComps)-1])
+	preChain, err := v.walk(ctx, root, newComps[:len(newComps)-1], false)
 	if err != nil {
 		return err
 	}
-	if findEntry(preChain[len(preChain)-1].entries, newName) >= 0 {
+	if preChain[len(preChain)-1].find(newName) >= 0 {
 		return fmt.Errorf("%w: %s", ErrExist, newPath)
 	}
 
-	oldChain, err := v.walk(ctx, root, oldComps[:len(oldComps)-1])
+	oldChain, err := v.walk(ctx, root, oldComps[:len(oldComps)-1], true)
 	if err != nil {
 		return err
 	}
 	oldParent := &oldChain[len(oldChain)-1]
 	oldName := oldComps[len(oldComps)-1]
-	oldIdx := findEntry(oldParent.entries, oldName)
+	oldIdx := oldParent.find(oldName)
 	if oldIdx < 0 {
 		return fmt.Errorf("%w: %s", ErrNotExist, oldPath)
 	}
@@ -361,7 +366,7 @@ func (v *Volume) Rename(ctx context.Context, oldPath, newPath string) error {
 	}
 
 	// Insert into the new parent with the original key encoding frozen.
-	newChain, err := v.walk(ctx, root, newComps[:len(newComps)-1])
+	newChain, err := v.walk(ctx, root, newComps[:len(newComps)-1], true)
 	if err != nil {
 		return err
 	}

@@ -197,12 +197,12 @@ func (w *streamWriter) commit() error {
 	defer v.mu.Unlock()
 	root := v.root
 	dirComps, name := w.comps[:len(w.comps)-1], w.comps[len(w.comps)-1]
-	chain, err := v.walk(w.ctx, root, dirComps)
+	chain, err := v.walk(w.ctx, root, dirComps, true)
 	if err != nil {
 		return err
 	}
 	parent := &chain[len(chain)-1]
-	idx := findEntry(parent.entries, name)
+	idx := parent.find(name)
 	if idx < 0 {
 		return fmt.Errorf("%w: %s (removed during stream write)", ErrNotExist, name)
 	}

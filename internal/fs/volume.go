@@ -1,9 +1,11 @@
 package fs
 
 import (
+	"bytes"
 	"context"
 	"crypto/ed25519"
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -110,6 +112,8 @@ type Volume struct {
 	// rcacheBytes tracks the read cache's retained payload, enforced
 	// against opts.ReadCacheBytes by pruneCacheLocked.
 	rcacheBytes int64
+	// verified is the last root block fetchRoot verified (see fetchRoot).
+	verified *verifiedRoot
 
 	stop chan struct{}
 	wg   sync.WaitGroup
@@ -164,6 +168,41 @@ func newVolumeMetrics(reg *obs.Registry) volumeMetrics {
 type cachedBlock struct {
 	data []byte
 	at   time.Time
+	// dir is the decoded directory when data is a directory's inode
+	// block, attached by the first walk through it (see loadDir).
+	dir *dirMeta
+}
+
+// verifiedRoot is a root block that passed the signature check: a private
+// copy of its bytes, the decoded block and, once a walk has read it, the
+// decoded root directory. Only dir is ever set after publication, and
+// under cmu.
+type verifiedRoot struct {
+	data []byte
+	root *RootBlock
+	dir  *dirMeta
+}
+
+// dirMeta is a verified, decoded directory: its inode, its entries and a
+// name index over them. A directory's inode block never changes under its
+// key — a new version is a new key — so one decode serves every walk
+// through it. It is shared and never mutated: a walk for a write hands
+// out copies of the entries (see walk).
+type dirMeta struct {
+	hash    [32]byte // content hash of the inode block (zero for the root)
+	ino     Inode
+	entries []DirEntry
+	index   map[string]int
+}
+
+func newDirMeta(hash [32]byte, ino Inode, entries []DirEntry) *dirMeta {
+	d := &dirMeta{hash: hash, ino: ino, entries: entries, index: make(map[string]int, len(entries))}
+	for i := range entries {
+		if _, dup := d.index[entries[i].Name]; !dup {
+			d.index[entries[i].Name] = i
+		}
+	}
+	return d
 }
 
 // pendingBlock is one buffered write. stored marks a key that is also
@@ -259,7 +298,10 @@ func Open(ctx context.Context, svc BlockService, name string, pub ed25519.Public
 		return nil, err
 	}
 	if priv != nil {
-		v.root = root
+		// The writer updates its root in place; the verified one stays
+		// as fetched.
+		own := *root
+		v.root = &own
 	}
 	v.startFlusher()
 	return v, nil
@@ -308,11 +350,22 @@ func (v *Volume) signRoot() error {
 	return nil
 }
 
-// fetchRoot reads and verifies the root block from the DHT.
+// fetchRoot reads the root block and verifies it against v.pub. Bytes equal
+// to the last root it verified return that root again: the same bytes
+// carry the same signature, so the decode and the check run once per
+// distinct root, not once per call. Any other bytes are decoded and
+// checked in full. The comparison is by content, against a private copy,
+// so a block changed in place under a cached slice is checked again too.
 func (v *Volume) fetchRoot(ctx context.Context) (*RootBlock, error) {
 	data, err := v.readBlock(ctx, v.rootKey())
 	if err != nil {
 		return nil, fmt.Errorf("fs: open volume %q: %w", v.name, err)
+	}
+	v.cmu.Lock()
+	last := v.verified
+	v.cmu.Unlock()
+	if last != nil && bytes.Equal(last.data, data) {
+		return last.root, nil
 	}
 	root, err := decodeRoot(data)
 	if err != nil {
@@ -325,6 +378,9 @@ func (v *Volume) fetchRoot(ctx context.Context) (*RootBlock, error) {
 	if !ed25519.Verify(v.pub, payload, root.Signature) {
 		return nil, ErrBadSig
 	}
+	v.cmu.Lock()
+	v.verified = &verifiedRoot{data: bytes.Clone(data), root: &root}
+	v.cmu.Unlock()
 	return &root, nil
 }
 
@@ -631,27 +687,39 @@ type step struct {
 	cur     pathCursor
 	ino     Inode
 	entries []DirEntry
+	// index maps names to positions in entries as walked; writers look
+	// names up before they change entries.
+	index map[string]int
 	// entryIdx is this directory's index within its parent's entries
 	// (-1 for the root).
 	entryIdx int
-	name     string
+}
+
+// find returns the position of name in the directory's entries, or -1.
+func (s *step) find(name string) int {
+	if i, ok := s.index[name]; ok {
+		return i
+	}
+	return -1
 }
 
 // walk resolves the directory chain for the given components, loading
 // entries at every level. It returns the chain of directories; comps must
-// all be directories. v.mu is held: the exported methods take it to
-// serialize against the single writer in this process.
-func (v *Volume) walk(ctx context.Context, root *RootBlock, comps []string) ([]step, error) {
+// all be directories. The entries of a read walk are the shared decoded
+// directories; write asks for private copies the caller may change. v.mu
+// is held: the exported methods take it to serialize against the single
+// writer in this process.
+func (v *Volume) walk(ctx context.Context, root *RootBlock, comps []string, write bool) ([]step, error) {
 	cur := newCursor(v.volID)
-	chain := []step{{cur: cur, ino: root.Root, entryIdx: -1}}
-	entries, err := v.loadEntries(ctx, cur, &root.Root)
+	dir, err := v.rootDir(ctx, cur, root)
 	if err != nil {
 		return nil, err
 	}
-	chain[0].entries = entries
+	chain := make([]step, 1, len(comps)+1)
+	chain[0] = step{cur: cur, ino: root.Root, entries: dir.entries, index: dir.index, entryIdx: -1}
 	for _, name := range comps {
 		last := &chain[len(chain)-1]
-		idx := findEntry(last.entries, name)
+		idx := last.find(name)
 		if idx < 0 {
 			return nil, fmt.Errorf("%w: %s", ErrNotExist, name)
 		}
@@ -660,33 +728,93 @@ func (v *Volume) walk(ctx context.Context, root *RootBlock, comps []string) ([]s
 			return nil, fmt.Errorf("%w: %s", ErrNotDir, name)
 		}
 		childCur := last.cur.child(e, name)
-		ino, err := v.readInode(ctx, childCur, e.Ver, e.Hash)
-		if err != nil {
-			return nil, err
-		}
-		childEntries, err := v.loadEntries(ctx, childCur, &ino)
+		dir, err := v.loadDir(ctx, childCur, e)
 		if err != nil {
 			return nil, err
 		}
 		chain = append(chain, step{
-			cur: childCur, ino: ino, entries: childEntries, entryIdx: idx, name: name,
+			cur: childCur, ino: dir.ino, entries: dir.entries, index: dir.index, entryIdx: idx,
 		})
+	}
+	if write {
+		for i := range chain {
+			chain[i].entries = slices.Clone(chain[i].entries)
+		}
 	}
 	return chain, nil
 }
 
-func findEntry(entries []DirEntry, name string) int {
-	for i := range entries {
-		if entries[i].Name == name {
-			return i
-		}
+// rootDir returns the decoded root directory. A reader's verified root
+// keeps it, so it is decoded once per distinct root; the writer's root
+// changes with every commit and is decoded per walk.
+func (v *Volume) rootDir(ctx context.Context, cur pathCursor, root *RootBlock) (*dirMeta, error) {
+	v.cmu.Lock()
+	memo := v.verified
+	if memo != nil && memo.root != root {
+		memo = nil
 	}
-	return -1
+	var dir *dirMeta
+	if memo != nil {
+		dir = memo.dir
+	}
+	v.cmu.Unlock()
+	if dir != nil {
+		return dir, nil
+	}
+	entries, err := v.loadEntries(ctx, cur, &root.Root)
+	if err != nil {
+		return nil, err
+	}
+	dir = newDirMeta([32]byte{}, root.Root, entries)
+	if memo != nil {
+		v.cmu.Lock()
+		memo.dir = dir
+		v.cmu.Unlock()
+	}
+	return dir, nil
 }
 
-// readInode fetches and verifies an inode block.
-func (v *Volume) readInode(ctx context.Context, cur pathCursor, ver uint32, hash [32]byte) (Inode, error) {
-	data, err := v.readBlock(ctx, cur.blockKey(0, ver))
+// loadDir returns the decoded directory whose inode block e names. The
+// read-cache entry holding that block keeps the decode, so it is evicted
+// with the block; without one the block is read, checked against e.Hash
+// and decoded, and the result attached to the entry.
+func (v *Volume) loadDir(ctx context.Context, cur pathCursor, e *DirEntry) (*dirMeta, error) {
+	k := cur.blockKey(0, e.Ver)
+	v.cmu.Lock()
+	c, ok := v.rcache[k]
+	v.cmu.Unlock()
+	if ok && c.dir != nil && c.dir.hash == e.Hash && time.Since(c.at) < v.opts.WriteBackDelay {
+		v.metrics.cacheHits.Inc()
+		return c.dir, nil
+	}
+	ino, err := v.readInode(ctx, k, e.Hash)
+	if err != nil {
+		return nil, err
+	}
+	entries, err := v.loadEntries(ctx, cur, &ino)
+	if err != nil {
+		return nil, err
+	}
+	dir := newDirMeta(e.Hash, ino, entries)
+	v.keepDir(k, dir)
+	return dir, nil
+}
+
+// keepDir attaches a decoded directory to the read-cache entry holding its
+// inode block k, if the cache still holds it.
+func (v *Volume) keepDir(k keys.Key, dir *dirMeta) {
+	v.cmu.Lock()
+	defer v.cmu.Unlock()
+	if c, ok := v.rcache[k]; ok {
+		c.dir = dir
+		v.rcache[k] = c
+	}
+}
+
+// readInode fetches inode block k and checks it against its parent
+// entry's hash before decoding it.
+func (v *Volume) readInode(ctx context.Context, k keys.Key, hash [32]byte) (Inode, error) {
+	data, err := v.readBlock(ctx, k)
 	if err != nil {
 		return Inode{}, err
 	}
@@ -694,6 +822,49 @@ func (v *Volume) readInode(ctx context.Context, cur pathCursor, ver uint32, hash
 		return Inode{}, fmt.Errorf("%w: inode", ErrIntegrity)
 	}
 	return decodeInode(data)
+}
+
+// readAheadInodes caps the inode blocks one directory readahead fetches.
+const readAheadInodes = 64
+
+// readAhead fills the read cache for a file inode no cache holds: block k,
+// which names entry idx of dir, is fetched in one GetMany together with
+// the inodes of up to readAheadInodes-1 following file entries not cached
+// yet. A directory's entries take slots in order, so these keys run on in
+// key order, and §4 places the run on one owner in almost every case.
+// The blocks enter the cache unverified: readInode checks each against its
+// entry's hash when a read uses it. A failed batch is ignored — the
+// caller's single-key read follows.
+func (v *Volume) readAhead(ctx context.Context, dir *step, idx int, k keys.Key) {
+	batch, ok := v.svc.(BatchBlockService)
+	if !ok {
+		return
+	}
+	ks := []keys.Key{k}
+	for i := idx + 1; i < len(dir.entries) && len(ks) < readAheadInodes; i++ {
+		e := &dir.entries[i]
+		if e.IsDir {
+			continue
+		}
+		ek := dir.cur.child(e, e.Name).blockKey(0, e.Ver)
+		if _, cached := v.cachedRead(ek); !cached {
+			ks = append(ks, ek)
+		}
+	}
+	if len(ks) == 1 {
+		return
+	}
+	got, err := batch.GetMany(ctx, ks)
+	if err != nil {
+		return
+	}
+	for _, k := range ks {
+		if data, ok := got[k]; ok {
+			v.metrics.blocksRead.Inc()
+			v.metrics.bytesRead.Add(uint64(len(data)))
+			v.cacheRead(k, data)
+		}
+	}
 }
 
 // readContent returns a file or directory's full content bytes. Under a
@@ -881,6 +1052,10 @@ func (v *Volume) commitChain(ctx context.Context, root *RootBlock, chain []step)
 		if err != nil {
 			return err
 		}
+		// The next walk starts from what was just written rather than
+		// decoding it again; s.entries is this walk's own copy and is
+		// final from here on.
+		v.keepDir(s.cur.blockKey(0, ver), newDirMeta(hash, s.ino, s.entries))
 		parentEntry := &chain[i-1].entries[s.entryIdx]
 		parentEntry.Ver = ver
 		parentEntry.Hash = hash

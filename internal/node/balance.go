@@ -135,9 +135,7 @@ func (n *Node) moveTo(ctx context.Context, a transport.PeerInfo) {
 
 	// The ring position changed; a durable engine must remember the new
 	// one or a restart would rejoin on the pre-move arc.
-	if is, ok := n.st.(store.IdentityStore); ok {
-		_ = is.SaveIdentity(newSelf.ID)
-	}
+	n.saveIdentity(newSelf.ID)
 
 	n.metrics.balanceMoves.Inc()
 	n.events.Log(obs.LevelInfo, "balance.move",

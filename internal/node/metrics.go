@@ -28,6 +28,8 @@ type nodeMetrics struct {
 	succDrops      *obs.Counter   // successors dropped as dead or moved
 	removals       *obs.Counter   // delayed removals scheduled (§3)
 	expired        *obs.Counter   // blocks dropped by TTL sweep
+
+	identitySaveErrors *obs.Counter // ring-ID saves the durable engine refused
 }
 
 // newNodeMetrics registers the node metrics and the store gauges on reg.
@@ -52,5 +54,7 @@ func newNodeMetrics(reg *obs.Registry, n *Node) *nodeMetrics {
 		succDrops:      reg.Counter("d2_node_succ_drops_total"),
 		removals:       reg.Counter("d2_node_removals_scheduled_total"),
 		expired:        reg.Counter("d2_node_expired_total"),
+
+		identitySaveErrors: reg.Counter("d2_node_identity_save_errors_total"),
 	}
 }

@@ -174,9 +174,6 @@ func Start(tr transport.Transport, cfg Config) *Node {
 	if id.IsZero() {
 		id = keys.Random(rng)
 	}
-	if is, ok := st.(store.IdentityStore); ok {
-		_ = is.SaveIdentity(id)
-	}
 	reg := cfg.Metrics
 	if reg == nil {
 		reg = obs.New()
@@ -194,6 +191,7 @@ func Start(tr transport.Transport, cfg Config) *Node {
 		tracer:       cfg.Tracer,
 	}
 	n.metrics = newNodeMetrics(reg, n)
+	n.saveIdentity(id)
 	n.census = census.New(census.Config{
 		Store:      st,
 		Bounds:     n.censusBounds,
@@ -209,6 +207,21 @@ func Start(tr transport.Transport, cfg Config) *Node {
 	tr.Serve(n.handle)
 	n.startLoops()
 	return n
+}
+
+// saveIdentity persists the node's ring ID when its engine can. The node
+// keeps running on id either way — a failed save only means a restart
+// rejoins at the ID saved before — so a failure is counted and logged
+// rather than returned.
+func (n *Node) saveIdentity(id keys.Key) {
+	is, ok := n.st.(store.IdentityStore)
+	if !ok {
+		return
+	}
+	if err := is.SaveIdentity(id); err != nil {
+		n.metrics.identitySaveErrors.Inc()
+		n.events.Log(obs.LevelWarn, "identity.save_error", "id", id.Short(), "err", err.Error())
+	}
 }
 
 func (n *Node) startLoops() {

@@ -73,6 +73,14 @@
 #                            figure goldens, all under -race, plus the
 #                            alloc gates proving simdht's replica-group
 #                            and resync paths stay zero-allocation
+#   scripts/verify.sh fs     fs tier: the fs package's tests under -race
+#                            (the verified-root memo, shared decoded
+#                            directories and directory-readahead tests
+#                            among them), then BenchmarkReadFileWarm — a
+#                            ReadFile on a handle whose blocks are all
+#                            cached, fs self time alone — printing its
+#                            ns/op and allocs/op; allocs/op above
+#                            fs_warm_allocs fails the tier
 set -eu
 cd "$(dirname "$0")/.."
 
@@ -211,6 +219,27 @@ if [ "${1:-}" = "sim" ]; then
 			exit 1
 		}
 	done
+	exit 0
+fi
+
+if [ "${1:-}" = "fs" ]; then
+	# Measured value of the warm read: root memo check, walk over shared
+	# decoded directories, one inode check and decode, two content-block
+	# checks and the assembled result.
+	fs_warm_allocs=8
+	echo "== fs tier: fs tests under -race"
+	go test -race ./internal/fs/
+	echo "== fs tier: warm ReadFile alloc gate (want <= $fs_warm_allocs allocs/op)"
+	out=$(go test -run '^$' -bench 'BenchmarkReadFileWarm' -benchmem \
+		./internal/fs/ | tee /dev/stderr)
+	echo "$out" | awk -v max="$fs_warm_allocs" '
+		/BenchmarkReadFileWarm/ { for (i = 2; i <= NF; i++) if ($i == "allocs/op") allocs = $(i-1) }
+		END {
+			if (allocs == "" || allocs + 0 > max + 0) {
+				print "fs tier: warm ReadFile made " allocs " allocs/op (gate " max ")" > "/dev/stderr"
+				exit 1
+			}
+		}'
 	exit 0
 fi
 
