@@ -107,7 +107,9 @@ func (v *Volume) ReadFile(ctx context.Context, path string) ([]byte, error) {
 	return data, err
 }
 
-// readFile is ReadFile without the tracing shell.
+// readFile is ReadFile without the tracing shell. A ReadFile of the entry
+// after the previous one's in the same directory is a directory scan and
+// reads the following files' content ahead (readAheadContent).
 func (v *Volume) readFile(ctx context.Context, path string, comps []string) ([]byte, error) {
 	root, err := v.currentRoot(ctx)
 	if err != nil {
@@ -115,29 +117,42 @@ func (v *Volume) readFile(ctx context.Context, path string, comps []string) ([]b
 	}
 	v.mu.Lock()
 	defer v.mu.Unlock()
-	cur, ino, err := v.fileAt(ctx, root, path, comps)
+	f, err := v.fileAt(ctx, root, path, comps)
 	if err != nil {
 		return nil, err
 	}
-	return v.readContent(ctx, cur, &ino)
+	scanning := f.dir.shared == v.scan.dir && f.idx == v.scan.idx+1
+	v.scan.dir, v.scan.idx = f.dir.shared, f.idx
+	if scanning {
+		v.readAheadContent(ctx, &f)
+	}
+	return v.readContent(ctx, f.cur, &f.ino)
 }
 
-// fileAt walks to the file at comps (path names it in errors) and returns
-// its cursor and verified inode. An inode no cache holds is fetched with
-// the directory's readahead. v.mu is held.
-func (v *Volume) fileAt(ctx context.Context, root *RootBlock, path string, comps []string) (pathCursor, Inode, error) {
+// fileRef is a resolved file: the directory holding it, its position in
+// that directory's entries, its cursor and its verified inode.
+type fileRef struct {
+	dir *step
+	idx int
+	cur pathCursor
+	ino Inode
+}
+
+// fileAt walks to the file at comps (path names it in errors). An inode no
+// cache holds is fetched with the directory's readahead. v.mu is held.
+func (v *Volume) fileAt(ctx context.Context, root *RootBlock, path string, comps []string) (fileRef, error) {
 	chain, err := v.walk(ctx, root, comps[:len(comps)-1], false)
 	if err != nil {
-		return pathCursor{}, Inode{}, err
+		return fileRef{}, err
 	}
 	parent := &chain[len(chain)-1]
 	idx := parent.find(comps[len(comps)-1])
 	if idx < 0 {
-		return pathCursor{}, Inode{}, fmt.Errorf("%w: %s", ErrNotExist, path)
+		return fileRef{}, fmt.Errorf("%w: %s", ErrNotExist, path)
 	}
 	e := &parent.entries[idx]
 	if e.IsDir {
-		return pathCursor{}, Inode{}, fmt.Errorf("%w: %s", ErrIsDir, path)
+		return fileRef{}, fmt.Errorf("%w: %s", ErrIsDir, path)
 	}
 	cur := parent.cur.child(e, e.Name)
 	k := cur.blockKey(0, e.Ver)
@@ -145,7 +160,7 @@ func (v *Volume) fileAt(ctx context.Context, root *RootBlock, path string, comps
 		v.readAhead(ctx, parent, idx, k)
 	}
 	ino, err := v.readInode(ctx, k, e.Hash)
-	return cur, ino, err
+	return fileRef{dir: parent, idx: idx, cur: cur, ino: ino}, err
 }
 
 // Mkdir creates a directory (parents must exist).

@@ -16,14 +16,18 @@ import (
 )
 
 // countingService is a BatchBlockService over memService that records the
-// key of every single-key Get and can fail the GetManys that ask for inode
-// blocks (the directory readahead's).
+// key of every single-key Get, counts GetManys, and can fail the GetManys
+// that ask for inode blocks (the directory readahead's) or for the content
+// of more than one file (the scan readahead's).
 type countingService struct {
 	*memService
 	mu               sync.Mutex
 	gets             []keys.Key
 	batches          int
+	contentBatches   int // GetManys of content blocks
+	scanBatches      int // content GetManys spanning more than one file
 	failInodeBatches bool
+	failScanBatches  bool
 }
 
 func newCountingService() *countingService {
@@ -38,9 +42,17 @@ func (s *countingService) Get(ctx context.Context, k keys.Key) ([]byte, error) {
 }
 
 func (s *countingService) GetMany(ctx context.Context, ks []keys.Key) (map[keys.Key][]byte, error) {
+	content := ks[0].BlockNum() != 0
+	scan := content && slices.ContainsFunc(ks, func(k keys.Key) bool { return !keys.SameFile(k, ks[0]) })
 	s.mu.Lock()
 	s.batches++
-	fail := s.failInodeBatches && ks[0].BlockNum() == 0
+	if content {
+		s.contentBatches++
+	}
+	if scan {
+		s.scanBatches++
+	}
+	fail := s.failInodeBatches && !content || s.failScanBatches && scan
 	s.mu.Unlock()
 	if fail {
 		return nil, errors.New("injected GetMany failure")
@@ -64,6 +76,26 @@ func (s *countingService) fileInodeGets() int {
 	n := 0
 	for _, k := range ks {
 		if ino, err := decodeInode(s.blocks[k]); err == nil && !ino.IsDir {
+			n++
+		}
+	}
+	return n
+}
+
+// calls counts every service read: single-key Gets and GetManys.
+func (s *countingService) calls() int {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return len(s.gets) + s.batches
+}
+
+// contentGets counts the single-key Gets of content blocks.
+func (s *countingService) contentGets() int {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	n := 0
+	for _, k := range s.gets {
+		if k.BlockNum() != 0 {
 			n++
 		}
 	}

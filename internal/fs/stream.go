@@ -211,7 +211,8 @@ func (v *Volume) resolveFile(ctx context.Context, path string, comps []string) (
 	}
 	v.mu.Lock()
 	defer v.mu.Unlock()
-	return v.fileAt(ctx, root, path, comps)
+	f, err := v.fileAt(ctx, root, path, comps)
+	return f.cur, f.ino, err
 }
 
 // prefetch is the pipeline driver: it walks segments in order, acquiring

@@ -9,6 +9,7 @@ import (
 	"sort"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"github.com/defragdht/d2/internal/keys"
@@ -112,8 +113,15 @@ type Volume struct {
 	// rcacheBytes tracks the read cache's retained payload, enforced
 	// against opts.ReadCacheBytes by pruneCacheLocked.
 	rcacheBytes int64
-	// verified is the last root block fetchRoot verified (see fetchRoot).
-	verified *verifiedRoot
+	// verified is the rootMemo entry of the last root fetchRoot returned.
+	verified atomic.Pointer[verifiedRoot]
+	// scan is the directory and entry position of the last ReadFile (under
+	// mu): a ReadFile of the entry after it is a directory scan (see
+	// readAheadContent).
+	scan struct {
+		dir *dirMeta
+		idx int
+	}
 
 	stop chan struct{}
 	wg   sync.WaitGroup
@@ -132,6 +140,7 @@ type volumeMetrics struct {
 	cacheEvictions *obs.Counter // read-cache entries evicted by the byte cap
 	removes        *obs.Counter // delayed removals queued (§3)
 	syncs          *obs.Counter // Sync rounds run
+	syncErrors     *obs.Counter // background flusher Sync rounds that failed
 
 	// Streaming (ReadStream) pipeline metrics.
 	streamOpens    *obs.Counter   // streams opened
@@ -154,6 +163,7 @@ func newVolumeMetrics(reg *obs.Registry) volumeMetrics {
 		cacheEvictions: reg.Counter("d2_fs_cache_evictions_total"),
 		removes:        reg.Counter("d2_fs_removes_total"),
 		syncs:          reg.Counter("d2_fs_syncs_total"),
+		syncErrors:     reg.Counter("d2_fs_sync_errors_total"),
 		streamOpens:    reg.Counter("d2_stream_opens_total"),
 		streamSegments: reg.Counter("d2_stream_segments_total"),
 		streamBytes:    reg.Counter("d2_stream_bytes_total"),
@@ -171,16 +181,63 @@ type cachedBlock struct {
 	// dir is the decoded directory when data is a directory's inode
 	// block, attached by the first walk through it (see loadDir).
 	dir *dirMeta
+	// inode is the decoded inode when data is an inode block that passed
+	// its hash check (see readInode).
+	inode *checkedInode
 }
 
-// verifiedRoot is a root block that passed the signature check: a private
-// copy of its bytes, the decoded block and, once a walk has read it, the
-// decoded root directory. Only dir is ever set after publication, and
-// under cmu.
+// checkedInode is an inode block that matched its parent entry's hash,
+// decoded. Like dirMeta it is shared and never mutated.
+type checkedInode struct {
+	hash [32]byte
+	ino  Inode
+}
+
+// verifiedRoot is a root block that passed the signature check under pub:
+// a private copy of its bytes, the decoded block and, once a walk has read
+// it, the decoded root directory. Only dir is ever set after publication.
 type verifiedRoot struct {
+	pub  ed25519.PublicKey
 	data []byte
 	root *RootBlock
-	dir  *dirMeta
+	dir  atomic.Pointer[dirMeta]
+}
+
+// rootMemo is the process-wide memo of verified roots, one entry per root
+// key, so every handle on a volume shares one check per distinct root. A
+// hit needs the same publisher key and byte-equal bytes; ed25519.Verify's
+// answer depends on nothing else, so the memo skips a repeated check and
+// never a fetch. It is cleared when it reaches rootMemoCap entries.
+var rootMemo struct {
+	sync.Mutex
+	m map[keys.Key]*verifiedRoot
+}
+
+const rootMemoCap = 1024
+
+// verifySignature is ed25519.Verify; tests wrap it to count root checks.
+var verifySignature = ed25519.Verify
+
+// memoizedRoot returns the memo entry for root key k if it was verified
+// under pub from bytes equal to data.
+func memoizedRoot(k keys.Key, pub ed25519.PublicKey, data []byte) *verifiedRoot {
+	rootMemo.Lock()
+	m := rootMemo.m[k]
+	rootMemo.Unlock()
+	if m != nil && m.pub.Equal(pub) && bytes.Equal(m.data, data) {
+		return m
+	}
+	return nil
+}
+
+// memoizeRoot records m as root key k's verified root.
+func memoizeRoot(k keys.Key, m *verifiedRoot) {
+	rootMemo.Lock()
+	defer rootMemo.Unlock()
+	if rootMemo.m == nil || len(rootMemo.m) >= rootMemoCap {
+		rootMemo.m = make(map[keys.Key]*verifiedRoot)
+	}
+	rootMemo.m[k] = m
 }
 
 // dirMeta is a verified, decoded directory: its inode, its entries and a
@@ -244,21 +301,8 @@ func (v *Volume) rootKey() keys.Key {
 // Create writes a fresh volume with an empty root directory and returns a
 // writable handle. The volume ID derives from the publisher key and name.
 func Create(ctx context.Context, svc BlockService, name string, priv ed25519.PrivateKey, opts Options) (*Volume, error) {
-	opts.applyDefaults()
 	pub := priv.Public().(ed25519.PublicKey)
-	v := &Volume{
-		svc:     svc,
-		volID:   keys.NewVolumeID(pub, name),
-		name:    name,
-		pub:     pub,
-		priv:    priv,
-		opts:    opts,
-		pending: make(map[keys.Key]pendingBlock),
-		removes: make(map[keys.Key]struct{}),
-		rcache:  make(map[keys.Key]cachedBlock),
-		stop:    make(chan struct{}),
-		metrics: newVolumeMetrics(opts.Metrics),
-	}
+	v := newVolume(svc, name, pub, priv, opts)
 	v.root = &RootBlock{
 		Name:      name,
 		PublicKey: pub,
@@ -279,20 +323,7 @@ func Create(ctx context.Context, svc BlockService, name string, priv ed25519.Pri
 // Open attaches to an existing volume. priv may be nil for read-only
 // access; the root signature is verified against pub.
 func Open(ctx context.Context, svc BlockService, name string, pub ed25519.PublicKey, priv ed25519.PrivateKey, opts Options) (*Volume, error) {
-	opts.applyDefaults()
-	v := &Volume{
-		svc:     svc,
-		volID:   keys.NewVolumeID(pub, name),
-		name:    name,
-		pub:     pub,
-		priv:    priv,
-		opts:    opts,
-		pending: make(map[keys.Key]pendingBlock),
-		removes: make(map[keys.Key]struct{}),
-		rcache:  make(map[keys.Key]cachedBlock),
-		stop:    make(chan struct{}),
-		metrics: newVolumeMetrics(opts.Metrics),
-	}
+	v := newVolume(svc, name, pub, priv, opts)
 	root, err := v.fetchRoot(ctx)
 	if err != nil {
 		return nil, err
@@ -305,6 +336,25 @@ func Open(ctx context.Context, svc BlockService, name string, pub ed25519.Public
 	}
 	v.startFlusher()
 	return v, nil
+}
+
+// newVolume returns a handle on volume name of publisher pub, with empty
+// caches and no root yet.
+func newVolume(svc BlockService, name string, pub ed25519.PublicKey, priv ed25519.PrivateKey, opts Options) *Volume {
+	opts.applyDefaults()
+	return &Volume{
+		svc:     svc,
+		volID:   keys.NewVolumeID(pub, name),
+		name:    name,
+		pub:     pub,
+		priv:    priv,
+		opts:    opts,
+		pending: make(map[keys.Key]pendingBlock),
+		removes: make(map[keys.Key]struct{}),
+		rcache:  make(map[keys.Key]cachedBlock),
+		stop:    make(chan struct{}),
+		metrics: newVolumeMetrics(opts.Metrics),
+	}
 }
 
 func (v *Volume) startFlusher() {
@@ -321,8 +371,12 @@ func (v *Volume) startFlusher() {
 			case <-v.stop:
 				return
 			case <-t.C:
+				// A failed round is requeued for the next one; count it
+				// so an operator sees writes that are not leaving.
 				ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-				_ = v.Sync(ctx)
+				if err := v.Sync(ctx); err != nil {
+					v.metrics.syncErrors.Inc()
+				}
 				cancel()
 			}
 		}
@@ -351,37 +405,39 @@ func (v *Volume) signRoot() error {
 }
 
 // fetchRoot reads the root block and verifies it against v.pub. Bytes equal
-// to the last root it verified return that root again: the same bytes
-// carry the same signature, so the decode and the check run once per
-// distinct root, not once per call. Any other bytes are decoded and
-// checked in full. The comparison is by content, against a private copy,
-// so a block changed in place under a cached slice is checked again too.
+// to a root this process already verified under v.pub return that root
+// again (the handle's last one, else rootMemo's): the same bytes carry the
+// same signature, so the decode and the check run once per distinct root,
+// not once per call or per handle. Any other bytes are decoded and checked
+// in full. The comparison is by content, against a private copy, so a
+// block changed in place under a cached slice is checked again too.
 func (v *Volume) fetchRoot(ctx context.Context) (*RootBlock, error) {
-	data, err := v.readBlock(ctx, v.rootKey())
+	k := v.rootKey()
+	data, err := v.readBlock(ctx, k)
 	if err != nil {
 		return nil, fmt.Errorf("fs: open volume %q: %w", v.name, err)
 	}
-	v.cmu.Lock()
-	last := v.verified
-	v.cmu.Unlock()
-	if last != nil && bytes.Equal(last.data, data) {
+	if last := v.verified.Load(); last != nil && bytes.Equal(last.data, data) {
 		return last.root, nil
 	}
-	root, err := decodeRoot(data)
-	if err != nil {
-		return nil, err
+	m := memoizedRoot(k, v.pub, data)
+	if m == nil {
+		root, err := decodeRoot(data)
+		if err != nil {
+			return nil, err
+		}
+		payload, err := root.signablePayload()
+		if err != nil {
+			return nil, err
+		}
+		if !verifySignature(v.pub, payload, root.Signature) {
+			return nil, ErrBadSig
+		}
+		m = &verifiedRoot{pub: bytes.Clone(v.pub), data: bytes.Clone(data), root: &root}
+		memoizeRoot(k, m)
 	}
-	payload, err := root.signablePayload()
-	if err != nil {
-		return nil, err
-	}
-	if !ed25519.Verify(v.pub, payload, root.Signature) {
-		return nil, ErrBadSig
-	}
-	v.cmu.Lock()
-	v.verified = &verifiedRoot{data: bytes.Clone(data), root: &root}
-	v.cmu.Unlock()
-	return &root, nil
+	v.verified.Store(m)
+	return m.root, nil
 }
 
 // currentRoot returns the writer's root or a freshly fetched one.
@@ -687,17 +743,18 @@ type step struct {
 	cur     pathCursor
 	ino     Inode
 	entries []DirEntry
-	// index maps names to positions in entries as walked; writers look
-	// names up before they change entries.
-	index map[string]int
 	// entryIdx is this directory's index within its parent's entries
 	// (-1 for the root).
 	entryIdx int
+	// shared is the decoded directory the step was read from. Its name
+	// index maps names to positions in entries as walked; writers look
+	// names up before they change entries.
+	shared *dirMeta
 }
 
 // find returns the position of name in the directory's entries, or -1.
 func (s *step) find(name string) int {
-	if i, ok := s.index[name]; ok {
+	if i, ok := s.shared.index[name]; ok {
 		return i
 	}
 	return -1
@@ -716,7 +773,7 @@ func (v *Volume) walk(ctx context.Context, root *RootBlock, comps []string, writ
 		return nil, err
 	}
 	chain := make([]step, 1, len(comps)+1)
-	chain[0] = step{cur: cur, ino: root.Root, entries: dir.entries, index: dir.index, entryIdx: -1}
+	chain[0] = step{cur: cur, ino: root.Root, entries: dir.entries, entryIdx: -1, shared: dir}
 	for _, name := range comps {
 		last := &chain[len(chain)-1]
 		idx := last.find(name)
@@ -733,7 +790,7 @@ func (v *Volume) walk(ctx context.Context, root *RootBlock, comps []string, writ
 			return nil, err
 		}
 		chain = append(chain, step{
-			cur: childCur, ino: dir.ino, entries: dir.entries, index: dir.index, entryIdx: idx,
+			cur: childCur, ino: dir.ino, entries: dir.entries, entryIdx: idx, shared: dir,
 		})
 	}
 	if write {
@@ -745,31 +802,25 @@ func (v *Volume) walk(ctx context.Context, root *RootBlock, comps []string, writ
 }
 
 // rootDir returns the decoded root directory. A reader's verified root
-// keeps it, so it is decoded once per distinct root; the writer's root
-// changes with every commit and is decoded per walk.
+// keeps it, so it is decoded once per distinct root in the process; the
+// writer's root changes with every commit and is decoded per walk.
 func (v *Volume) rootDir(ctx context.Context, cur pathCursor, root *RootBlock) (*dirMeta, error) {
-	v.cmu.Lock()
-	memo := v.verified
+	memo := v.verified.Load()
 	if memo != nil && memo.root != root {
 		memo = nil
 	}
-	var dir *dirMeta
 	if memo != nil {
-		dir = memo.dir
-	}
-	v.cmu.Unlock()
-	if dir != nil {
-		return dir, nil
+		if dir := memo.dir.Load(); dir != nil {
+			return dir, nil
+		}
 	}
 	entries, err := v.loadEntries(ctx, cur, &root.Root)
 	if err != nil {
 		return nil, err
 	}
-	dir = newDirMeta([32]byte{}, root.Root, entries)
+	dir := newDirMeta([32]byte{}, root.Root, entries)
 	if memo != nil {
-		v.cmu.Lock()
-		memo.dir = dir
-		v.cmu.Unlock()
+		memo.dir.Store(dir)
 	}
 	return dir, nil
 }
@@ -812,16 +863,56 @@ func (v *Volume) keepDir(k keys.Key, dir *dirMeta) {
 }
 
 // readInode fetches inode block k and checks it against its parent
-// entry's hash before decoding it.
+// entry's hash before decoding it. The decode is kept on the block's
+// read-cache entry under that hash, so each inode is checked once.
 func (v *Volume) readInode(ctx context.Context, k keys.Key, hash [32]byte) (Inode, error) {
+	if ino, ok := v.cachedInode(k, hash); ok {
+		v.metrics.cacheHits.Inc()
+		return ino, nil
+	}
 	data, err := v.readBlock(ctx, k)
 	if err != nil {
 		return Inode{}, err
 	}
+	return v.checkInode(k, hash, data)
+}
+
+// cachedInode returns inode block k, checked against hash and decoded, if a
+// cache holds it: the decode kept on its read-cache entry, else the cached
+// bytes, checked and decoded now. It reports false for a block no cache
+// holds and for one that fails its check.
+func (v *Volume) cachedInode(k keys.Key, hash [32]byte) (Inode, bool) {
+	v.cmu.Lock()
+	c, ok := v.rcache[k]
+	v.cmu.Unlock()
+	if ok && c.inode != nil && c.inode.hash == hash && time.Since(c.at) < v.opts.WriteBackDelay {
+		return c.inode.ino, true
+	}
+	data, ok := v.cachedRead(k)
+	if !ok {
+		return Inode{}, false
+	}
+	ino, err := v.checkInode(k, hash, data)
+	return ino, err == nil
+}
+
+// checkInode checks inode block k's bytes against hash, decodes them and
+// keeps the decode on the block's read-cache entry.
+func (v *Volume) checkInode(k keys.Key, hash [32]byte, data []byte) (Inode, error) {
 	if contentHash(data) != hash {
 		return Inode{}, fmt.Errorf("%w: inode", ErrIntegrity)
 	}
-	return decodeInode(data)
+	ino, err := decodeInode(data)
+	if err != nil {
+		return Inode{}, err
+	}
+	v.cmu.Lock()
+	defer v.cmu.Unlock()
+	if c, ok := v.rcache[k]; ok {
+		c.inode = &checkedInode{hash: hash, ino: ino}
+		v.rcache[k] = c
+	}
+	return ino, nil
 }
 
 // readAheadInodes caps the inode blocks one directory readahead fetches.
@@ -832,9 +923,8 @@ const readAheadInodes = 64
 // the inodes of up to readAheadInodes-1 following file entries not cached
 // yet. A directory's entries take slots in order, so these keys run on in
 // key order, and §4 places the run on one owner in almost every case.
-// The blocks enter the cache unverified: readInode checks each against its
-// entry's hash when a read uses it. A failed batch is ignored — the
-// caller's single-key read follows.
+// The blocks enter the cache unverified (see prefetch): readInode checks
+// each against its entry's hash when a read uses it.
 func (v *Volume) readAhead(ctx context.Context, dir *step, idx int, k keys.Key) {
 	batch, ok := v.svc.(BatchBlockService)
 	if !ok {
@@ -851,9 +941,68 @@ func (v *Volume) readAhead(ctx context.Context, dir *step, idx int, k keys.Key) 
 			ks = append(ks, ek)
 		}
 	}
-	if len(ks) == 1 {
+	if len(ks) > 1 {
+		v.prefetch(ctx, batch, ks)
+	}
+}
+
+// readAheadContent serves a directory scan, a ReadFile of the entry after
+// the previous ReadFile's (v.mu is held). When the file's content misses
+// the caches, its missing blocks go out in one GetMany with the content
+// blocks of the following file entries, whole files only, up to
+// SegmentBlocks keys in all. A following entry counts only if its inode is
+// cached and matches its entry's hash; the scan stops at the first one that
+// does not. Those inodes are checked and decoded here, once (see
+// cachedInode). The content blocks enter the cache unverified (see
+// prefetch): fetchBlocks checks each when a read uses it. ReadStream never
+// comes here, so a stream's open costs what it did.
+func (v *Volume) readAheadContent(ctx context.Context, f *fileRef) {
+	batch, ok := v.svc.(BatchBlockService)
+	if !ok {
 		return
 	}
+	ks := v.missingBlocks(f.cur, &f.ino, nil)
+	own := len(ks)
+	if own == 0 || own >= SegmentBlocks {
+		return
+	}
+	for i := f.idx + 1; i < len(f.dir.entries); i++ {
+		e := &f.dir.entries[i]
+		if e.IsDir {
+			continue
+		}
+		cur := f.dir.cur.child(e, e.Name)
+		ino, ok := v.cachedInode(cur.blockKey(0, e.Ver), e.Hash)
+		if !ok {
+			break
+		}
+		n := len(ks)
+		if ks = v.missingBlocks(cur, &ino, ks); len(ks) > SegmentBlocks {
+			ks = ks[:n]
+			break
+		}
+	}
+	if len(ks) > own {
+		v.prefetch(ctx, batch, ks)
+	}
+}
+
+// missingBlocks appends to ks the keys of the file's content blocks that no
+// cache holds.
+func (v *Volume) missingBlocks(cur pathCursor, ino *Inode, ks []keys.Key) []keys.Key {
+	for i, ver := range ino.BlockVers {
+		k := cur.blockKey(uint64(i+1), ver)
+		if _, ok := v.cachedRead(k); !ok {
+			ks = append(ks, k)
+		}
+	}
+	return ks
+}
+
+// prefetch fetches ks with one GetMany into the read cache, unverified:
+// every read that uses one of the blocks checks it against the hash its
+// parent names. A failed batch is ignored; the reads fetch what they miss.
+func (v *Volume) prefetch(ctx context.Context, batch BatchBlockService, ks []keys.Key) {
 	got, err := batch.GetMany(ctx, ks)
 	if err != nil {
 		return

@@ -75,8 +75,14 @@
 #                            and resync paths stay zero-allocation
 #   scripts/verify.sh fs     fs tier: the fs package's tests under -race
 #                            (the verified-root memo, shared decoded
-#                            directories and directory-readahead tests
-#                            among them), then BenchmarkReadFileWarm — a
+#                            directories, directory-readahead and scan-
+#                            readahead tests among them), then the cold-
+#                            scan gate — a fresh handle on a counting
+#                            service lists a directory and reads its 16
+#                            files in order; more than fs_cold_calls
+#                            service calls (root Get, directory Get, one
+#                            inode GetMany, at most two content GetManys)
+#                            fail the tier — then BenchmarkReadFileWarm — a
 #                            ReadFile on a handle whose blocks are all
 #                            cached, fs self time alone — printing its
 #                            ns/op and allocs/op; allocs/op above
@@ -227,8 +233,21 @@ if [ "${1:-}" = "fs" ]; then
 	# decoded directories, one inode check and decode, two content-block
 	# checks and the assembled result.
 	fs_warm_allocs=8
+	# A cold directory scan: root Get, directory Get, one inode GetMany and
+	# at most two content GetManys.
+	fs_cold_calls=5
 	echo "== fs tier: fs tests under -race"
 	go test -race ./internal/fs/
+	echo "== fs tier: cold directory scan gate (want <= $fs_cold_calls service calls)"
+	out=$(go test -run '^TestColdScanServiceCalls$' -v ./internal/fs/ | tee /dev/stderr)
+	echo "$out" | awk -v max="$fs_cold_calls" '
+		{ for (i = 1; i <= NF; i++) if ($i ~ /^cold_scan_calls=/) { split($i, kv, "="); calls = kv[2] } }
+		END {
+			if (calls == "" || calls + 0 > max + 0) {
+				print "fs tier: cold directory scan made " calls " service calls (gate " max ")" > "/dev/stderr"
+				exit 1
+			}
+		}'
 	echo "== fs tier: warm ReadFile alloc gate (want <= $fs_warm_allocs allocs/op)"
 	out=$(go test -run '^$' -bench 'BenchmarkReadFileWarm' -benchmem \
 		./internal/fs/ | tee /dev/stderr)
