@@ -771,6 +771,5 @@ func (c *Client) OpenVolume(ctx context.Context, name string, pub ed25519.Public
 }
 
 var _ fs.BlockService = (*Client)(nil)
-var _ fs.BatchBlockService = (*Client)(nil)
 var _ fs.BatchPutBlockService = (*Client)(nil)
 var _ fs.SegmentBlockService = (*Client)(nil)

@@ -44,6 +44,21 @@ func (m *memService) Get(_ context.Context, k keys.Key) ([]byte, error) {
 	return data, nil
 }
 
+// GetMany is one Get per key; absent keys are left out of the answer.
+func (m *memService) GetMany(ctx context.Context, ks []keys.Key) (map[keys.Key][]byte, error) {
+	out := make(map[keys.Key][]byte, len(ks))
+	for _, k := range ks {
+		if data, err := m.Get(ctx, k); err == nil {
+			out[k] = data
+		}
+	}
+	return out, nil
+}
+
+func (m *memService) GetSegment(ctx context.Context, ks []keys.Key) (map[keys.Key][]byte, error) {
+	return m.GetMany(ctx, ks)
+}
+
 func (m *memService) Remove(_ context.Context, k keys.Key) error {
 	m.mu.Lock()
 	defer m.mu.Unlock()

@@ -2,7 +2,9 @@ package fs
 
 import (
 	"context"
+	"errors"
 	"fmt"
+	"strings"
 
 	"github.com/defragdht/d2/internal/obs/tracing"
 )
@@ -62,11 +64,11 @@ func (v *Volume) writeFileLocked(ctx context.Context, comps []string, data []byt
 			return fmt.Errorf("%w: %s", ErrIsDir, name)
 		}
 		cur = parent.cur.child(e, name)
-		ino, err := v.readInode(ctx, cur.blockKey(0, e.Ver), e.Hash)
+		m, err := v.readInode(ctx, cur.blockKey(0, e.Ver), e.Hash)
 		if err != nil {
 			return err
 		}
-		oldIno = &ino
+		oldIno = &m.ino
 		oldVer = e.Ver
 	} else {
 		// New file: allocate the next unused slot in this directory
@@ -159,8 +161,11 @@ func (v *Volume) fileAt(ctx context.Context, root *RootBlock, path string, comps
 	if _, cached := v.cachedRead(k); !cached {
 		v.readAhead(ctx, parent, idx, k)
 	}
-	ino, err := v.readInode(ctx, k, e.Hash)
-	return fileRef{dir: parent, idx: idx, cur: cur, ino: ino}, err
+	m, err := v.readInode(ctx, k, e.Hash)
+	if err != nil {
+		return fileRef{}, err
+	}
+	return fileRef{dir: parent, idx: idx, cur: cur, ino: m.ino}, nil
 }
 
 // Mkdir creates a directory (parents must exist).
@@ -208,37 +213,12 @@ func (v *Volume) Mkdir(ctx context.Context, path string) error {
 func (v *Volume) MkdirAll(ctx context.Context, path string) error {
 	comps := splitPath(path)
 	for i := 1; i <= len(comps); i++ {
-		err := v.Mkdir(ctx, "/"+joinPath(comps[:i]))
-		if err != nil && !isExist(err) {
+		err := v.Mkdir(ctx, "/"+strings.Join(comps[:i], "/"))
+		if err != nil && !errors.Is(err, ErrExist) {
 			return err
 		}
 	}
 	return nil
-}
-
-func joinPath(comps []string) string {
-	out := ""
-	for i, c := range comps {
-		if i > 0 {
-			out += "/"
-		}
-		out += c
-	}
-	return out
-}
-
-func isExist(err error) bool {
-	for err != nil {
-		if err == ErrExist {
-			return true
-		}
-		u, ok := err.(interface{ Unwrap() error })
-		if !ok {
-			return false
-		}
-		err = u.Unwrap()
-	}
-	return false
 }
 
 // ReadDir lists a directory.
@@ -312,12 +292,13 @@ func (v *Volume) Remove(ctx context.Context, path string) error {
 	}
 	e := parent.entries[idx]
 	cur := parent.cur.child(&e, name)
-	ino, err := v.readInode(ctx, cur.blockKey(0, e.Ver), e.Hash)
+	m, err := v.readInode(ctx, cur.blockKey(0, e.Ver), e.Hash)
 	if err != nil {
 		return err
 	}
+	ino := &m.ino
 	if e.IsDir {
-		entries, err := v.loadEntries(ctx, cur, &ino)
+		entries, err := v.loadEntries(ctx, cur, ino)
 		if err != nil {
 			return err
 		}

@@ -15,8 +15,9 @@ import (
 	"github.com/defragdht/d2/internal/keys"
 )
 
-// countingService is a BatchBlockService over memService that records the
-// key of every single-key Get, counts GetManys, and can fail the GetManys
+// countingService is a BlockService over memService that records the key
+// of every single-key Get, counts GetManys (stream segments included), and
+// can fail the GetManys
 // that ask for inode blocks (the directory readahead's) or for the content
 // of more than one file (the scan readahead's).
 type countingService struct {
@@ -64,6 +65,10 @@ func (s *countingService) GetMany(ctx context.Context, ks []keys.Key) (map[keys.
 		}
 	}
 	return out, nil
+}
+
+func (s *countingService) GetSegment(ctx context.Context, ks []keys.Key) (map[keys.Key][]byte, error) {
+	return s.GetMany(ctx, ks)
 }
 
 // fileInodeGets counts the single-key Gets that fetched a file inode.
@@ -209,7 +214,9 @@ func TestVerifiedRootMemoRechecksChangedBytes(t *testing.T) {
 // a directory's 16 files without one single-key Get of a file inode.
 func TestReadAheadFetchesDirectoryInodesInOneBatch(t *testing.T) {
 	ctx := context.Background()
-	readAll := func(t *testing.T, svc BlockService) {
+	t.Run("batched", func(t *testing.T) {
+		svc := newCountingService()
+		writeReadPathDir(t, svc, Options{})
 		r := openReader(t, svc, Options{})
 		for i := 0; i < readPathFiles; i++ {
 			data, err := r.ReadFile(ctx, fmt.Sprintf("/d/f%02d", i))
@@ -217,11 +224,6 @@ func TestReadAheadFetchesDirectoryInodesInOneBatch(t *testing.T) {
 				t.Fatalf("f%02d: (%d bytes, %v)", i, len(data), err)
 			}
 		}
-	}
-	t.Run("batched", func(t *testing.T) {
-		svc := newCountingService()
-		writeReadPathDir(t, svc, Options{})
-		readAll(t, svc)
 		if n := svc.fileInodeGets(); n != 0 {
 			t.Errorf("%d single-key Gets of file inodes, want 0", n)
 		}
@@ -229,24 +231,7 @@ func TestReadAheadFetchesDirectoryInodesInOneBatch(t *testing.T) {
 			t.Error("no GetMany issued")
 		}
 	})
-	t.Run("plain service", func(t *testing.T) {
-		// The control: without a batched read path every inode is a Get.
-		svc := &countingService{memService: newMemService()}
-		writeReadPathDir(t, svc, Options{})
-		r := openReader(t, plainService{svc}, Options{})
-		for i := 0; i < readPathFiles; i++ {
-			if _, err := r.ReadFile(ctx, fmt.Sprintf("/d/f%02d", i)); err != nil {
-				t.Fatal(err)
-			}
-		}
-		if n := svc.fileInodeGets(); n != readPathFiles {
-			t.Errorf("%d single-key Gets of file inodes, want %d", n, readPathFiles)
-		}
-	})
 }
-
-// plainService hides a service's batched read path.
-type plainService struct{ BlockService }
 
 // TestReadAheadCorruptSiblingFailsOnlyItsFile: blocks the readahead caches
 // unverified are still checked when used, so one corrupted inode fails
@@ -310,14 +295,14 @@ func (v *Volume) sharedDirs() map[*dirMeta][]DirEntry {
 	defer v.cmu.Unlock()
 	out := make(map[*dirMeta][]DirEntry)
 	for _, c := range v.rcache {
-		if c.dir == nil {
+		if c.meta == nil || c.meta.index == nil {
 			continue
 		}
-		cp := slices.Clone(c.dir.entries)
+		cp := slices.Clone(c.meta.entries)
 		for i := range cp {
 			cp[i].OrigSlots = slices.Clone(cp[i].OrigSlots)
 		}
-		out[c.dir] = cp
+		out[c.meta] = cp
 	}
 	return out
 }

@@ -8,18 +8,13 @@ import (
 	"sync/atomic"
 	"time"
 
-	"github.com/defragdht/d2/internal/keys"
 	"github.com/defragdht/d2/internal/obs/tracing"
 )
 
-// SegmentBlockService is implemented by block services with a streaming
-// segment read path (the live client's GetSegment): GetMany semantics
-// plus per-key not-found retries tuned for reads racing churn. The
-// streaming layer prefers it over plain GetMany.
-type SegmentBlockService interface {
-	BatchBlockService
-	GetSegment(ctx context.Context, ks []keys.Key) (map[keys.Key][]byte, error)
-}
+// SegmentBlockService is another name for BlockService.
+//
+// Deprecated: use BlockService.
+type SegmentBlockService = BlockService
 
 // Streaming parameters. A segment is the prefetch pipeline's unit of
 // fan-out: one owner-grouped batch request covering SegmentBlocks

@@ -9,6 +9,7 @@ import (
 	"io"
 	"math/rand/v2"
 	"runtime"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -26,6 +27,8 @@ type batchMemService struct {
 	gate      chan struct{} // when set, GetMany blocks until closed
 	batchGets int
 	served    int // blocks returned via GetMany
+	// contentGets counts single-key Gets of content blocks.
+	contentGets int
 }
 
 func newBatchMemService() *batchMemService {
@@ -66,6 +69,19 @@ func (s *batchMemService) GetMany(ctx context.Context, ks []keys.Key) (map[keys.
 	s.served += len(out)
 	s.mu.Unlock()
 	return out, nil
+}
+
+func (s *batchMemService) GetSegment(ctx context.Context, ks []keys.Key) (map[keys.Key][]byte, error) {
+	return s.GetMany(ctx, ks)
+}
+
+func (s *batchMemService) Get(ctx context.Context, k keys.Key) ([]byte, error) {
+	if k.BlockNum() != 0 {
+		s.mu.Lock()
+		s.contentGets++
+		s.mu.Unlock()
+	}
+	return s.memService.Get(ctx, k)
 }
 
 func (s *batchMemService) servedBlocks() int {
@@ -218,11 +234,12 @@ func TestStreamReadYourWrites(t *testing.T) {
 	}
 }
 
-func TestStreamBatchMissFallsBackPerKey(t *testing.T) {
+// TestBatchReadHoleIsFinal: a block a batch answer leaves out fails the
+// read, which names the block; no single-key Get asks for it again.
+func TestBatchReadHoleIsFinal(t *testing.T) {
 	v, svc := newStreamVolume(t)
 	ctx := context.Background()
-	want := randBytes(3 * SegmentBytes)
-	if err := v.WriteFile(ctx, "/holey.bin", want); err != nil {
+	if err := v.WriteFile(ctx, "/holey.bin", randBytes(3*SegmentBytes)); err != nil {
 		t.Fatal(err)
 	}
 	if err := v.Sync(ctx); err != nil {
@@ -230,16 +247,27 @@ func TestStreamBatchMissFallsBackPerKey(t *testing.T) {
 	}
 	v.dropReadCacheForTest()
 	svc.mu.Lock()
-	svc.dropEvery = 4 // batch path loses every 4th key
+	svc.dropEvery = 4 // every batch answer loses its 4th, 8th, ... key
 	svc.mu.Unlock()
+
+	// One GetMany for all 48 blocks; its first hole is block 4.
+	if _, err := v.ReadFile(ctx, "/holey.bin"); err == nil || !strings.Contains(err.Error(), "fs: block 4: not found") {
+		t.Errorf("ReadFile with batch holes: err = %v, want block 4 not found", err)
+	}
+	v.dropReadCacheForTest() // the ReadFile cached blocks 1-3
 	r, err := v.ReadStream(ctx, "/holey.bin")
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer r.Close()
-	got, err := io.ReadAll(r)
-	if err != nil || !bytes.Equal(got, want) {
-		t.Fatalf("stream with batch misses: %v", err)
+	// The 1-block head, then a 4-block segment (blocks 2-5) missing block 5.
+	if _, err := io.ReadAll(r); err == nil || !strings.Contains(err.Error(), "fs: block 5: not found") {
+		t.Errorf("stream with batch holes: err = %v, want block 5 not found", err)
+	}
+	svc.mu.Lock()
+	defer svc.mu.Unlock()
+	if svc.contentGets != 0 {
+		t.Errorf("%d single-key content Gets, want 0", svc.contentGets)
 	}
 }
 

@@ -15,25 +15,23 @@ import (
 	"github.com/defragdht/d2/internal/keys"
 	"github.com/defragdht/d2/internal/obs"
 	"github.com/defragdht/d2/internal/obs/tracing"
-	"github.com/defragdht/d2/internal/placement"
 )
 
 // BlockService is the DHT interface D2-FS runs on: the put/get/remove of
-// D2-Store (§3). Both the live cluster client and in-memory test doubles
-// satisfy it.
+// D2-Store (§3) and its batched reads. A file is one contiguous key run
+// (§4), so a multi-block read is one batch, ~one RPC per owner. Both the
+// live cluster client and in-memory test doubles satisfy it.
 type BlockService interface {
 	Put(ctx context.Context, k keys.Key, data []byte) error
 	Get(ctx context.Context, k keys.Key) ([]byte, error)
 	Remove(ctx context.Context, k keys.Key) error
-}
-
-// BatchBlockService is implemented by block services with a batched read
-// path (the live client's GetMany). Multi-block file reads use it to
-// fetch a file's whole key run in ~one RPC per owner instead of one per
-// block; plain BlockServices keep the sequential path.
-type BatchBlockService interface {
-	BlockService
+	// GetMany returns the found blocks of ks by key. The service has
+	// re-resolved and walked the replicas of every key it leaves out, so a
+	// hole in the answer is final.
 	GetMany(ctx context.Context, ks []keys.Key) (map[keys.Key][]byte, error)
+	// GetSegment is GetMany for one streaming-read segment, with the longer
+	// patience of a one-pass read racing churn.
+	GetSegment(ctx context.Context, ks []keys.Key) (map[keys.Key][]byte, error)
 }
 
 // BatchPutBlockService is implemented by block services with a batched
@@ -178,19 +176,10 @@ func newVolumeMetrics(reg *obs.Registry) volumeMetrics {
 type cachedBlock struct {
 	data []byte
 	at   time.Time
-	// dir is the decoded directory when data is a directory's inode
-	// block, attached by the first walk through it (see loadDir).
-	dir *dirMeta
-	// inode is the decoded inode when data is an inode block that passed
-	// its hash check (see readInode).
-	inode *checkedInode
-}
-
-// checkedInode is an inode block that matched its parent entry's hash,
-// decoded. Like dirMeta it is shared and never mutated.
-type checkedInode struct {
-	hash [32]byte
-	ino  Inode
+	// meta is the decoded block when data is an inode block that passed
+	// its hash check (see readInode); a walk through a directory adds its
+	// entries (see loadDir).
+	meta *dirMeta
 }
 
 // verifiedRoot is a root block that passed the signature check under pub:
@@ -240,11 +229,12 @@ func memoizeRoot(k keys.Key, m *verifiedRoot) {
 	rootMemo.m[k] = m
 }
 
-// dirMeta is a verified, decoded directory: its inode, its entries and a
-// name index over them. A directory's inode block never changes under its
-// key — a new version is a new key — so one decode serves every walk
-// through it. It is shared and never mutated: a walk for a write hands
-// out copies of the entries (see walk).
+// dirMeta is a verified, decoded inode block: its inode and, for a
+// directory a walk has read, its entries and a name index over them (index
+// is nil until then). An inode block never changes under its key — a new
+// version is a new key — so one decode serves every read of it. It is
+// shared and never mutated: a walk for a write hands out copies of the
+// entries (see walk).
 type dirMeta struct {
 	hash    [32]byte // content hash of the inode block (zero for the root)
 	ino     Inode
@@ -286,11 +276,6 @@ func (e *SyncError) Unwrap() error { return e.Err }
 
 // VolumeID returns the volume's 20-byte identifier.
 func (v *Volume) VolumeID() keys.VolumeID { return v.volID }
-
-// Keyer returns a placement keyer addressing this volume's path space
-// directly (used by trace replay and benchmarks; regular access goes
-// through the Volume API).
-func (v *Volume) Keyer() placement.Keyer { return placement.NewNamespace(v.volID) }
 
 // rootKey returns the volume's root block key (block 0, version 0 of the
 // empty path — the only in-place-updated block, §3).
@@ -826,38 +811,31 @@ func (v *Volume) rootDir(ctx context.Context, cur pathCursor, root *RootBlock) (
 }
 
 // loadDir returns the decoded directory whose inode block e names. The
-// read-cache entry holding that block keeps the decode, so it is evicted
-// with the block; without one the block is read, checked against e.Hash
-// and decoded, and the result attached to the entry.
+// read-cache entry holding that block keeps the decode (see readInode), so
+// it is evicted with the block; the first walk through the directory adds
+// its entries.
 func (v *Volume) loadDir(ctx context.Context, cur pathCursor, e *DirEntry) (*dirMeta, error) {
 	k := cur.blockKey(0, e.Ver)
-	v.cmu.Lock()
-	c, ok := v.rcache[k]
-	v.cmu.Unlock()
-	if ok && c.dir != nil && c.dir.hash == e.Hash && time.Since(c.at) < v.opts.WriteBackDelay {
-		v.metrics.cacheHits.Inc()
-		return c.dir, nil
+	m, err := v.readInode(ctx, k, e.Hash)
+	if err != nil || m.index != nil {
+		return m, err
 	}
-	ino, err := v.readInode(ctx, k, e.Hash)
+	entries, err := v.loadEntries(ctx, cur, &m.ino)
 	if err != nil {
 		return nil, err
 	}
-	entries, err := v.loadEntries(ctx, cur, &ino)
-	if err != nil {
-		return nil, err
-	}
-	dir := newDirMeta(e.Hash, ino, entries)
-	v.keepDir(k, dir)
+	dir := newDirMeta(e.Hash, m.ino, entries)
+	v.keep(k, dir)
 	return dir, nil
 }
 
-// keepDir attaches a decoded directory to the read-cache entry holding its
-// inode block k, if the cache still holds it.
-func (v *Volume) keepDir(k keys.Key, dir *dirMeta) {
+// keep attaches a decoded inode block to the read-cache entry holding
+// block k, if the cache still holds it.
+func (v *Volume) keep(k keys.Key, m *dirMeta) {
 	v.cmu.Lock()
 	defer v.cmu.Unlock()
 	if c, ok := v.rcache[k]; ok {
-		c.dir = dir
+		c.meta = m
 		v.rcache[k] = c
 	}
 }
@@ -865,14 +843,14 @@ func (v *Volume) keepDir(k keys.Key, dir *dirMeta) {
 // readInode fetches inode block k and checks it against its parent
 // entry's hash before decoding it. The decode is kept on the block's
 // read-cache entry under that hash, so each inode is checked once.
-func (v *Volume) readInode(ctx context.Context, k keys.Key, hash [32]byte) (Inode, error) {
-	if ino, ok := v.cachedInode(k, hash); ok {
+func (v *Volume) readInode(ctx context.Context, k keys.Key, hash [32]byte) (*dirMeta, error) {
+	if m, ok := v.cachedInode(k, hash); ok {
 		v.metrics.cacheHits.Inc()
-		return ino, nil
+		return m, nil
 	}
 	data, err := v.readBlock(ctx, k)
 	if err != nil {
-		return Inode{}, err
+		return nil, err
 	}
 	return v.checkInode(k, hash, data)
 }
@@ -881,38 +859,34 @@ func (v *Volume) readInode(ctx context.Context, k keys.Key, hash [32]byte) (Inod
 // cache holds it: the decode kept on its read-cache entry, else the cached
 // bytes, checked and decoded now. It reports false for a block no cache
 // holds and for one that fails its check.
-func (v *Volume) cachedInode(k keys.Key, hash [32]byte) (Inode, bool) {
+func (v *Volume) cachedInode(k keys.Key, hash [32]byte) (*dirMeta, bool) {
 	v.cmu.Lock()
 	c, ok := v.rcache[k]
 	v.cmu.Unlock()
-	if ok && c.inode != nil && c.inode.hash == hash && time.Since(c.at) < v.opts.WriteBackDelay {
-		return c.inode.ino, true
+	if ok && c.meta != nil && c.meta.hash == hash && time.Since(c.at) < v.opts.WriteBackDelay {
+		return c.meta, true
 	}
 	data, ok := v.cachedRead(k)
 	if !ok {
-		return Inode{}, false
+		return nil, false
 	}
-	ino, err := v.checkInode(k, hash, data)
-	return ino, err == nil
+	m, err := v.checkInode(k, hash, data)
+	return m, err == nil
 }
 
 // checkInode checks inode block k's bytes against hash, decodes them and
 // keeps the decode on the block's read-cache entry.
-func (v *Volume) checkInode(k keys.Key, hash [32]byte, data []byte) (Inode, error) {
+func (v *Volume) checkInode(k keys.Key, hash [32]byte, data []byte) (*dirMeta, error) {
 	if contentHash(data) != hash {
-		return Inode{}, fmt.Errorf("%w: inode", ErrIntegrity)
+		return nil, fmt.Errorf("%w: inode", ErrIntegrity)
 	}
 	ino, err := decodeInode(data)
 	if err != nil {
-		return Inode{}, err
+		return nil, err
 	}
-	v.cmu.Lock()
-	defer v.cmu.Unlock()
-	if c, ok := v.rcache[k]; ok {
-		c.inode = &checkedInode{hash: hash, ino: ino}
-		v.rcache[k] = c
-	}
-	return ino, nil
+	m := &dirMeta{hash: hash, ino: ino}
+	v.keep(k, m)
+	return m, nil
 }
 
 // readAheadInodes caps the inode blocks one directory readahead fetches.
@@ -926,10 +900,6 @@ const readAheadInodes = 64
 // The blocks enter the cache unverified (see prefetch): readInode checks
 // each against its entry's hash when a read uses it.
 func (v *Volume) readAhead(ctx context.Context, dir *step, idx int, k keys.Key) {
-	batch, ok := v.svc.(BatchBlockService)
-	if !ok {
-		return
-	}
 	ks := []keys.Key{k}
 	for i := idx + 1; i < len(dir.entries) && len(ks) < readAheadInodes; i++ {
 		e := &dir.entries[i]
@@ -942,7 +912,7 @@ func (v *Volume) readAhead(ctx context.Context, dir *step, idx int, k keys.Key) 
 		}
 	}
 	if len(ks) > 1 {
-		v.prefetch(ctx, batch, ks)
+		v.prefetch(ctx, ks)
 	}
 }
 
@@ -957,10 +927,6 @@ func (v *Volume) readAhead(ctx context.Context, dir *step, idx int, k keys.Key) 
 // prefetch): fetchBlocks checks each when a read uses it. ReadStream never
 // comes here, so a stream's open costs what it did.
 func (v *Volume) readAheadContent(ctx context.Context, f *fileRef) {
-	batch, ok := v.svc.(BatchBlockService)
-	if !ok {
-		return
-	}
 	ks := v.missingBlocks(f.cur, &f.ino, nil)
 	own := len(ks)
 	if own == 0 || own >= SegmentBlocks {
@@ -972,18 +938,18 @@ func (v *Volume) readAheadContent(ctx context.Context, f *fileRef) {
 			continue
 		}
 		cur := f.dir.cur.child(e, e.Name)
-		ino, ok := v.cachedInode(cur.blockKey(0, e.Ver), e.Hash)
+		m, ok := v.cachedInode(cur.blockKey(0, e.Ver), e.Hash)
 		if !ok {
 			break
 		}
 		n := len(ks)
-		if ks = v.missingBlocks(cur, &ino, ks); len(ks) > SegmentBlocks {
+		if ks = v.missingBlocks(cur, &m.ino, ks); len(ks) > SegmentBlocks {
 			ks = ks[:n]
 			break
 		}
 	}
 	if len(ks) > own {
-		v.prefetch(ctx, batch, ks)
+		v.prefetch(ctx, ks)
 	}
 }
 
@@ -1002,8 +968,8 @@ func (v *Volume) missingBlocks(cur pathCursor, ino *Inode, ks []keys.Key) []keys
 // prefetch fetches ks with one GetMany into the read cache, unverified:
 // every read that uses one of the blocks checks it against the hash its
 // parent names. A failed batch is ignored; the reads fetch what they miss.
-func (v *Volume) prefetch(ctx context.Context, batch BatchBlockService, ks []keys.Key) {
-	got, err := batch.GetMany(ctx, ks)
+func (v *Volume) prefetch(ctx context.Context, ks []keys.Key) {
+	got, err := v.svc.GetMany(ctx, ks)
 	if err != nil {
 		return
 	}
@@ -1047,17 +1013,15 @@ func (v *Volume) readContent(ctx context.Context, cur pathCursor, ino *Inode) ([
 // fetch under whole-file reads and stream segments. Each block is checked
 // against the inode's hash and handed to sink with its block index:
 // first the blocks the write-back window or the read cache holds (read-
-// your-writes), then the rest, fetched with one batched call when the
-// service has one. A file's blocks form one contiguous key run (§4), so
-// the batch usually costs one RPC per owner. A block a plain
-// BatchBlockService left out of its answer gets one Get of its own; a
-// SegmentBlockService has already walked the replicas and retried, so
-// there a hole is final.
+// your-writes), then the rest — a single block with one Get, more with one
+// GetMany. A file's blocks form one contiguous key run (§4), so the batch
+// usually costs one RPC per owner. A hole in a batch answer is final: the
+// service has already walked the replicas and retried.
 //
-// stream marks a one-pass read: it takes the service's segment path, with
-// its longer patience for reads racing churn, and fetched blocks do NOT
-// enter the read cache — a multi-GB stream must not evict the hot metadata
-// working set (§3's cache exists for repeat reads, not one-pass scans).
+// stream marks a one-pass read: it takes GetSegment, with its longer
+// patience for reads racing churn, and fetched blocks do NOT enter the
+// read cache — a multi-GB stream must not evict the hot metadata working
+// set (§3's cache exists for repeat reads, not one-pass scans).
 func (v *Volume) fetchBlocks(ctx context.Context, cur pathCursor, ino *Inode, start, end int, stream bool, sink func(i int, data []byte)) error {
 	deliver := func(i int, data []byte) error {
 		if contentHash(data) != ino.BlockHashes[i] {
@@ -1086,39 +1050,39 @@ func (v *Volume) fetchBlocks(ctx context.Context, cur pathCursor, ino *Inode, st
 	if len(need) == 0 {
 		return nil
 	}
-	var (
-		got   map[keys.Key][]byte
-		final bool // the batch call walked replicas and retried: its holes are final
-		err   error
-	)
-	if batch, ok := v.svc.(BatchBlockService); ok && (stream || len(need) > 1) {
-		seg, walks := v.svc.(SegmentBlockService)
-		if walks && stream {
-			got, err = seg.GetSegment(ctx, need)
-		} else {
-			got, err = batch.GetMany(ctx, need)
+	fetched := func(j int, data []byte) error {
+		v.metrics.blocksRead.Inc()
+		v.metrics.bytesRead.Add(uint64(len(data)))
+		if !stream {
+			v.cacheRead(need[j], data)
 		}
+		return deliver(pos[j], data)
+	}
+	if len(need) == 1 && !stream {
+		data, err := v.svc.Get(ctx, need[0])
 		if err != nil {
-			return err
+			return fmt.Errorf("fs: block %d: %w", pos[0]+1, err)
 		}
-		final = walks
+		return fetched(0, data)
+	}
+	var (
+		got map[keys.Key][]byte
+		err error
+	)
+	if stream {
+		got, err = v.svc.GetSegment(ctx, need)
+	} else {
+		got, err = v.svc.GetMany(ctx, need)
+	}
+	if err != nil {
+		return err
 	}
 	for j, k := range need {
 		data, ok := got[k]
 		if !ok {
-			if final {
-				return fmt.Errorf("fs: block %d: not found", pos[j]+1)
-			}
-			if data, err = v.svc.Get(ctx, k); err != nil {
-				return fmt.Errorf("fs: block %d: %w", pos[j]+1, err)
-			}
+			return fmt.Errorf("fs: block %d: not found", pos[j]+1)
 		}
-		v.metrics.blocksRead.Inc()
-		v.metrics.bytesRead.Add(uint64(len(data)))
-		if !stream {
-			v.cacheRead(k, data)
-		}
-		if err := deliver(pos[j], data); err != nil {
+		if err := fetched(j, data); err != nil {
 			return err
 		}
 	}
@@ -1204,7 +1168,7 @@ func (v *Volume) commitChain(ctx context.Context, root *RootBlock, chain []step)
 		// The next walk starts from what was just written rather than
 		// decoding it again; s.entries is this walk's own copy and is
 		// final from here on.
-		v.keepDir(s.cur.blockKey(0, ver), newDirMeta(hash, s.ino, s.entries))
+		v.keep(s.cur.blockKey(0, ver), newDirMeta(hash, s.ino, s.entries))
 		parentEntry := &chain[i-1].entries[s.entryIdx]
 		parentEntry.Ver = ver
 		parentEntry.Hash = hash

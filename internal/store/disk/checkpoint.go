@@ -55,9 +55,7 @@ func (s *Store) startCheckpoint() {
 	}
 	go func() {
 		defer s.ckptRunning.Store(false)
-		if err := s.Checkpoint(); err != nil {
-			s.m.ckptErrors.Inc()
-		}
+		_ = s.Checkpoint() // counted in d2_store_checkpoint_errors_total
 	}()
 }
 
@@ -75,10 +73,16 @@ type ckptSnap struct {
 
 // Checkpoint compacts the store into one segment file plus a fresh WAL.
 // It is safe to call concurrently with reads and writes; concurrent
-// checkpoints serialize.
-func (s *Store) Checkpoint() error {
+// checkpoints serialize. A failed checkpoint leaves the rotation manifest
+// as the replay set, so it loses no acknowledged block.
+func (s *Store) Checkpoint() (err error) {
 	s.ckptMu.Lock()
 	defer s.ckptMu.Unlock()
+	defer func() {
+		if err != nil {
+			s.m.ckptErrors.Inc()
+		}
+	}()
 
 	// Allocate file sequence numbers and write the rotation manifest.
 	// ckptMu is the only writer of man/seq besides Open, so reading them
@@ -199,9 +203,9 @@ func (s *Store) Checkpoint() error {
 
 // writeSegment streams the snapshot into a new segment file in key
 // order, recording each data entry's payload offset, and fsyncs it.
-// Payloads are read from the files captured at snapshot time; entries
-// whose payload read fails are skipped (counted as read errors) rather
-// than aborting the checkpoint with a half-written segment.
+// Payloads are read from the files captured at snapshot time. A payload
+// that cannot be read (counted as a read error) fails the segment: the
+// old files it would replace still hold that block.
 func (s *Store) writeSegment(segSeq uint64, snaps []ckptSnap, readFiles map[uint64]*os.File) (*os.File, error) {
 	f, err := createLogFile(s.dir, segName(segSeq), magicSeg, segSeq)
 	if err != nil {
@@ -228,11 +232,11 @@ func (s *Store) writeSegment(segSeq uint64, snaps []ckptSnap, readFiles map[uint
 				src := readFiles[sn.v.Payload.file]
 				if src == nil {
 					s.m.readErrors.Inc()
-					continue
+					return fail(fmt.Errorf("payload of %s: file %d not open", sn.k.Short(), sn.v.Payload.file))
 				}
 				if _, err := src.ReadAt(payload, sn.v.Payload.off); err != nil {
 					s.m.readErrors.Inc()
-					continue
+					return fail(fmt.Errorf("payload of %s: %w", sn.k.Short(), err))
 				}
 			}
 			recBuf = appendPut(recBuf[:0], sn.k, sn.v.Expires, payload)

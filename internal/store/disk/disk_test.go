@@ -247,6 +247,53 @@ func TestCheckpointConcurrent(t *testing.T) {
 	}
 }
 
+// TestCheckpointKeepsBlocksItCannotRead: a checkpoint that cannot read a
+// payload fails instead of committing a segment without it, and every
+// acknowledged block still replays from the rotation manifest.
+func TestCheckpointKeepsBlocksItCannotRead(t *testing.T) {
+	dir := t.TempDir()
+	s := mustOpen(t, dir, Options{})
+	payload := func(i uint64) []byte { return bytes.Repeat([]byte{byte(i)}, 64) }
+	for i := uint64(1); i <= 8; i++ {
+		s.Put(k(i), payload(i), 0, t0)
+	}
+	// Every payload read from the WAL now fails.
+	s.mu.Lock()
+	seq := s.w.seq
+	wal := s.files[seq]
+	closed, err := os.Open(filepath.Join(dir, walName(seq)))
+	if err == nil {
+		closed.Close()
+		s.files[seq] = closed
+	}
+	s.mu.Unlock()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Checkpoint(); err == nil {
+		t.Error("Checkpoint returned nil with unreadable payloads")
+	}
+	if s.m.readErrors.Value() == 0 || s.m.ckptErrors.Value() != 1 {
+		t.Errorf("read errors %d, checkpoint errors %d; want > 0 and 1",
+			s.m.readErrors.Value(), s.m.ckptErrors.Value())
+	}
+	if segs, _ := filepath.Glob(filepath.Join(dir, "seg-*")); len(segs) != 0 {
+		t.Errorf("segment files left behind: %v", segs)
+	}
+	s.mu.Lock()
+	s.files[seq] = wal
+	s.mu.Unlock()
+	s.Close()
+
+	r := mustOpen(t, dir, Options{})
+	defer r.Close()
+	for i := uint64(1); i <= 8; i++ {
+		if b, ok := r.Get(k(i)); !ok || !bytes.Equal(b.Data, payload(i)) {
+			t.Errorf("acked block %d lost after the failed checkpoint", i)
+		}
+	}
+}
+
 // TestAutoCheckpoint drives the WAL past the threshold through the
 // public API and expects a background checkpoint to compact it.
 func TestAutoCheckpoint(t *testing.T) {

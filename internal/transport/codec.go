@@ -35,6 +35,7 @@
 package transport
 
 import (
+	"errors"
 	"fmt"
 	"net"
 	"sync"
@@ -116,92 +117,6 @@ const (
 	numWireTypes
 )
 
-// wireType maps a message to its wire type byte (0 for foreign types).
-func wireType(m Message) byte {
-	switch m.(type) {
-	case *PingReq:
-		return tPingReq
-	case *PingResp:
-		return tPingResp
-	case *FindSuccReq:
-		return tFindSuccReq
-	case *FindSuccResp:
-		return tFindSuccResp
-	case *NeighborsReq:
-		return tNeighborsReq
-	case *NeighborsResp:
-		return tNeighborsResp
-	case *NotifyReq:
-		return tNotifyReq
-	case *NotifyResp:
-		return tNotifyResp
-	case *PutReq:
-		return tPutReq
-	case *PutResp:
-		return tPutResp
-	case *GetReq:
-		return tGetReq
-	case *GetResp:
-		return tGetResp
-	case *RemoveReq:
-		return tRemoveReq
-	case *RemoveResp:
-		return tRemoveResp
-	case *LoadReq:
-		return tLoadReq
-	case *LoadResp:
-		return tLoadResp
-	case *SplitReq:
-		return tSplitReq
-	case *SplitResp:
-		return tSplitResp
-	case *RangeReq:
-		return tRangeReq
-	case *RangeResp:
-		return tRangeResp
-	case *MultiGetReq:
-		return tMultiGetReq
-	case *MultiGetResp:
-		return tMultiGetResp
-	case *FetchRangeReq:
-		return tFetchRangeReq
-	case *FetchRangeResp:
-		return tFetchRangeResp
-	case *PutPtrReq:
-		return tPutPtrReq
-	case *PutPtrResp:
-		return tPutPtrResp
-	case *SampleReq:
-		return tSampleReq
-	case *SampleResp:
-		return tSampleResp
-	case *StatsReq:
-		return tStatsReq
-	case *StatsResp:
-		return tStatsResp
-	case *TraceFetchReq:
-		return tTraceFetchReq
-	case *TraceFetchResp:
-		return tTraceFetchResp
-	case *ErrResp:
-		return tErrResp
-	case *HealthReq:
-		return tHealthReq
-	case *HealthResp:
-		return tHealthResp
-	case *CensusReq:
-		return tCensusReq
-	case *CensusResp:
-		return tCensusResp
-	case *MultiPutReq:
-		return tMultiPutReq
-	case *MultiPutResp:
-		return tMultiPutResp
-	default:
-		return tInvalid
-	}
-}
-
 // borrows marks the message types whose decoded form aliases block-payload
 // bytes in the frame buffer. Their frame buffers change ownership at
 // decode (store or caller keeps the data) and are never pooled; all other
@@ -272,14 +187,13 @@ var msgPools = [numWireTypes]*sync.Pool{
 // field, so stale slice aliases in pooled structs are overwritten before
 // the next use.
 func recycleMessage(m Message) {
-	if t := wireType(m); t != tInvalid {
-		if t == tMultiPutReq {
-			// Drop the payload aliases now: a pooled struct would otherwise
-			// pin its whole frame buffer until it is reused.
-			clear(m.(*MultiPutReq).Data)
-		}
-		msgPools[t].Put(m)
+	t := m.wireType()
+	if t == tMultiPutReq {
+		// Drop the payload aliases now: a pooled struct would otherwise
+		// pin its whole frame buffer until it is reused.
+		clear(m.(*MultiPutReq).Data)
 	}
+	msgPools[t].Put(m)
 }
 
 // AcquireFetchRangeResp returns a pooled response whose Items slice keeps
@@ -401,10 +315,10 @@ func (e *frameEncoder) peer(p *PeerInfo) {
 // buffers() yields the writev segments; the payload slices inside m stay
 // borrowed until the write completes.
 func (e *frameEncoder) encode(tag, trace, span uint64, from Addr, m Message, crc bool) error {
-	typ := wireType(m)
-	if typ == tInvalid {
-		return fmt.Errorf("transport: cannot encode message type %T", m)
+	if m == nil {
+		return errors.New("transport: cannot encode a nil message")
 	}
+	typ := m.wireType()
 	if len(from) > 0xff {
 		return fmt.Errorf("transport: from address %q too long", from)
 	}
@@ -795,7 +709,7 @@ func decodeMessage(typ byte, body []byte) (Message, error) {
 	m := decodeBody(typ, &r)
 	r.ExpectEmpty()
 	if err := r.Err(); err != nil {
-		return nil, fmt.Errorf("transport: decode %s: %w", kindNames[wireKinds[typ]], err)
+		return nil, fmt.Errorf("transport: decode %s: %w", rpcNames[typ], err)
 	}
 	return m, nil
 }

@@ -8,112 +8,30 @@ import (
 	"github.com/defragdht/d2/internal/obs"
 )
 
-// rpcKind indexes the per-RPC-type metric arrays. Kinds are derived from
-// the request message type; responses are attributed to their request's
-// kind.
-type rpcKind int
-
-const (
-	kindPing rpcKind = iota
-	kindFindSucc
-	kindNeighbors
-	kindNotify
-	kindPut
-	kindGet
-	kindMultiGet
-	kindFetchRange
-	kindRemove
-	kindLoad
-	kindSplit
-	kindRange
-	kindPutPtr
-	kindSample
-	kindStats
-	kindTraceFetch
-	kindHealth
-	kindCensus
-	kindMultiPut
-	kindOther
-	numKinds
-)
-
-var kindNames = [numKinds]string{
-	"ping", "find_succ", "neighbors", "notify", "put", "get",
-	"multi_get", "fetch_range", "remove", "load", "split", "range",
-	"put_ptr", "sample", "stats", "trace_fetch", "health", "census",
-	"multi_put", "other",
-}
-
-// kindOf classifies a request message.
-func kindOf(m Message) rpcKind {
-	switch m.(type) {
-	case *PingReq:
-		return kindPing
-	case *FindSuccReq:
-		return kindFindSucc
-	case *NeighborsReq:
-		return kindNeighbors
-	case *NotifyReq:
-		return kindNotify
-	case *PutReq:
-		return kindPut
-	case *GetReq:
-		return kindGet
-	case *MultiGetReq:
-		return kindMultiGet
-	case *FetchRangeReq:
-		return kindFetchRange
-	case *RemoveReq:
-		return kindRemove
-	case *LoadReq:
-		return kindLoad
-	case *SplitReq:
-		return kindSplit
-	case *RangeReq:
-		return kindRange
-	case *PutPtrReq:
-		return kindPutPtr
-	case *SampleReq:
-		return kindSample
-	case *StatsReq:
-		return kindStats
-	case *TraceFetchReq:
-		return kindTraceFetch
-	case *HealthReq:
-		return kindHealth
-	case *CensusReq:
-		return kindCensus
-	case *MultiPutReq:
-		return kindMultiPut
-	default:
-		return kindOther
-	}
-}
-
-// wireKinds maps a wire type byte to its rpcKind (responses count under
-// their request's kind), for metric attribution without a type switch on
-// the decode path.
-var wireKinds = [numWireTypes]rpcKind{
-	tPingReq: kindPing, tPingResp: kindPing,
-	tFindSuccReq: kindFindSucc, tFindSuccResp: kindFindSucc,
-	tNeighborsReq: kindNeighbors, tNeighborsResp: kindNeighbors,
-	tNotifyReq: kindNotify, tNotifyResp: kindNotify,
-	tPutReq: kindPut, tPutResp: kindPut,
-	tGetReq: kindGet, tGetResp: kindGet,
-	tRemoveReq: kindRemove, tRemoveResp: kindRemove,
-	tLoadReq: kindLoad, tLoadResp: kindLoad,
-	tSplitReq: kindSplit, tSplitResp: kindSplit,
-	tRangeReq: kindRange, tRangeResp: kindRange,
-	tMultiGetReq: kindMultiGet, tMultiGetResp: kindMultiGet,
-	tFetchRangeReq: kindFetchRange, tFetchRangeResp: kindFetchRange,
-	tPutPtrReq: kindPutPtr, tPutPtrResp: kindPutPtr,
-	tSampleReq: kindSample, tSampleResp: kindSample,
-	tStatsReq: kindStats, tStatsResp: kindStats,
-	tTraceFetchReq: kindTraceFetch, tTraceFetchResp: kindTraceFetch,
-	tHealthReq: kindHealth, tHealthResp: kindHealth,
-	tCensusReq: kindCensus, tCensusResp: kindCensus,
-	tMultiPutReq: kindMultiPut, tMultiPutResp: kindMultiPut,
-	tErrResp: kindOther,
+// rpcNames names each wire type for metric labels and span names. A
+// response shares its request's name, so a call's request and reply count
+// under one label; ErrResp and the unset slot are "other".
+var rpcNames = [numWireTypes]string{
+	tInvalid: "other", tErrResp: "other",
+	tPingReq: "ping", tPingResp: "ping",
+	tFindSuccReq: "find_succ", tFindSuccResp: "find_succ",
+	tNeighborsReq: "neighbors", tNeighborsResp: "neighbors",
+	tNotifyReq: "notify", tNotifyResp: "notify",
+	tPutReq: "put", tPutResp: "put",
+	tGetReq: "get", tGetResp: "get",
+	tRemoveReq: "remove", tRemoveResp: "remove",
+	tLoadReq: "load", tLoadResp: "load",
+	tSplitReq: "split", tSplitResp: "split",
+	tRangeReq: "range", tRangeResp: "range",
+	tMultiGetReq: "multi_get", tMultiGetResp: "multi_get",
+	tFetchRangeReq: "fetch_range", tFetchRangeResp: "fetch_range",
+	tPutPtrReq: "put_ptr", tPutPtrResp: "put_ptr",
+	tSampleReq: "sample", tSampleResp: "sample",
+	tStatsReq: "stats", tStatsResp: "stats",
+	tTraceFetchReq: "trace_fetch", tTraceFetchResp: "trace_fetch",
+	tHealthReq: "health", tHealthResp: "health",
+	tCensusReq: "census", tCensusResp: "census",
+	tMultiPutReq: "multi_put", tMultiPutResp: "multi_put",
 }
 
 // payloadBytes returns the block-data bytes a message carries — the
@@ -167,10 +85,12 @@ func payloadBytes(m Message) int64 {
 // for the TCP path. All methods are safe on a nil receiver (metrics off),
 // so the transports carry a single pointer and no conditional wiring.
 type RPCMetrics struct {
-	calls   [numKinds]*obs.Counter
-	errs    [numKinds]*obs.Counter
-	latency [numKinds]*obs.Histogram
-	served  [numKinds]*obs.Counter
+	// Indexed by wire type; a request and its response share the entries
+	// registered under their name.
+	calls   [numWireTypes]*obs.Counter
+	errs    [numWireTypes]*obs.Counter
+	latency [numWireTypes]*obs.Histogram
+	served  [numWireTypes]*obs.Counter
 
 	bytesSent *obs.Counter
 	bytesRecv *obs.Counter
@@ -205,23 +125,23 @@ func NewRPCMetrics(reg *obs.Registry) *RPCMetrics {
 		evictions: reg.Counter("d2_tcp_pool_evictions_total"),
 		failfast:  reg.Counter("d2_tcp_pool_failfast_total"),
 	}
-	for k := rpcKind(0); k < numKinds; k++ {
-		label := `{rpc="` + kindNames[k] + `"}`
-		m.calls[k] = reg.Counter("d2_rpc_client_total" + label)
-		m.errs[k] = reg.Counter("d2_rpc_client_errors_total" + label)
-		m.latency[k] = reg.Histogram("d2_rpc_client_latency_ns"+label, obs.LatencyBuckets)
-		m.served[k] = reg.Counter("d2_rpc_server_total" + label)
+	for t, name := range rpcNames {
+		label := `{rpc="` + name + `"}`
+		m.calls[t] = reg.Counter("d2_rpc_client_total" + label)
+		m.errs[t] = reg.Counter("d2_rpc_client_errors_total" + label)
+		m.latency[t] = reg.Histogram("d2_rpc_client_latency_ns"+label, obs.LatencyBuckets)
+		m.served[t] = reg.Counter("d2_rpc_server_total" + label)
 	}
 	return m
 }
 
-// startCall records an outbound request and returns its kind and start
-// time for finishCall.
-func (m *RPCMetrics) startCall(req Message) (rpcKind, time.Time) {
+// startCall records an outbound request and returns its wire type and
+// start time for finishCall.
+func (m *RPCMetrics) startCall(req Message) (byte, time.Time) {
 	if m == nil {
-		return kindOther, time.Time{}
+		return tInvalid, time.Time{}
 	}
-	k := kindOf(req)
+	k := req.wireType()
 	m.calls[k].Inc()
 	if n := payloadBytes(req); n > 0 {
 		m.bytesSent.Add(uint64(n))
@@ -230,7 +150,7 @@ func (m *RPCMetrics) startCall(req Message) (rpcKind, time.Time) {
 }
 
 // finishCall records an outbound call's outcome.
-func (m *RPCMetrics) finishCall(k rpcKind, start time.Time, resp Message, err error) {
+func (m *RPCMetrics) finishCall(k byte, start time.Time, resp Message, err error) {
 	if m == nil {
 		return
 	}
@@ -254,7 +174,7 @@ func (m *RPCMetrics) serveStart(req Message) {
 	if m == nil {
 		return
 	}
-	m.served[kindOf(req)].Inc()
+	m.served[req.wireType()].Inc()
 	m.depth.Observe(m.inflight.Value() + 1)
 	m.inflight.Add(1)
 }

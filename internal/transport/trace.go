@@ -6,33 +6,28 @@ import (
 	"github.com/defragdht/d2/internal/obs/tracing"
 )
 
-// rpcSpanNames maps an rpcKind to its client-side send span name,
+// rpcSpanNames maps a wire type to its client-side send span name,
 // precomputed so the traced path never concatenates strings per call.
-var rpcSpanNames = func() [numKinds]string {
-	var out [numKinds]string
-	for k := rpcKind(0); k < numKinds; k++ {
-		out[k] = "rpc." + kindNames[k]
+var rpcSpanNames = spanNames("rpc.")
+
+// serveSpanNames maps a wire type to its server-side handler span name.
+var serveSpanNames = spanNames("serve.")
+
+func spanNames(prefix string) (out [numWireTypes]string) {
+	for t, name := range rpcNames {
+		out[t] = prefix + name
 	}
 	return out
-}()
+}
 
-// serveSpanNames maps an rpcKind to its server-side handler span name.
-var serveSpanNames = func() [numKinds]string {
-	var out [numKinds]string
-	for k := rpcKind(0); k < numKinds; k++ {
-		out[k] = "serve." + kindNames[k]
-	}
-	return out
-}()
-
-// RPCName returns the wire name of a request's kind ("get", "multi_get",
+// RPCName returns the wire name of a message's kind ("get", "multi_get",
 // ...), for span and profiler-label naming at higher layers. The string is
 // precomputed — callers on traced paths pay no per-call concatenation.
-func RPCName(m Message) string { return kindNames[kindOf(m)] }
+func RPCName(m Message) string { return rpcNames[m.wireType()] }
 
 // ServeSpanName returns the precomputed server-side span name for a
 // request ("serve.get", ...).
-func ServeSpanName(m Message) string { return serveSpanNames[kindOf(m)] }
+func ServeSpanName(m Message) string { return serveSpanNames[m.wireType()] }
 
 // startSend opens the transport's client-side span for one outbound RPC:
 // a child of whatever trace ctx carries, named rpc.<kind>. It returns the
@@ -44,7 +39,7 @@ func startSend(ctx context.Context, tr *tracing.Tracer, to Addr, req Message) (c
 	if tracing.FromContext(ctx) == nil {
 		return ctx, nil
 	}
-	sctx, sp := tr.StartSpan(ctx, rpcSpanNames[kindOf(req)])
+	sctx, sp := tr.StartSpan(ctx, rpcSpanNames[req.wireType()])
 	sp.Annotate("to", to)
 	return sctx, sp
 }

@@ -40,12 +40,12 @@ type Transport interface {
 	Close() error
 }
 
-// Message is a marker for RPC payloads. Every implementation is a
-// *pointer* to one of the request/response structs in this package —
-// pointers keep interface conversions allocation-free on the hot path —
-// and carries a hand-rolled binary marshaler in codec.go (the wire is
-// reflection-free; gob is gone from the module).
-type Message interface{ isMessage() }
+// Message is an RPC payload: a *pointer* to one of the request/response
+// structs in this package — pointers keep interface conversions
+// allocation-free on the hot path. Its wire type is its identity: the
+// frame's type byte, the codec's marshaler in codec.go, and the metric
+// label and span name in rpcNames all index by it.
+type Message interface{ wireType() byte }
 
 // PeerInfo describes a node: its ring position and address.
 type PeerInfo struct {
@@ -346,45 +346,45 @@ type CensusResp struct {
 // ErrResp carries an application-level error back to the caller.
 type ErrResp struct{ Err string }
 
-func (*PingReq) isMessage()        {}
-func (*PingResp) isMessage()       {}
-func (*FindSuccReq) isMessage()    {}
-func (*FindSuccResp) isMessage()   {}
-func (*NeighborsReq) isMessage()   {}
-func (*NeighborsResp) isMessage()  {}
-func (*NotifyReq) isMessage()      {}
-func (*NotifyResp) isMessage()     {}
-func (*PutReq) isMessage()         {}
-func (*PutResp) isMessage()        {}
-func (*GetReq) isMessage()         {}
-func (*GetResp) isMessage()        {}
-func (*RemoveReq) isMessage()      {}
-func (*RemoveResp) isMessage()     {}
-func (*LoadReq) isMessage()        {}
-func (*LoadResp) isMessage()       {}
-func (*SplitReq) isMessage()       {}
-func (*SplitResp) isMessage()      {}
-func (*RangeReq) isMessage()       {}
-func (*RangeResp) isMessage()      {}
-func (*MultiGetReq) isMessage()    {}
-func (*MultiGetResp) isMessage()   {}
-func (*MultiPutReq) isMessage()    {}
-func (*MultiPutResp) isMessage()   {}
-func (*FetchRangeReq) isMessage()  {}
-func (*FetchRangeResp) isMessage() {}
-func (*PutPtrReq) isMessage()      {}
-func (*PutPtrResp) isMessage()     {}
-func (*SampleReq) isMessage()      {}
-func (*SampleResp) isMessage()     {}
-func (*StatsReq) isMessage()       {}
-func (*StatsResp) isMessage()      {}
-func (*TraceFetchReq) isMessage()  {}
-func (*TraceFetchResp) isMessage() {}
-func (*ErrResp) isMessage()        {}
-func (*HealthReq) isMessage()      {}
-func (*HealthResp) isMessage()     {}
-func (*CensusReq) isMessage()      {}
-func (*CensusResp) isMessage()     {}
+func (*PingReq) wireType() byte        { return tPingReq }
+func (*PingResp) wireType() byte       { return tPingResp }
+func (*FindSuccReq) wireType() byte    { return tFindSuccReq }
+func (*FindSuccResp) wireType() byte   { return tFindSuccResp }
+func (*NeighborsReq) wireType() byte   { return tNeighborsReq }
+func (*NeighborsResp) wireType() byte  { return tNeighborsResp }
+func (*NotifyReq) wireType() byte      { return tNotifyReq }
+func (*NotifyResp) wireType() byte     { return tNotifyResp }
+func (*PutReq) wireType() byte         { return tPutReq }
+func (*PutResp) wireType() byte        { return tPutResp }
+func (*GetReq) wireType() byte         { return tGetReq }
+func (*GetResp) wireType() byte        { return tGetResp }
+func (*RemoveReq) wireType() byte      { return tRemoveReq }
+func (*RemoveResp) wireType() byte     { return tRemoveResp }
+func (*LoadReq) wireType() byte        { return tLoadReq }
+func (*LoadResp) wireType() byte       { return tLoadResp }
+func (*SplitReq) wireType() byte       { return tSplitReq }
+func (*SplitResp) wireType() byte      { return tSplitResp }
+func (*RangeReq) wireType() byte       { return tRangeReq }
+func (*RangeResp) wireType() byte      { return tRangeResp }
+func (*MultiGetReq) wireType() byte    { return tMultiGetReq }
+func (*MultiGetResp) wireType() byte   { return tMultiGetResp }
+func (*MultiPutReq) wireType() byte    { return tMultiPutReq }
+func (*MultiPutResp) wireType() byte   { return tMultiPutResp }
+func (*FetchRangeReq) wireType() byte  { return tFetchRangeReq }
+func (*FetchRangeResp) wireType() byte { return tFetchRangeResp }
+func (*PutPtrReq) wireType() byte      { return tPutPtrReq }
+func (*PutPtrResp) wireType() byte     { return tPutPtrResp }
+func (*SampleReq) wireType() byte      { return tSampleReq }
+func (*SampleResp) wireType() byte     { return tSampleResp }
+func (*StatsReq) wireType() byte       { return tStatsReq }
+func (*StatsResp) wireType() byte      { return tStatsResp }
+func (*TraceFetchReq) wireType() byte  { return tTraceFetchReq }
+func (*TraceFetchResp) wireType() byte { return tTraceFetchResp }
+func (*ErrResp) wireType() byte        { return tErrResp }
+func (*HealthReq) wireType() byte      { return tHealthReq }
+func (*HealthResp) wireType() byte     { return tHealthResp }
+func (*CensusReq) wireType() byte      { return tCensusReq }
+func (*CensusResp) wireType() byte     { return tCensusResp }
 
 // AsError converts an ErrResp into a Go error, passing other messages
 // through.

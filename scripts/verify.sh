@@ -2,7 +2,24 @@
 # verify.sh — repo verification tiers.
 #
 #   scripts/verify.sh        tier 1: build + full test suite
-#   scripts/verify.sh lint   lint tier: go vet and a gofmt -l check
+#   scripts/verify.sh lint   lint tier: go vet, a gofmt -l check and the
+#                            optional-interface gate: it lists every type
+#                            assertion to an interface type in non-test
+#                            internal/ and d2.go (x.(T) expressions, not
+#                            type switches) and fails on any whose type is
+#                            not allowed below. An optional interface hides
+#                            a code path from the codebase itself, so a new
+#                            one must be argued onto this list:
+#                              store.IdentityStore  durable engines keep the
+#                                                   node's ring ID
+#                              interface{ UseTracer(*tracing.Tracer) }
+#                                                   the transport tracing hook
+#                              Message              transport's message pools
+#                                                   hand back any
+#                              BatchPutBlockService until direction 2 (the
+#                                                   fs write half)
+#                              BatchPutter          until direction 2
+#                                                   (store.Engine)
 #   scripts/verify.sh race   tier 2: tier 1 plus lint and the race
 #                            detector (catches data races in the parallel
 #                            experiment pool and the obs hot paths;
@@ -99,6 +116,46 @@ lint() {
 		echo "$fmt" >&2
 		exit 1
 	fi
+	echo "== lint: type assertions to interfaces"
+	found=$(iface_asserts)
+	echo "$found"
+	bad=$(echo "$found" | grep -vxE '[^ ]+ (store\.IdentityStore|interface\{ UseTracer\(\*tracing\.Tracer\) \}|Message|BatchPutBlockService|BatchPutter)' || true)
+	if [ -n "$bad" ]; then
+		echo "lint: type assertions to interfaces outside the allow-list in scripts/verify.sh:" >&2
+		echo "$bad" >&2
+		exit 1
+	fi
+}
+
+# iface_asserts prints "file:line: type" for each x.(T) in non-test
+# internal/ and d2.go whose T is an interface type, as go doc describes T.
+# A qualified name go doc cannot resolve is printed too (so it must be
+# allowed); an unqualified one it cannot find is a type parameter.
+iface_asserts() {
+	re='\.\((interface\{[^}]*\}|[A-Za-z_][A-Za-z0-9_.]*)\)'
+	grep -rnE --include='*.go' --exclude='*_test.go' "$re" internal d2.go | while IFS= read -r hit; do
+		file=${hit%%:*}
+		rest=${hit#*:}
+		where="$file:${rest%%:*}:"
+		echo "$hit" | grep -oE "$re" | while IFS= read -r typ; do
+			typ=${typ#.(}
+			typ=${typ%)}
+			case $typ in
+			type) continue ;;
+			interface*|error|any) ;;
+			*.*)
+				pkg=$(go list -f '{{join .Imports "\n"}}' "./$(dirname "$file")" | grep -E "(^|/)${typ%%.*}\$" | head -n 1)
+				doc=$(go doc -u "$pkg.${typ#*.}" 2>/dev/null) || doc="type ${typ#*.} interface"
+				echo "$doc" | grep -q "^type ${typ#*.} interface" || continue
+				;;
+			*)
+				doc=$(go doc -u "./$(dirname "$file")" "$typ" 2>/dev/null) || continue
+				echo "$doc" | grep -q "^type $typ interface" || continue
+				;;
+			esac
+			echo "$where $typ"
+		done
+	done
 }
 
 if [ "${1:-}" = "lint" ]; then
