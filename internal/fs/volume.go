@@ -2,6 +2,7 @@ package fs
 
 import (
 	"bytes"
+	"cmp"
 	"context"
 	"crypto/ed25519"
 	"fmt"
@@ -629,7 +630,8 @@ func (v *Volume) shipBlocks(ctx context.Context, ks []keys.Key, data [][]byte) e
 // published root never references a block that was not written — then
 // the queued removals. When a step fails, what was not sent goes back
 // into the window (never over a newer write of the same key) and a
-// *SyncError names the unwritten blocks.
+// *SyncError names the unwritten blocks; of the removals, only those that
+// failed go back, and the error names the first.
 func (v *Volume) Sync(ctx context.Context) error {
 	v.syncMu.Lock()
 	defer v.syncMu.Unlock()
@@ -676,11 +678,30 @@ func (v *Volume) Sync(ctx context.Context) error {
 		v.requeue(pending, unsent, rm)
 		return &SyncError{Keys: unsent, Err: err}
 	}
+	// At most 16 removals in flight: each waits on its holders' log write
+	// of the deadline, which sent one at a time a save would pay in turn.
+	errs := make([]error, len(rm))
+	sem := make(chan struct{}, 16)
+	var wg sync.WaitGroup
 	for i, k := range rm {
-		if err := v.svc.Remove(ctx, k); err != nil {
-			v.requeue(nil, nil, rm[i:])
-			return fmt.Errorf("fs: sync remove %s: %w", k.Short(), err)
+		sem <- struct{}{}
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			errs[i] = v.svc.Remove(ctx, k)
+			<-sem
+		}()
+	}
+	wg.Wait()
+	var failed []keys.Key
+	for i, e := range errs {
+		if e != nil {
+			failed, err = append(failed, rm[i]), cmp.Or(err, e)
 		}
+	}
+	if err != nil {
+		v.requeue(nil, nil, failed)
+		return fmt.Errorf("fs: sync remove %s: %w", failed[0].Short(), err)
 	}
 	return nil
 }

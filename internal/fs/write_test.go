@@ -9,6 +9,7 @@ import (
 	"runtime"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -357,6 +358,67 @@ func TestSyncFailureKeepsWindow(t *testing.T) {
 			}
 		}
 	})
+}
+
+// failRemoveService fails every Remove of one key while armed.
+type failRemoveService struct {
+	*recService
+	fail  keys.Key
+	armed atomic.Bool
+}
+
+func (s *failRemoveService) Remove(ctx context.Context, k keys.Key) error {
+	if s.armed.Load() && k == s.fail {
+		return errInjected
+	}
+	return s.recService.Remove(ctx, k)
+}
+
+// TestSyncRequeuesFailedRemovals: a Sync whose Remove fails for one key
+// sends every other removal, returns an error naming that key and keeps
+// only it queued, so the next Sync sends exactly that key.
+func TestSyncRequeuesFailedRemovals(t *testing.T) {
+	rec := &recService{memService: newMemService()}
+	svc := &failRemoveService{recService: rec}
+	v := createOn(t, svc)
+	ctx := context.Background()
+	mustWrite(t, v, "/gone", blockOf('g', 3*BlockSize))
+	mustSync(t, v)
+	if err := v.Remove(ctx, "/gone"); err != nil {
+		t.Fatal(err)
+	}
+	v.cmu.Lock()
+	queued := sortedKeys(v.removes)
+	v.cmu.Unlock()
+	if len(queued) < 2 {
+		t.Fatalf("%d removals queued, want the inode and its blocks", len(queued))
+	}
+	svc.fail = queued[len(queued)/2]
+	svc.armed.Store(true)
+
+	removes := func(log []string) (out []string) {
+		for _, e := range log {
+			if strings.HasPrefix(e, "remove ") {
+				out = append(out, e)
+			}
+		}
+		return out
+	}
+	start := len(rec.entries())
+	err := v.Sync(ctx)
+	if !errors.Is(err, errInjected) || !strings.Contains(err.Error(), svc.fail.Short()) {
+		t.Fatalf("Sync error = %v, want the injected failure naming %s", err, svc.fail.Short())
+	}
+	if got := removes(rec.entries()[start:]); len(got) != len(queued)-1 {
+		t.Fatalf("failed Sync sent %d removals, want %d: %v", len(got), len(queued)-1, got)
+	}
+
+	svc.armed.Store(false)
+	start = len(rec.entries())
+	mustSync(t, v)
+	if got := removes(rec.entries()[start:]); len(got) != 1 || got[0] != "remove "+svc.fail.String() {
+		t.Fatalf("next Sync sent %v, want only the failed key %s", got, svc.fail.Short())
+	}
 }
 
 // TestReadCacheBoundedOnWrites: a writer that never reads stays inside

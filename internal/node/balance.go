@@ -31,7 +31,7 @@ func (n *Node) balanceProbe() {
 	if err != nil {
 		return
 	}
-	if !ring.Heavier(load.RespBytes, n.RespBytes(), n.cfg.BalanceThreshold) {
+	if !ring.Heavier(load.RespBytes, n.RespBytes(), ring.BalanceThreshold) {
 		return
 	}
 	n.moveTo(ctx, load.Self)
@@ -78,8 +78,16 @@ func (n *Node) moveTo(ctx context.Context, a transport.PeerInfo) {
 			}
 			return true
 		})
+		failed := 0
 		for i := range ptrs {
-			_, _ = transport.Expect[*transport.PutPtrResp](n.call(ctx, succ.Addr, &ptrs[i]))
+			if _, err := transport.Expect[*transport.PutPtrResp](n.call(ctx, succ.Addr, &ptrs[i])); err != nil {
+				failed++
+			}
+		}
+		if failed > 0 {
+			n.metrics.ptrPushErrors.Add(uint64(failed))
+			n.events.Log(obs.LevelWarn, "balance.pointer_push_error",
+				"succ", string(succ.Addr), "failed", strconv.Itoa(failed))
 		}
 	}
 

@@ -17,13 +17,15 @@ type stalePointer struct {
 }
 
 // maintain is the node's one background round: keep every block on its r
-// holders (§8 regeneration) and turn the pointers a balance move installed
-// into data (§6). After resolving the replica lower bound lo, one walk of
-// the whole index feeds the census and lists the primary data keys, the
-// data keys outside (lo, self] and the stale pointers; then the round
-// pushes to each successor what it lacks, hands the outside blocks to
-// their owners and fetches the data behind the stale pointers. A node
-// alone in its ring takes its census but has no one to repair to.
+// holders (§8 regeneration), turn the pointers a balance move installed
+// into data (§6) and drop the entries whose deadline passed (§3). After
+// resolving the replica lower bound lo, one walk of the whole index feeds
+// the census, notes any due deadline and lists the primary data keys, the
+// data keys outside (lo, self] and the stale pointers, leaving out every
+// entry with a deadline; then the round sweeps, pushes to each successor
+// what it lacks, hands the outside blocks to their owners and fetches the
+// data behind the stale pointers. A node alone in its ring has no one to
+// repair to.
 func (n *Node) maintain() {
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
@@ -38,11 +40,15 @@ func (n *Node) maintain() {
 
 	var primary, outside []keys.Key
 	var stale []stalePointer
-	staleBefore := time.Now().Add(-n.cfg.PointerStabilization).UnixNano()
+	due := false
+	now := time.Now()
+	staleBefore := now.Add(-n.cfg.PointerStabilization).UnixNano()
 	n.census.Begin(b)
 	n.st.ArcVisit(b.Self, b.Self, func(k keys.Key, m store.Meta) bool {
 		n.census.Step(k, m)
 		switch {
+		case m.Expires != 0:
+			due = due || m.Expires < now.UnixNano()
 		case m.IsPointer():
 			if m.PointerSince < staleBefore {
 				stale = append(stale, stalePointer{k, m.Pointer})
@@ -57,10 +63,13 @@ func (n *Node) maintain() {
 	})
 	n.census.End()
 
-	if repair {
-		n.repairReplicas(ctx, b.Pred, b.Self, targets, n.undoomed(primary))
+	if due {
+		n.metrics.expired.Add(uint64(n.st.SweepExpired(now)))
 	}
-	n.pushToOwners(ctx, n.undoomed(outside), func(ks []keys.Key) {
+	if repair {
+		n.repairReplicas(ctx, b.Pred, b.Self, targets, primary)
+	}
+	n.pushToOwners(ctx, outside, func(ks []keys.Key) {
 		for _, k := range ks {
 			n.st.Delete(k)
 		}
@@ -161,17 +170,19 @@ func (n *Node) pushToOwners(ctx context.Context, ks []keys.Key, acked func([]key
 
 // push is the node's one block-moving path: it sends its copies of ks to
 // a peer as MultiPuts of at most maxPutBatchBlocks blocks, each read with
-// one GetBatch, leaving out keys doomed, gone or turned into pointers
-// since they were listed. acked sees every batch the peer acknowledged,
-// which the receiver does only once the batch is durable there. push stops
-// at the first failed batch and returns how many of ks went unconfirmed.
+// one GetBatch, leaving out keys gone or turned into pointers since they
+// were listed and every block with a deadline: it is leaving, and a copy
+// would land without the deadline and outlive it (§3). acked sees every
+// batch the peer acknowledged, which the receiver does only once the batch
+// is durable there. push stops at the first failed batch and returns how
+// many of ks went unconfirmed.
 func (n *Node) push(ctx context.Context, to transport.Addr, ks []keys.Key, replicate bool, acked func([]keys.Key)) int {
 	for i := 0; i < len(ks); i += maxPutBatchBlocks {
-		chunk := n.undoomed(append([]keys.Key(nil), ks[i:min(i+maxPutBatchBlocks, len(ks))]...))
+		chunk := append([]keys.Key(nil), ks[i:min(i+maxPutBatchBlocks, len(ks))]...)
 		blocks := n.st.GetBatch(chunk)
 		live, data := chunk[:0], make([][]byte, 0, len(chunk))
 		for j, b := range blocks {
-			if b != nil && !b.IsPointer() {
+			if b != nil && !b.IsPointer() && b.Expires.IsZero() {
 				live = append(live, chunk[j])
 				data = append(data, b.Data)
 			}
@@ -206,7 +217,7 @@ func (n *Node) resolvePointers(ctx context.Context, stale []stalePointer) {
 				continue
 			}
 		}
-		n.st.Put(p.key, resp.Data, n.cfg.DefaultTTL, time.Now())
+		n.st.Put(p.key, resp.Data, 0, time.Now())
 		n.metrics.ptrResolved.Inc()
 	}
 }

@@ -3,6 +3,7 @@ package node
 import (
 	"bytes"
 	"context"
+	"errors"
 	"reflect"
 	"strings"
 	"sync"
@@ -200,8 +201,8 @@ func TestMaintenanceRoundWalksOnce(t *testing.T) {
 			put(x, k)
 		}
 	}
-	x.scheduleRemoval(doomedPrimary, time.Hour)
-	x.scheduleRemoval(doomedOutside, time.Hour)
+	x.Store().Refresh(doomedPrimary, time.Hour, now)
+	x.Store().Refresh(doomedOutside, time.Hour, now)
 	stale, fresh := keys.Key{0x70}.WithBlock(1), keys.Key{0x71}.WithBlock(1)
 	put(nodes[0], stale)
 	x.Store().PutPointer(stale, nodes[0].Self().Addr, 10, now.Add(-time.Hour))
@@ -405,6 +406,59 @@ func TestBalanceMoveReadsNoPayloads(t *testing.T) {
 	// belongs to its old successor.
 	if b, ok := nodes[1].Store().Get(keys.Key{0x10}.WithBlock(1)); !ok || b.Pointer != mover.Self().Addr {
 		t.Fatal("old successor holds no pointer to the mover's blocks")
+	}
+}
+
+// refusePointers is an endpoint whose node answers every PutPtrReq with
+// an error.
+type refusePointers struct{ transport.Transport }
+
+func (t refusePointers) Serve(h transport.Handler) {
+	t.Transport.Serve(func(ctx context.Context, from transport.Addr, req transport.Message) (transport.Message, error) {
+		if _, ok := req.(*transport.PutPtrReq); ok {
+			return nil, errors.New("pointer refused")
+		}
+		return h(ctx, from, req)
+	})
+}
+
+// TestBalancePointerPushErrorsAreCounted: a move whose successor refuses
+// the pointers for the mover's old arc counts every pointer it could not
+// install and logs one event for the move.
+func TestBalancePointerPushErrorsAreCounted(t *testing.T) {
+	mem := transport.NewMemNetwork(0)
+	made := 0
+	rn := ringNet{"mem", func(testing.TB) transport.Transport {
+		if made++; made == 2 { // node 1, the mover's successor
+			return refusePointers{mem.NewEndpoint()}
+		}
+		return mem.NewEndpoint()
+	}}
+	nodes := startSpacedRing(t, rn, 3, func(i int, c *Config) { c.RepairInterval = time.Hour })
+	defer closeAll(t, nodes)
+	mover, heavy := nodes[0], nodes[2]
+
+	now := time.Now()
+	const n = 8
+	for i := 1; i <= n; i++ {
+		mover.Store().Put(keys.Key{0x10}.WithBlock(uint64(i)), make([]byte, 64), 0, now)
+		heavy.Store().Put(keys.Key{0xa0}.WithBlock(uint64(i)), make([]byte, 64), 0, now)
+	}
+	mover.moveTo(context.Background(), heavy.Self())
+	if mover.metrics.balanceMoves.Value() != 1 {
+		t.Fatal("the balance move did not happen")
+	}
+	if got := mover.metrics.ptrPushErrors.Value(); got != n {
+		t.Fatalf("d2_node_pointer_push_errors_total = %d, want %d", got, n)
+	}
+	logged := 0
+	for _, ev := range mover.Events().Events() {
+		if ev.Name == "balance.pointer_push_error" {
+			logged++
+		}
+	}
+	if logged != 1 {
+		t.Fatalf("%d balance.pointer_push_error events, want 1 for the move", logged)
 	}
 }
 

@@ -26,10 +26,11 @@ type nodeMetrics struct {
 	handoffs       *obs.Counter   // blocks handed to their primary and dropped
 	rejoins        *obs.Counter   // ring re-entries after successor collapse
 	succDrops      *obs.Counter   // successors dropped as dead or moved
-	removals       *obs.Counter   // delayed removals scheduled (§3)
-	expired        *obs.Counter   // blocks dropped by TTL sweep
+	removals       *obs.Counter   // removal deadlines set (§3)
+	expired        *obs.Counter   // entries dropped once their deadline passed
 
 	identitySaveErrors *obs.Counter // ring-ID saves the durable engine refused
+	ptrPushErrors      *obs.Counter // pointers a balance move could not install at its successor
 }
 
 // newNodeMetrics registers the node metrics and the store gauges on reg.
@@ -56,5 +57,6 @@ func newNodeMetrics(reg *obs.Registry, n *Node) *nodeMetrics {
 		expired:        reg.Counter("d2_node_expired_total"),
 
 		identitySaveErrors: reg.Counter("d2_node_identity_save_errors_total"),
+		ptrPushErrors:      reg.Counter("d2_node_pointer_push_errors_total"),
 	}
 }

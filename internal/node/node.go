@@ -33,8 +33,6 @@ type Config struct {
 	ID keys.Key
 	// Replicas is r (default 3).
 	Replicas int
-	// SuccListLen is the successor-list length (default max(r, 4)).
-	SuccListLen int
 	// StabilizeInterval drives ring maintenance (default 500 ms).
 	StabilizeInterval time.Duration
 	// RepairInterval paces the maintenance round — census, replica
@@ -43,18 +41,11 @@ type Config struct {
 	// BalanceInterval is the load-balance probe period; zero disables
 	// balancing (the paper uses 10 min).
 	BalanceInterval time.Duration
-	// BalanceThreshold is t (default 4).
-	BalanceThreshold float64
 	// PointerStabilization is how long pointers are held before fetching
 	// (default 1 h; §8.1).
 	PointerStabilization time.Duration
 	// RemoveDelay postpones removals (default 30 s; §3).
 	RemoveDelay time.Duration
-	// DefaultTTL is applied to blocks stored without an explicit TTL
-	// (zero = no expiry).
-	DefaultTTL time.Duration
-	// MaxLinks caps the long-link table (default 16).
-	MaxLinks int
 	// Seed drives ID choice and sampling.
 	Seed uint64
 	// Metrics is the node's registry; nil creates a fresh one per node
@@ -85,29 +76,17 @@ func (c *Config) applyDefaults() {
 	if c.Replicas == 0 {
 		c.Replicas = 3
 	}
-	if c.SuccListLen == 0 {
-		c.SuccListLen = c.Replicas
-		if c.SuccListLen < 4 {
-			c.SuccListLen = 4
-		}
-	}
 	if c.StabilizeInterval == 0 {
 		c.StabilizeInterval = 500 * time.Millisecond
 	}
 	if c.RepairInterval == 0 {
 		c.RepairInterval = 5 * time.Second
 	}
-	if c.BalanceThreshold == 0 {
-		c.BalanceThreshold = 4
-	}
 	if c.PointerStabilization == 0 {
 		c.PointerStabilization = time.Hour
 	}
 	if c.RemoveDelay == 0 {
 		c.RemoveDelay = 30 * time.Second
-	}
-	if c.MaxLinks == 0 {
-		c.MaxLinks = 16
 	}
 }
 
@@ -131,8 +110,6 @@ type Node struct {
 
 	stop chan struct{}
 	wg   sync.WaitGroup
-	// removeTimers tracks pending delayed removals so Close cancels them.
-	removeTimers map[keys.Key]*time.Timer
 
 	reg     *obs.Registry
 	metrics *nodeMetrics
@@ -179,16 +156,15 @@ func Start(tr transport.Transport, cfg Config) *Node {
 		reg = obs.New()
 	}
 	n := &Node{
-		cfg:          cfg,
-		tr:           tr,
-		st:           st,
-		self:         transport.PeerInfo{ID: id, Addr: tr.Addr()},
-		rng:          rng,
-		stop:         make(chan struct{}),
-		removeTimers: make(map[keys.Key]*time.Timer),
-		reg:          reg,
-		events:       cfg.Events,
-		tracer:       cfg.Tracer,
+		cfg:    cfg,
+		tr:     tr,
+		st:     st,
+		self:   transport.PeerInfo{ID: id, Addr: tr.Addr()},
+		rng:    rng,
+		stop:   make(chan struct{}),
+		reg:    reg,
+		events: cfg.Events,
+		tracer: cfg.Tracer,
 	}
 	n.metrics = newNodeMetrics(reg, n)
 	n.saveIdentity(id)
@@ -227,13 +203,6 @@ func (n *Node) saveIdentity(id keys.Key) {
 func (n *Node) startLoops() {
 	n.loop(n.cfg.StabilizeInterval, n.stabilize)
 	n.loop(n.cfg.RepairInterval, n.maintain)
-	// The TTL sweep is a write-locked scan; it keeps its own slow cadence
-	// instead of riding the (read-locked) maintenance walk.
-	n.loop(time.Minute, func() {
-		if dropped := n.st.SweepExpired(time.Now()); dropped > 0 {
-			n.metrics.expired.Add(uint64(dropped))
-		}
-	})
 	if n.cfg.BalanceInterval > 0 {
 		n.loop(n.cfg.BalanceInterval, n.balanceProbe)
 	}
@@ -393,12 +362,6 @@ func (n *Node) Close() error {
 	default:
 	}
 	close(n.stop)
-	n.mu.Lock()
-	for _, t := range n.removeTimers {
-		t.Stop()
-	}
-	n.removeTimers = map[keys.Key]*time.Timer{}
-	n.mu.Unlock()
 	err := n.tr.Close()
 	n.wg.Wait()
 	// Clean-shutdown barrier: every acknowledged write reaches stable
@@ -421,7 +384,7 @@ func (n *Node) Leave(ctx context.Context) error {
 		}
 		return true
 	})
-	n.pushToOwners(ctx, n.undoomed(ks), func([]keys.Key) {})
+	n.pushToOwners(ctx, ks, func([]keys.Key) {})
 	return n.Close()
 }
 

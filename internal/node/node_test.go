@@ -9,6 +9,7 @@ import (
 
 	"github.com/defragdht/d2/internal/keys"
 	"github.com/defragdht/d2/internal/ring"
+	"github.com/defragdht/d2/internal/store/disk"
 	"github.com/defragdht/d2/internal/transport"
 )
 
@@ -206,6 +207,98 @@ func TestDelayedRemove(t *testing.T) {
 	}
 }
 
+// TestDelayedRemoveSurvivesRestart: an acknowledged removal is as durable
+// as a put. A holder restarted inside RemoveDelay, on its durable store at
+// its old ID, still drops the block once the delay is over, and no holder
+// pushes the block back.
+func TestDelayedRemoveSurvivesRestart(t *testing.T) {
+	const delay = 400 * time.Millisecond
+	net := transport.NewMemNetwork(0)
+	dirs := make([]string, 4)
+	engines := make([]*disk.Store, 4)
+	open := func(i int) {
+		st, err := disk.Open(dirs[i], disk.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		engines[i] = st
+	}
+	config := func(i int, c *Config) {
+		c.Store, c.RemoveDelay = engines[i], delay
+	}
+	nodes := startRing(t, net, 4, func(i int, c *Config) {
+		dirs[i] = t.TempDir()
+		open(i)
+		config(i, c)
+	})
+	defer func() {
+		closeAll(t, nodes)
+		for _, st := range engines {
+			st.Close()
+		}
+	}()
+	c := newClient(t, net, nodes)
+	defer c.Close()
+
+	ctx := context.Background()
+	k := keys.HashString("doomed-durable")
+	if err := c.Put(ctx, k, []byte("x")); err != nil {
+		t.Fatal(err)
+	}
+	held := func() (idx []int) {
+		for i, nd := range nodes {
+			if _, ok := nd.Store().Get(k); ok {
+				idx = append(idx, i)
+			}
+		}
+		return idx
+	}
+	for deadline := time.Now().Add(5 * time.Second); len(held()) != 3; time.Sleep(10 * time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("block on %d nodes, want 3", len(held()))
+		}
+	}
+	if err := c.Remove(ctx, k); err != nil {
+		t.Fatal(err)
+	}
+
+	vi := held()[0]
+	id := nodes[vi].Self().ID
+	if err := nodes[vi].Close(); err != nil {
+		t.Fatal(err)
+	}
+	if err := engines[vi].Close(); err != nil {
+		t.Fatal(err)
+	}
+	open(vi)
+	cfg := testConfig(uint64(vi + 1))
+	cfg.ID = id
+	config(vi, &cfg)
+	nodes[vi] = Start(net.NewEndpoint(), cfg)
+	seed := nodes[(vi+1)%len(nodes)].Self().Addr
+	for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(50 * time.Millisecond) {
+		err := nodes[vi].Join(ctx, seed)
+		if err == nil {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatal(err)
+		}
+	}
+
+	round := testConfig(0).RepairInterval
+	check := func(when string) {
+		t.Helper()
+		if h := held(); len(h) > 0 {
+			t.Fatalf("%s: removed block still on node %d (restarted: %v)", when, h[0], h[0] == vi)
+		}
+	}
+	time.Sleep(delay + 10*round)
+	check("after the delay")
+	time.Sleep(2 * round)
+	check("two rounds later")
+}
+
 func TestLookupCacheHitsOnLocality(t *testing.T) {
 	net := transport.NewMemNetwork(0)
 	nodes := startRing(t, net, 8, nil)
@@ -228,17 +321,21 @@ func TestLookupCacheHitsOnLocality(t *testing.T) {
 	}
 }
 
+// TestTTLExpiry: the maintenance round drops a block whose TTL passed.
 func TestTTLExpiry(t *testing.T) {
 	net := transport.NewMemNetwork(0)
-	cfg := testConfig(1)
-	cfg.DefaultTTL = 100 * time.Millisecond
-	n := Start(net.NewEndpoint(), cfg)
+	n := Start(net.NewEndpoint(), testConfig(1))
 	defer n.Close()
 
 	k := keys.HashString("ephemeral")
-	n.Store().Put(k, []byte("x"), cfg.DefaultTTL, time.Now())
-	if n.Store().SweepExpired(time.Now().Add(time.Second)) != 1 {
-		t.Fatal("TTL sweep did not remove the block")
+	n.Store().Put(k, []byte("x"), 100*time.Millisecond, time.Now())
+	for deadline := time.Now().Add(5 * time.Second); n.metrics.expired.Value() != 1; time.Sleep(10 * time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("TTL sweep did not remove the block")
+		}
+	}
+	if _, ok := n.Store().Get(k); ok {
+		t.Fatal("expired block still stored")
 	}
 }
 
@@ -520,6 +617,41 @@ func TestReplicaCountConvergesAndHolds(t *testing.T) {
 		if got := copies(k); got < 3 {
 			t.Fatalf("key dropped to %d copies in steady state", got)
 		}
+	}
+}
+
+// TestDeadNodeLeavesSuccessorLists: once a node of a ring smaller than the
+// successor list is gone, no survivor's list names it for long. Each
+// survivor's list reaches back around the ring to itself; an entry past
+// that point is not a successor, and a dead one there is never contacted,
+// so it would circulate from list to list for good.
+func TestDeadNodeLeavesSuccessorLists(t *testing.T) {
+	for victim := 0; victim < 4; victim++ {
+		t.Run(fmt.Sprintf("victim=%d", victim), func(t *testing.T) {
+			nodes := startRing(t, transport.NewMemNetwork(0), 4, nil)
+			dead := nodes[victim].Self().Addr
+			if err := nodes[victim].Close(); err != nil {
+				t.Fatal(err)
+			}
+			rest := append(append([]*Node(nil), nodes[:victim]...), nodes[victim+1:]...)
+			defer closeAll(t, rest)
+			named := func() bool {
+				for _, nd := range rest {
+					_, succs := nd.Neighbors()
+					for _, p := range succs {
+						if p.Addr == dead {
+							return true
+						}
+					}
+				}
+				return false
+			}
+			for deadline := time.Now().Add(2 * time.Second); named(); time.Sleep(10 * time.Millisecond) {
+				if time.Now().After(deadline) {
+					t.Fatalf("a survivor's successor list still names %s", dead)
+				}
+			}
+		})
 	}
 }
 

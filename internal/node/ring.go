@@ -370,18 +370,26 @@ func (n *Node) verifyPred(ctx context.Context) {
 	}
 }
 
+// maxLinks caps the long-link table.
+const maxLinks = 16
+
 // trimSuccsLocked dedups the successor list, removes self, keeps ring
-// order, and caps the length. Callers hold n.mu.
+// order, and caps the length at max(r, 4). It ends where it comes back to
+// our own ID: in a ring smaller than the list, a dead node past that point
+// is never contacted and would pass from list to list. Callers hold n.mu.
 func (n *Node) trimSuccsLocked() {
 	seen := map[transport.Addr]bool{}
 	out := n.succs[:0]
 	for _, p := range n.succs {
+		if p.ID.Equal(n.self.ID) {
+			break
+		}
 		if p.IsZero() || p.Addr == n.self.Addr || seen[p.Addr] {
 			continue
 		}
 		seen[p.Addr] = true
 		out = append(out, p)
-		if len(out) == n.cfg.SuccListLen {
+		if len(out) == max(n.cfg.Replicas, 4) {
 			break
 		}
 	}
@@ -433,7 +441,7 @@ func (n *Node) learnLink(p transport.PeerInfo) {
 			return
 		}
 	}
-	if len(n.links) < n.cfg.MaxLinks {
+	if len(n.links) < maxLinks {
 		n.links = append(n.links, p)
 		return
 	}

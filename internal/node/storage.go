@@ -14,15 +14,6 @@ import (
 	"github.com/defragdht/d2/internal/transport"
 )
 
-// ttlOf turns a put's TTL field (seconds, 0 = unset) into the lifetime to
-// store the block with.
-func (n *Node) ttlOf(seconds int64) time.Duration {
-	if seconds == 0 {
-		return n.cfg.DefaultTTL
-	}
-	return time.Duration(seconds) * time.Second
-}
-
 // handlePut stores one block through storeBlocks; when Replicate is set
 // (the primary's copy), the block goes to the r-1 following successors
 // while it is stored here.
@@ -60,12 +51,12 @@ func (n *Node) handleMultiPut(ctx context.Context, r *transport.MultiPutReq) (tr
 // acknowledged once it is durable here and every forward has returned — a
 // forward that failed is counted and logged, not fatal (repair restores
 // the missing copies) — and a put this node could not make durable is
-// answered with an error instead, so the writer keeps it. A put of a key
-// with a delayed removal pending keeps the block: the writer has stored
-// it again since asking for the removal.
+// answered with an error instead, so the writer keeps it. A put replaces
+// the entry and with it any pending removal deadline: the writer has stored
+// the block again since asking for its removal. ttlSec is the put's TTL in
+// seconds (0 = none).
 func (n *Node) storeBlocks(ctx context.Context, ks []keys.Key, data [][]byte, ttlSec int64, fwd transport.Message) error {
-	ttl := n.ttlOf(ttlSec)
-	n.cancelRemovals(ks...)
+	ttl := time.Duration(ttlSec) * time.Second
 	var err error
 	n.replicate(ctx, fwd, func() { err = store.PutBatch(n.st, ks, data, ttl, time.Now()) })
 	return err
@@ -143,85 +134,22 @@ func (n *Node) handleFetchRange(r *transport.FetchRangeReq) transport.Message {
 	return resp
 }
 
-// handleRemove deletes a block after the removal delay (§3), forwarding to
-// the replica group when asked.
+// handleRemove sets the block's removal deadline (§3), forwarding to the
+// replica group when asked. A durable engine logs the deadline as it logs
+// a put, so the removal is acknowledged once it would survive a restart;
+// the maintenance round drops the block once the deadline has passed.
 func (n *Node) handleRemove(ctx context.Context, r *transport.RemoveReq) transport.Message {
 	delay := time.Duration(r.DelaySec) * time.Second
-	if delay == 0 {
+	if delay <= 0 {
 		delay = n.cfg.RemoveDelay
 	}
 	var fwd transport.Message
 	if r.Replicate {
 		fwd = &transport.RemoveReq{Key: r.Key, DelaySec: r.DelaySec}
 	}
-	n.replicate(ctx, fwd, func() { n.scheduleRemoval(r.Key, delay) })
-	return &transport.RemoveResp{}
-}
-
-// scheduleRemoval arms (or re-arms) the delayed delete for a key. The
-// timer deletes only while it is still the key's registered removal: a
-// put that arrived in the meantime cancelled it (cancelRemovals).
-func (n *Node) scheduleRemoval(k keys.Key, delay time.Duration) {
 	n.metrics.removals.Inc()
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	if t, ok := n.removeTimers[k]; ok {
-		t.Stop()
-	}
-	var t *time.Timer
-	t = time.AfterFunc(delay, func() {
-		n.mu.Lock()
-		live := n.removeTimers[k] == t
-		n.mu.Unlock()
-		if !live {
-			return
-		}
-		n.st.Delete(k)
-		// The entry stays until the block is gone, so repair and handoff
-		// see it as doomed for as long as they could still read it.
-		n.mu.Lock()
-		if n.removeTimers[k] == t {
-			delete(n.removeTimers, k)
-		}
-		n.mu.Unlock()
-	})
-	n.removeTimers[k] = t
-}
-
-// cancelRemovals disarms the delayed deletes of keys being stored again:
-// a file rewrite keeps the blocks it did not change under their old keys,
-// after the previous save asked for those keys' removal.
-func (n *Node) cancelRemovals(ks ...keys.Key) {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	if len(n.removeTimers) == 0 {
-		return
-	}
-	for _, k := range ks {
-		if t, ok := n.removeTimers[k]; ok {
-			t.Stop()
-			delete(n.removeTimers, k)
-		}
-	}
-}
-
-// undoomed filters ks in place down to the keys with no delayed removal
-// pending, under one lock hold. Pushes must not carry doomed blocks: the
-// copy would land without a removal schedule and resurrect the block
-// after every holder that knew about the remove has deleted it (§3).
-func (n *Node) undoomed(ks []keys.Key) []keys.Key {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	if len(n.removeTimers) == 0 {
-		return ks
-	}
-	live := ks[:0]
-	for _, k := range ks {
-		if _, doomed := n.removeTimers[k]; !doomed {
-			live = append(live, k)
-		}
-	}
-	return live
+	n.replicate(ctx, fwd, func() { n.st.Refresh(r.Key, delay, time.Now()) })
+	return &transport.RemoveResp{}
 }
 
 // replicaTargets returns the nodes holding this node's replicas: its

@@ -58,8 +58,9 @@ func (e *Engine) Trigger(trigger, reason string, trace uint64) {
 }
 
 // dumpBundle assembles and writes one bundle file,
-// flight-<unixms>-<seq>-<trigger>.json in FlightDir. Errors are
-// swallowed: the flight recorder must never take the node down.
+// flight-<unixms>-<seq>-<trigger>.json in FlightDir. A failure is counted
+// in d2_flight_dump_errors_total and logged as flight.dump_error, never
+// returned: the flight recorder must never take the node down.
 func (e *Engine) dumpBundle(now time.Time, seq int, trigger, reason string, trace uint64) {
 	// Take a fresh sample first so the bundle's rates and health reflect
 	// the triggering moment, not the last scheduled tick.
@@ -81,12 +82,15 @@ func (e *Engine) dumpBundle(now time.Time, seq int, trigger, reason string, trac
 		}
 	}
 	data, err := json.MarshalIndent(b, "", "  ")
+	if err == nil {
+		err = os.MkdirAll(e.cfg.FlightDir, 0o755)
+	}
+	if err == nil {
+		name := fmt.Sprintf("flight-%d-%03d-%s.json", now.UnixMilli(), seq, trigger)
+		err = os.WriteFile(filepath.Join(e.cfg.FlightDir, name), data, 0o644)
+	}
 	if err != nil {
-		return
+		e.dumpErrors.Inc()
+		e.cfg.Events.Log(obs.LevelWarn, "flight.dump_error", "trigger", trigger, "err", err.Error())
 	}
-	if err := os.MkdirAll(e.cfg.FlightDir, 0o755); err != nil {
-		return
-	}
-	name := fmt.Sprintf("flight-%d-%03d-%s.json", now.UnixMilli(), seq, trigger)
-	_ = os.WriteFile(filepath.Join(e.cfg.FlightDir, name), data, 0o644)
 }

@@ -130,6 +130,7 @@ type Engine struct {
 	flightMu   sync.Mutex
 	lastFlight time.Time
 	flightSeq  int
+	dumpErrors *obs.Counter // d2_flight_dump_errors_total: bundles not written
 }
 
 // New creates an engine over cfg.Registry. It takes no samples until
@@ -137,10 +138,11 @@ type Engine struct {
 func New(cfg Config) *Engine {
 	cfg.applyDefaults()
 	e := &Engine{
-		cfg:     cfg,
-		results: make([]CheckResult, len(cfg.Checks)),
-		state:   StateOK,
-		stop:    make(chan struct{}),
+		cfg:        cfg,
+		results:    make([]CheckResult, len(cfg.Checks)),
+		state:      StateOK,
+		stop:       make(chan struct{}),
+		dumpErrors: cfg.Registry.Counter("d2_flight_dump_errors_total"),
 	}
 	for i, c := range cfg.Checks {
 		e.results[i] = CheckResult{Name: c.Name, State: StateOK}

@@ -260,6 +260,30 @@ func TestFlightRecorder(t *testing.T) {
 	}
 }
 
+// TestFlightDumpErrorsAreCounted: a bundle that cannot be written — its
+// FlightDir lies under a regular file — is counted and logged.
+func TestFlightDumpErrorsAreCounted(t *testing.T) {
+	file := filepath.Join(t.TempDir(), "file")
+	if err := os.WriteFile(file, nil, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	reg := obs.New()
+	events := obs.NewEventLog(16)
+	e := New(Config{Registry: reg, Events: events, FlightDir: filepath.Join(file, "flight")})
+	e.Trigger("peer_dead", "addr=x", 0)
+	e.Close() // waits for the dump
+	if n := reg.Counter("d2_flight_dump_errors_total").Value(); n != 1 {
+		t.Fatalf("d2_flight_dump_errors_total = %d, want 1", n)
+	}
+	var logged bool
+	for _, ev := range events.Events() {
+		logged = logged || ev.Name == "flight.dump_error"
+	}
+	if !logged {
+		t.Fatalf("no flight.dump_error event in %+v", events.Events())
+	}
+}
+
 func flightFiles(t *testing.T, dir string) []string {
 	t.Helper()
 	ents, err := os.ReadDir(dir)

@@ -15,7 +15,7 @@ type Sink struct {
 	next  atomic.Uint64 // total spans ever recorded
 }
 
-// DefaultSinkSpans is the ring capacity when Config.SinkSpans is zero.
+// DefaultSinkSpans is a tracer's ring capacity (and NewSink's default).
 const DefaultSinkSpans = 4096
 
 // NewSink creates a ring keeping the most recent capacity spans.

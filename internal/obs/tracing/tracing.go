@@ -76,8 +76,6 @@ type Config struct {
 	// traced (buffered, then dropped if fast), which costs allocations on
 	// every operation — the price of tail sampling.
 	SlowThreshold time.Duration
-	// SinkSpans is the ring-buffer capacity (default 4096).
-	SinkSpans int
 }
 
 // Tracer makes sampling decisions and owns the process-local span sink.
@@ -96,7 +94,7 @@ type Tracer struct {
 
 // New creates a tracer.
 func New(cfg Config) *Tracer {
-	t := &Tracer{node: cfg.Node, sink: NewSink(cfg.SinkSpans)}
+	t := &Tracer{node: cfg.Node, sink: NewSink(DefaultSinkSpans)}
 	t.sampleEvery.Store(int64(cfg.SampleEvery))
 	t.slowNS.Store(int64(cfg.SlowThreshold))
 	return t

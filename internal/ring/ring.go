@@ -168,6 +168,10 @@ func ByteSplit(walk func(visit func(k keys.Key, size int64) bool), n int, cut fu
 	})
 }
 
+// BalanceThreshold is §6's t: the load ratio past which a probe moves the
+// prober, for the live node and the simulator alike.
+const BalanceThreshold = 4.0
+
 // Heavier is the §6 probe rule: a light node B that probed node A moves to
 // take half of A's range when load(A) > t·load(B).
 func Heavier(probed, prober int64, t float64) bool {

@@ -37,7 +37,7 @@ func (c *Cluster) probe(b *Node) {
 	if a.Idx == b.Idx || !a.Up {
 		return
 	}
-	if !ring.Heavier(a.RespBytes, b.RespBytes, c.cfg.BalanceThreshold) {
+	if !ring.Heavier(a.RespBytes, b.RespBytes, ring.BalanceThreshold) {
 		return
 	}
 	c.moveNode(b, a)

@@ -30,9 +30,6 @@ type Config struct {
 	// Balance enables the active load balancer (off for the traditional
 	// baselines unless testing Traditional+Merc).
 	Balance bool
-	// BalanceThreshold is t: a probe relocates the prober when the
-	// probed node's load exceeds t times its own (default 4).
-	BalanceThreshold float64
 	// ProbeInterval is the per-node load-balance probe period
 	// (default 10 min).
 	ProbeInterval time.Duration
@@ -69,9 +66,6 @@ type Config struct {
 func (c *Config) applyDefaults() {
 	if c.Replicas == 0 {
 		c.Replicas = 3
-	}
-	if c.BalanceThreshold == 0 {
-		c.BalanceThreshold = 4
 	}
 	if c.ProbeInterval == 0 {
 		c.ProbeInterval = 10 * time.Minute

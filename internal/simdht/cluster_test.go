@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"github.com/defragdht/d2/internal/keys"
+	"github.com/defragdht/d2/internal/ring"
 	"github.com/defragdht/d2/internal/sim"
 )
 
@@ -478,7 +479,7 @@ func TestManyRandomOpsKeepInvariants(t *testing.T) {
 func TestConfigDefaults(t *testing.T) {
 	cfg := Config{}
 	cfg.applyDefaults()
-	if cfg.Replicas != 3 || cfg.BalanceThreshold != 4 ||
+	if cfg.Replicas != 3 || ring.BalanceThreshold != 4 ||
 		cfg.ProbeInterval != 10*time.Minute || cfg.PointerStabilization != time.Hour ||
 		cfg.MigrationBPS != 750_000 || cfg.UserWriteBPS != 1_500_000 ||
 		cfg.RemoveDelay != 30*time.Second {

@@ -118,7 +118,7 @@ func (s *Store) Checkpoint() (err error) {
 	}
 	oldW := s.w
 	s.w = newWALWriter(walFile, walSeq, headerSize,
-		s.opt.Fsync, s.opt.FsyncInterval, s.opt.StallThreshold, s.m)
+		s.opt.Fsync, s.opt.FsyncInterval, s.m)
 	s.files[walSeq] = walFile
 	s.man = rotMan
 	s.seq = segSeq

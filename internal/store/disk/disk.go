@@ -48,10 +48,6 @@ type Options struct {
 	// may run (default 64 MiB); it runs once at least half of what the log
 	// files hold is dead, see checkpointDue.
 	CheckpointBytes int64
-	// StallThreshold is how long a commit may wait for its fsync before
-	// it counts as a WAL stall (default 100 ms) — the signal behind the
-	// wal_stall health check.
-	StallThreshold time.Duration
 	// Metrics receives the d2_store_* series (nil = private registry).
 	Metrics *obs.Registry
 }
@@ -62,9 +58,6 @@ func (o *Options) applyDefaults() {
 	}
 	if o.CheckpointBytes == 0 {
 		o.CheckpointBytes = 64 << 20
-	}
-	if o.StallThreshold == 0 {
-		o.StallThreshold = 100 * time.Millisecond
 	}
 }
 
@@ -215,7 +208,7 @@ func Open(dir string, opt Options) (*Store, error) {
 		return nil, fmt.Errorf("disk: open %s: %w", dir, err)
 	}
 	s.w = newWALWriter(activeFile, activeSeq, walEnd,
-		opt.Fsync, opt.FsyncInterval, opt.StallThreshold, s.m)
+		opt.Fsync, opt.FsyncInterval, s.m)
 	return s, nil
 }
 
@@ -556,17 +549,23 @@ func (s *Store) Refresh(k keys.Key, ttl time.Duration, now time.Time) (found boo
 }
 
 // SweepExpired removes entries whose TTL passed, returning the count.
-// The whole sweep shares one group-commit wait.
+// Expired lists the due keys under the read lock; the write lock is held
+// to drop them, each after re-checking its deadline (a put since may have
+// replaced the entry), and to log the deletes with one append.
 func (s *Store) SweepExpired(now time.Time) (n int) {
-	rec := s.getBuf()
-	_ = s.logged(rec, func(tx *logTx) {
-		dead := s.Expired(now.UnixNano())
-		for _, k := range dead {
-			s.Drop(k)
-			rec = appendDelete(rec[:0], k)
-			tx.log(rec, 1)
+	due := s.Expired(now.UnixNano())
+	recs := s.getBuf()
+	_ = s.logged(recs, func(tx *logTx) {
+		for _, k := range due {
+			if e, ok := s.Peek(k); ok && e.Expires != 0 && e.Expires < now.UnixNano() {
+				s.Drop(k)
+				recs = appendDelete(recs, k)
+				n++
+			}
 		}
-		n = len(dead)
+		if n > 0 {
+			tx.log(recs, n)
+		}
 	})
 	return n
 }

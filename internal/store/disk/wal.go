@@ -212,8 +212,7 @@ type walWriter struct {
 	f   logFile
 	off int64
 
-	policy      FsyncPolicy
-	stallThresh time.Duration
+	policy FsyncPolicy
 
 	mu       sync.Mutex
 	cond     *sync.Cond
@@ -229,14 +228,17 @@ type walWriter struct {
 	m *metrics
 }
 
-func newWALWriter(f *os.File, seq uint64, off int64, policy FsyncPolicy, interval, stallThresh time.Duration, m *metrics) *walWriter {
+// stallThreshold is how long a commit may wait for its fsync before it
+// counts as a WAL stall — the signal behind the wal_stall health check.
+const stallThreshold = 100 * time.Millisecond
+
+func newWALWriter(f *os.File, seq uint64, off int64, policy FsyncPolicy, interval time.Duration, m *metrics) *walWriter {
 	w := &walWriter{
 		seq: seq, f: f, off: off,
-		policy:      policy,
-		stallThresh: stallThresh,
-		kick:        make(chan struct{}, 1),
-		quit:        make(chan struct{}),
-		m:           m,
+		policy: policy,
+		kick:   make(chan struct{}, 1),
+		quit:   make(chan struct{}),
+		m:      m,
 	}
 	w.cond = sync.NewCond(&w.mu)
 	switch policy {
@@ -292,7 +294,7 @@ func (w *walWriter) wait(seq uint64) error {
 	}
 	err := w.syncErr
 	w.mu.Unlock()
-	if d := time.Since(start); d >= w.stallThresh {
+	if d := time.Since(start); d >= stallThreshold {
 		w.m.walStalls.Inc()
 	}
 	return err

@@ -133,9 +133,14 @@ func (ix *Index[P]) Footprint() (entries int, bytes int64) {
 	return ix.tree.Len(), ix.bytes
 }
 
-// Expired returns the keys whose TTL deadline passed before now. When no
-// live entry carries a TTL the scan is skipped entirely.
+// --- reads: each takes mu itself ---------------------------------------
+
+// Expired returns the keys whose TTL deadline passed before now: the first
+// phase of a sweep, under the read lock. When no live entry carries a TTL
+// the scan is skipped entirely.
 func (ix *Index[P]) Expired(now int64) []keys.Key {
+	ix.mu.RLock()
+	defer ix.mu.RUnlock()
 	if ix.ttls == 0 {
 		return nil
 	}
@@ -148,8 +153,6 @@ func (ix *Index[P]) Expired(now int64) []keys.Key {
 	})
 	return dead
 }
-
-// --- reads: each takes mu itself ---------------------------------------
 
 // Len returns the number of entries (data and pointers).
 func (ix *Index[P]) Len() int {
@@ -273,7 +276,7 @@ func (ix *Index[P]) ArcVisit(lo, hi keys.Key, fn func(k keys.Key, m Meta) bool) 
 	ix.mu.RLock()
 	defer ix.mu.RUnlock()
 	ix.tree.AscendArc(lo, hi, func(k keys.Key, e *Entry[P]) bool {
-		return fn(k, Meta{Size: e.Size, Pointer: e.Pointer, PointerSince: e.PointerSince})
+		return fn(k, Meta{Size: e.Size, Pointer: e.Pointer, PointerSince: e.PointerSince, Expires: e.Expires})
 	})
 }
 

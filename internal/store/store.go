@@ -55,6 +55,9 @@ type Meta struct {
 	// PointerSince is the pointer install time in Unix nanoseconds
 	// (zero for data entries), for staleness accounting.
 	PointerSince int64
+	// Expires is the entry's deadline in Unix nanoseconds (zero for
+	// none): a delayed removal or a TTL, due for SweepExpired once passed.
+	Expires int64
 }
 
 // IsPointer reports whether the entry is a block pointer.
@@ -218,15 +221,20 @@ func (s *Store) Refresh(k keys.Key, ttl time.Duration, now time.Time) bool {
 	return ok
 }
 
-// SweepExpired removes entries whose TTL passed, returning the count.
-func (s *Store) SweepExpired(now time.Time) int {
+// SweepExpired removes entries whose TTL passed, returning the count. The
+// write lock is held only to drop the due keys Expired listed, each after
+// re-checking its deadline: a put since may have replaced the entry.
+func (s *Store) SweepExpired(now time.Time) (n int) {
+	due := s.Expired(now.UnixNano())
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	dead := s.Expired(now.UnixNano())
-	for _, k := range dead {
-		s.Drop(k)
+	for _, k := range due {
+		if e, ok := s.Peek(k); ok && e.Expires != 0 && e.Expires < now.UnixNano() {
+			s.Drop(k)
+			n++
+		}
 	}
-	return len(dead)
+	return n
 }
 
 // Flush is a no-op: the in-memory store has no durability to wait for.

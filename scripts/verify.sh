@@ -76,8 +76,12 @@
 #                            failures, the kill -9 process e2es — single
 #                            puts and mid-MultiPut — the group-commit
 #                            check on a durable TCP ring, and the durable
-#                            ack of single puts and hand-offs), a 10 s
-#                            crash-loop soak
+#                            ack of single puts and hand-offs), the four
+#                            delayed-removal tests ten times over under
+#                            -race (the removal deadline is a logged
+#                            engine write: it must outlive a holder's
+#                            restart, yield to a put and never be pushed
+#                            to another node), a 10 s crash-loop soak
 #                            (repeated recover cycles with checkpoints
 #                            interleaved), a 10 s WAL-replay fuzz pass,
 #                            and the alloc gate proving the indexed read
@@ -255,6 +259,10 @@ if [ "${1:-}" = "disk" ]; then
 	go test -race ./internal/store/ ./internal/store/disk/
 	go test -race -run 'TestDiskNodeCrash|TestWritePathGroupsCommits' .
 	go test -race -run 'TestDurableAck' ./internal/node/
+	echo "== disk tier: delayed removals, -race -count=10"
+	go test -race -count=10 -run \
+		'^(TestDelayedRemove|TestPutCancelsPendingRemoval|TestDelayedRemoveSurvivesRestart)$' ./internal/node/
+	go test -race -count=10 -run '^TestRewriteSurvivesRemoveDelay$' .
 	echo "== disk tier: 10s crash-loop soak"
 	D2_DISK_SOAK=10s go test -race -run 'TestCrashLoop' ./internal/store/disk/
 	echo "== disk tier: WAL replay fuzz (10s)"
