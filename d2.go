@@ -61,6 +61,7 @@ var (
 	ErrNotDir   = fs.ErrNotDir
 	ErrNotEmpty = fs.ErrNotEmpty
 	ErrReadOnly = fs.ErrReadOnly
+	ErrNoSlot   = fs.ErrNoSlot
 )
 
 // GenerateKey creates a publisher signing key pair for volumes.

@@ -36,7 +36,15 @@ var (
 	ErrReadOnly  = errors.New("fs: volume opened read-only")
 	ErrIntegrity = errors.New("fs: block integrity check failed")
 	ErrBadSig    = errors.New("fs: root signature invalid")
+	// ErrNoSlot reports a directory whose slot budget (§4.2) is spent:
+	// each of its 2-byte slots has been handed out once, and a slot is
+	// never handed out twice, so the directory takes no new entries.
+	ErrNoSlot = errors.New("fs: directory has no free slot")
 )
+
+// maxSlot is the last slot a directory hands out. Slots run 1..maxSlot in
+// creation order; NextSlot past maxSlot marks the budget spent.
+const maxSlot = 0xfffe
 
 // Inode is a file or directory's metadata block (block 0 of its key
 // range). For directories, the content blocks hold the serialized entry
@@ -54,6 +62,18 @@ type Inode struct {
 	// NextSlot is the next unused 2-byte directory slot (directories
 	// only; §4.2 assigns slots by examining the directory state).
 	NextSlot uint16
+}
+
+// allocSlot hands out the directory's next unused slot, failing with
+// ErrNoSlot once the budget is spent instead of wrapping round to a slot a
+// live entry may still hold. A zero NextSlot counts as 1.
+func (ino *Inode) allocSlot() (uint16, error) {
+	slot := max(ino.NextSlot, 1)
+	if slot > maxSlot {
+		return 0, ErrNoSlot
+	}
+	ino.NextSlot = slot + 1
+	return slot, nil
 }
 
 // DirEntry is one name in a directory.

@@ -73,11 +73,10 @@ func (v *Volume) writeFileLocked(ctx context.Context, comps []string, data []byt
 	} else {
 		// New file: allocate the next unused slot in this directory
 		// (§4.2).
-		slot := parent.ino.NextSlot
-		if slot == 0 {
-			slot = 1
+		slot, err := parent.ino.allocSlot()
+		if err != nil {
+			return fmt.Errorf("%w: %s", err, name)
 		}
-		parent.ino.NextSlot = slot + 1
 		parent.entries = append(parent.entries, DirEntry{Name: name, Slot: slot})
 		idx = len(parent.entries) - 1
 		cur = parent.cur.child(&parent.entries[idx], name)
@@ -189,11 +188,10 @@ func (v *Volume) Mkdir(ctx context.Context, path string) error {
 	if parent.find(name) >= 0 {
 		return fmt.Errorf("%w: %s", ErrExist, path)
 	}
-	slot := parent.ino.NextSlot
-	if slot == 0 {
-		slot = 1
+	slot, err := parent.ino.allocSlot()
+	if err != nil {
+		return fmt.Errorf("%w: %s", err, path)
 	}
-	parent.ino.NextSlot = slot + 1
 	entry := DirEntry{Name: name, IsDir: true, Slot: slot}
 	parent.entries = append(parent.entries, entry)
 	idx := len(parent.entries) - 1

@@ -140,6 +140,9 @@ type volumeMetrics struct {
 	removes        *obs.Counter // delayed removals queued (§3)
 	syncs          *obs.Counter // Sync rounds run
 	syncErrors     *obs.Counter // background flusher Sync rounds that failed
+	// A Sync's time by phase: the data PutMany, the root Put, the
+	// removal fan-out. Each observed only when its phase had work.
+	syncData, syncRoot, syncRemove *obs.Histogram
 
 	// Streaming (ReadStream) pipeline metrics.
 	streamOpens    *obs.Counter   // streams opened
@@ -163,6 +166,9 @@ func newVolumeMetrics(reg *obs.Registry) volumeMetrics {
 		removes:        reg.Counter("d2_fs_removes_total"),
 		syncs:          reg.Counter("d2_fs_syncs_total"),
 		syncErrors:     reg.Counter("d2_fs_sync_errors_total"),
+		syncData:       reg.Histogram(`d2_fs_sync_phase_ns{phase="data"}`, obs.LatencyBuckets),
+		syncRoot:       reg.Histogram(`d2_fs_sync_phase_ns{phase="root"}`, obs.LatencyBuckets),
+		syncRemove:     reg.Histogram(`d2_fs_sync_phase_ns{phase="remove"}`, obs.LatencyBuckets),
 		streamOpens:    reg.Counter("d2_stream_opens_total"),
 		streamSegments: reg.Counter("d2_stream_segments_total"),
 		streamBytes:    reg.Counter("d2_stream_bytes_total"),
@@ -662,13 +668,19 @@ func (v *Volume) Sync(ctx context.Context) error {
 	}
 	rm := sortedKeys(removes)
 
+	start := time.Now()
 	sent, err := v.putBlocks(ctx, ks, data)
+	if len(ks) > 0 {
+		v.metrics.syncData.Observe(int64(time.Since(start)))
+	}
 	if err == nil && hasRoot {
+		start = time.Now()
 		if err = v.svc.Put(ctx, rootKey, root.data); err != nil {
 			err = fmt.Errorf("put root: %w", err)
 		} else {
 			hasRoot = false
 		}
+		v.metrics.syncRoot.Observe(int64(time.Since(start)))
 	}
 	if err != nil {
 		unsent := ks[sent:]
@@ -680,6 +692,7 @@ func (v *Volume) Sync(ctx context.Context) error {
 	}
 	// At most 16 removals in flight: each waits on its holders' log write
 	// of the deadline, which sent one at a time a save would pay in turn.
+	start = time.Now()
 	errs := make([]error, len(rm))
 	sem := make(chan struct{}, 16)
 	var wg sync.WaitGroup
@@ -693,6 +706,9 @@ func (v *Volume) Sync(ctx context.Context) error {
 		}()
 	}
 	wg.Wait()
+	if len(rm) > 0 {
+		v.metrics.syncRemove.Observe(int64(time.Since(start)))
+	}
 	var failed []keys.Key
 	for i, e := range errs {
 		if e != nil {

@@ -14,6 +14,7 @@ import (
 	"time"
 
 	"github.com/defragdht/d2/internal/keys"
+	"github.com/defragdht/d2/internal/obs"
 )
 
 // recService records every call a volume makes on its block service, in
@@ -506,4 +507,29 @@ func TestWriteStreamPipeline(t *testing.T) {
 			t.Fatalf("%d goroutines after the writers are done, %d before", n, goroutines)
 		}
 	})
+}
+
+// TestSyncPhaseHistograms: a Sync times its three phases — the data
+// PutMany, the root Put and the removal fan-out — each once, and a phase
+// with no work records nothing.
+func TestSyncPhaseHistograms(t *testing.T) {
+	ctx := context.Background()
+	reg := obs.New()
+	v, err := Create(ctx, newMemService(), "phasevol", testKey, Options{Metrics: reg})
+	if err != nil {
+		t.Fatal(err)
+	}
+	phase := func(p string) uint64 {
+		return reg.Histogram(`d2_fs_sync_phase_ns{phase="`+p+`"}`, obs.LatencyBuckets).Count()
+	}
+	mustWrite(t, v, "/a", blockOf(1, 2*BlockSize))
+	mustSync(t, v)
+	if d, r, rm := phase("data"), phase("root"), phase("remove"); d != 1 || r != 1 || rm != 0 {
+		t.Fatalf("after a first save: data %d root %d remove %d, want 1 1 0", d, r, rm)
+	}
+	mustWrite(t, v, "/a", blockOf(2, 2*BlockSize)) // supersedes the old blocks
+	mustSync(t, v)
+	if d, r, rm := phase("data"), phase("root"), phase("remove"); d != 2 || r != 2 || rm != 1 {
+		t.Fatalf("after an overwrite: data %d root %d remove %d, want 2 2 1", d, r, rm)
+	}
 }

@@ -62,18 +62,25 @@ func (n *Node) storeBlocks(ctx context.Context, ks []keys.Key, data [][]byte, tt
 	return err
 }
 
-// handleGet serves a block, redirecting when only a pointer is held.
+// handleGet serves a block, redirecting when only a pointer is held. The
+// response is pooled and owns its payload (the engine's copy), so over TCP
+// the transport recycles both once the frame is written.
 func (n *Node) handleGet(ctx context.Context, r *transport.GetReq) transport.Message {
+	resp := transport.AcquireGetResp()
 	b, ok := n.st.Get(r.Key)
 	if !ok {
-		return &transport.GetResp{Found: false}
+		return resp
 	}
+	resp.Found = true
 	if b.IsPointer() {
 		n.metrics.ptrRedirects.Inc()
 		tracing.FromContext(ctx).Annotate("redirect", b.Pointer)
-		return &transport.GetResp{Found: true, Redirect: b.Pointer}
+		resp.Redirect = b.Pointer
+		return resp
 	}
-	return &transport.GetResp{Found: true, Data: b.Data}
+	resp.Data = b.Data
+	resp.OwnPayloads()
+	return resp
 }
 
 // handleMultiGet serves a batch of blocks in one RPC, one item per
@@ -81,10 +88,12 @@ func (n *Node) handleGet(ctx context.Context, r *transport.GetReq) transport.Mes
 // instead of data, exactly as handleGet does.
 func (n *Node) handleMultiGet(ctx context.Context, r *transport.MultiGetReq) transport.Message {
 	blocks := n.st.GetBatch(r.Keys)
-	// Pooled response: over TCP the transport recycles it (and its Items
-	// capacity) once the frame is written, so bulk reads stop allocating
-	// response scaffolding per RPC.
+	// Pooled response owning its payloads: GetBatch loads every key into a
+	// buffer of its own, even a key named twice, so over TCP the transport
+	// recycles the response (and its Items capacity) and returns each
+	// payload to the pool once the frame is written.
 	resp := transport.AcquireMultiGetResp()
+	resp.OwnPayloads()
 	redirects := 0
 	for i, b := range blocks {
 		item := transport.BatchItem{Key: r.Keys[i]}
@@ -119,8 +128,9 @@ func (n *Node) handleFetchRange(r *transport.FetchRangeReq) transport.Message {
 		limit = fetchRangeMaxItems
 	}
 	items, more := n.st.ArcLimit(r.Lo, r.Hi, limit)
-	// Pooled response; see handleMultiGet.
+	// Pooled response owning its payloads; see handleMultiGet.
 	resp := transport.AcquireFetchRangeResp()
+	resp.OwnPayloads()
 	resp.More = more
 	for _, it := range items {
 		bi := transport.BatchItem{Key: it.Key, Found: true}

@@ -593,11 +593,16 @@ func (s *Store) pread(l loc, buf []byte) bool {
 	return true
 }
 
-// readPayload is the index's payload loader: one pread into a fresh
-// buffer.
+// readPayload is the index's payload loader: one pread into a pooled
+// buffer, which becomes the caller's (store.Engine's copy contract). A
+// failed read returns the buffer to the pool.
 func (s *Store) readPayload(l loc) ([]byte, bool) {
-	data := make([]byte, l.length)
-	return data, s.pread(l, data)
+	data := wire.Payload(int(l.length))
+	if !s.pread(l, data) {
+		wire.ReleasePayload(data)
+		return nil, false
+	}
+	return data, true
 }
 
 // ReadInto copies the payload of the data entry under k into buf,

@@ -16,6 +16,7 @@ import (
 
 	"github.com/defragdht/d2/internal/keys"
 	"github.com/defragdht/d2/internal/transport"
+	"github.com/defragdht/d2/internal/wire"
 )
 
 // Block is one stored entry: either actual data or a pointer.
@@ -68,7 +69,10 @@ func (m Meta) IsPointer() bool { return m.Pointer != "" }
 // and the durable disk engine in store/disk (WAL + segment files + crash
 // recovery) both embed Index, which serves every read-side method; the
 // mutating methods are each engine's own. All methods are safe for
-// concurrent use, and every Block returned is the caller's own copy.
+// concurrent use, and every Block returned is the caller's own copy: both
+// engines load a payload into a fresh buffer from wire.Payload (the memory
+// engine copies, the disk engine preads), which the caller may modify,
+// keep, or — once nothing else refers to it — hand to wire.ReleasePayload.
 //
 // Mutating methods carry no error returns by design: the node treats its
 // local store as infallible and relies on replication for durability
@@ -173,8 +177,17 @@ var _ Engine = (*Store)(nil)
 // New creates an empty store.
 func New() *Store {
 	s := &Store{}
-	s.Index = NewIndex(&s.mu, func(data []byte) ([]byte, bool) { return data, true })
+	s.Index = NewIndex(&s.mu, loadCopy)
 	return s
+}
+
+// loadCopy is the in-memory engine's payload loader: a copy into a pooled
+// buffer, never the stored slice itself, so a reader that mutates or
+// recycles what it got cannot touch the stored block.
+func loadCopy(data []byte) ([]byte, bool) {
+	buf := wire.Payload(len(data))
+	copy(buf, data)
+	return buf, true
 }
 
 // Deadline converts a TTL into the index's absolute form: the expiry in

@@ -10,6 +10,7 @@ import (
 	"github.com/defragdht/d2/internal/keys"
 	"github.com/defragdht/d2/internal/store"
 	"github.com/defragdht/d2/internal/store/disk"
+	"github.com/defragdht/d2/internal/wire"
 )
 
 func k(v uint64) keys.Key {
@@ -316,6 +317,38 @@ func TestArcLimit(t *testing.T) {
 		// Exact fit: limit equal to the remaining entries reports no more.
 		if _, more := s.ArcLimit(k(5), k(95), 9); more {
 			t.Error("exact-fit scan reported more")
+		}
+	})
+}
+
+// TestReturnedPayloadIsCallersCopy pins Engine's copy contract on both
+// engines: writing into, or recycling, the Data of a block that Get,
+// GetBatch or ArcLimit returned leaves the stored block intact, and two
+// reads of one key never share a buffer.
+func TestReturnedPayloadIsCallersCopy(t *testing.T) {
+	forEachEngine(t, func(t *testing.T, s store.Engine) {
+		want := []byte("stored block bytes")
+		s.Put(k(1), append([]byte(nil), want...), 0, t0)
+		scribble := func(via string, data []byte) {
+			for i := range data {
+				data[i] = 0xEE
+			}
+			if b, ok := s.Get(k(1)); !ok || string(b.Data) != string(want) {
+				t.Fatalf("after writing into the Data %s returned, the store holds %q", via, b.Data)
+			}
+		}
+		b1, _ := s.Get(k(1))
+		b2, _ := s.Get(k(1))
+		if &b1.Data[0] == &b2.Data[0] {
+			t.Fatal("two Gets share one buffer")
+		}
+		scribble("Get", b1.Data)
+		scribble("GetBatch", s.GetBatch([]keys.Key{k(1)})[0].Data)
+		items, _ := s.ArcLimit(k(0), k(2), 0)
+		scribble("ArcLimit", items[0].Block.Data)
+		wire.ReleasePayload(b2.Data)
+		if b, _ := s.Get(k(1)); string(b.Data) != string(want) {
+			t.Fatalf("after releasing a returned Data, the store holds %q", b.Data)
 		}
 	})
 }

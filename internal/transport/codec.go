@@ -32,6 +32,10 @@
 //     after the handler returns. Handlers may retain slice fields they
 //     extracted (the store keeps PutReq.Data) but must not retain the
 //     message struct itself.
+//   - A read response whose handler called OwnPayloads gives its payload
+//     buffers (from wire.Payload) to the transport: the TCP transport
+//     returns them to the payload pool once the frame's write has
+//     completed, the mem transport hands them to the caller.
 package transport
 
 import (
@@ -201,6 +205,8 @@ func recycleMessage(m Message) {
 // TCP transport after it is written to the wire, so a busy server's bulk
 // read path stops allocating response scaffolding per RPC. Over the mem
 // transport the struct simply escapes to the caller (never recycled).
+// Recycling the struct leaves the payloads alone unless the handler also
+// calls OwnPayloads.
 func AcquireFetchRangeResp() *FetchRangeResp {
 	r := msgPools[tFetchRangeResp].Get().(*FetchRangeResp)
 	r.Items = r.Items[:0]
@@ -217,21 +223,68 @@ func AcquireMultiGetResp() *MultiGetResp {
 	return r
 }
 
-// recycleResponse returns an Acquire-built response to its pool once the
-// wire no longer borrows its payload slices. Non-pooled responses pass
-// through untouched.
+// AcquireGetResp is AcquireFetchRangeResp for GetResp.
+func AcquireGetResp() *GetResp {
+	r := msgPools[tGetResp].Get().(*GetResp)
+	*r = GetResp{pooled: true}
+	return r
+}
+
+// OwnPayloads marks the response's Data as its own: a buffer from
+// wire.Payload that no one else refers to. The TCP transport then returns
+// it to the payload pool once the frame is written. The mem transport
+// never does — its responses escape to the caller — and an unmarked
+// response's payload is left to the garbage collector.
+func (r *GetResp) OwnPayloads() { r.owned = true }
+
+// OwnPayloads marks every item's Data as the response's own, as
+// GetResp.OwnPayloads does: each a distinct buffer from wire.Payload that
+// no one else refers to. Items sharing one slice must not be marked — the
+// buffer would enter the pool once per item.
+func (r *MultiGetResp) OwnPayloads() { r.owned = true }
+
+// OwnPayloads is MultiGetResp.OwnPayloads for FetchRangeResp.
+func (r *FetchRangeResp) OwnPayloads() { r.owned = true }
+
+// recycleResponse runs once the wire no longer borrows a response's
+// payload slices: owned payloads go back to the payload pool and an
+// Acquire-built struct to its type pool. Other responses pass through
+// untouched.
 func recycleResponse(m Message) {
 	switch v := m.(type) {
-	case *FetchRangeResp:
+	case *GetResp:
+		if v.owned {
+			wire.ReleasePayload(v.Data)
+		}
 		if v.pooled {
-			v.pooled = false
+			*v = GetResp{}
+			msgPools[tGetResp].Put(v)
+		}
+	case *FetchRangeResp:
+		if v.owned {
+			releaseItems(v.Items)
+		}
+		if v.pooled {
+			clear(v.Items)
+			v.pooled, v.owned = false, false
 			msgPools[tFetchRangeResp].Put(v)
 		}
 	case *MultiGetResp:
+		if v.owned {
+			releaseItems(v.Items)
+		}
 		if v.pooled {
-			v.pooled = false
+			clear(v.Items)
+			v.pooled, v.owned = false, false
 			msgPools[tMultiGetResp].Put(v)
 		}
+	}
+}
+
+// releaseItems returns each item's owned payload to the payload pool.
+func releaseItems(items []BatchItem) {
+	for i := range items {
+		wire.ReleasePayload(items[i].Data)
 	}
 }
 

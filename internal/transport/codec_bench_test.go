@@ -150,3 +150,67 @@ func BenchmarkTCPServePath(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkOwnedServePath is BenchmarkTCPServePath for a bulk read:
+// a MultiGet of 16 × 8 KB whose handler fills each payload from the
+// payload pool and marks the response as owning them, as a node's read
+// handlers do. The transport returns the payloads once the frame is
+// written, so the serve side stays allocation-free; the verify tier gates
+// this at 0 allocs/op.
+func BenchmarkOwnedServePath(b *testing.B) {
+	const nkeys, size = 16, 8 << 10
+	srv, err := ListenTCP("127.0.0.1:0")
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer srv.Close()
+	src := bytes.Repeat([]byte{0xCD}, size)
+	srv.Serve(func(_ context.Context, _ Addr, m Message) (Message, error) {
+		req := m.(*MultiGetReq)
+		resp := AcquireMultiGetResp()
+		resp.OwnPayloads()
+		for _, k := range req.Keys {
+			data := wire.Payload(size)
+			copy(data, src)
+			resp.Items = append(resp.Items, BatchItem{Key: k, Found: true, Data: data})
+		}
+		return resp, nil
+	})
+
+	conn, err := net.Dial("tcp", string(srv.Addr()))
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer conn.Close()
+	ks := make([]keys.Key, nkeys)
+	for i := range ks {
+		ks[i] = testKey(byte(i))
+	}
+	req := encodeFrame(b, 1, 0, 0, "bench:1", &MultiGetReq{Keys: ks}, false)
+	br := bufio.NewReaderSize(conn, 64<<10)
+	var lenb [4]byte
+	respBuf := make([]byte, 2*nkeys*size)
+	roundTrip := func() {
+		if _, err := conn.Write(req); err != nil {
+			b.Fatal(err)
+		}
+		if _, err := io.ReadFull(br, lenb[:]); err != nil {
+			b.Fatal(err)
+		}
+		n := int(wire.U32(lenb[:], 0))
+		if n > len(respBuf) {
+			b.Fatalf("response frame of %d bytes", n)
+		}
+		if _, err := io.ReadFull(br, respBuf[:n]); err != nil {
+			b.Fatal(err)
+		}
+	}
+	roundTrip() // one-time costs land before the measured loop
+
+	b.SetBytes(nkeys * size)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		roundTrip()
+	}
+}

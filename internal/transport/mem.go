@@ -82,7 +82,10 @@ func (n *MemNetwork) remove(a Addr) {
 	delete(n.eps, a)
 }
 
-// MemTransport is one in-memory endpoint.
+// MemTransport is one in-memory endpoint. A handler's response goes to
+// the caller as the very struct the handler built, so nothing here
+// recycles it: a pooled response, and any payloads it owns, simply become
+// the caller's (a pool miss later is an allocation, nothing worse).
 type MemTransport struct {
 	net  *MemNetwork
 	addr Addr

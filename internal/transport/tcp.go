@@ -318,7 +318,10 @@ func (st *serveState) serveOne(sr *serveReq) {
 	}
 	putEncoder(enc)
 	// The wire no longer borrows anything: recycle the request struct
-	// (unless the handler echoed it back) and any Acquire-built response.
+	// (unless the handler echoed it back) and any Acquire-built response
+	// with the payloads it owns. Only here, after WriteTo has returned:
+	// a payload released earlier could be refilled by another read while
+	// the write still sends it.
 	if resp != sr.msg {
 		recycleMessage(sr.msg)
 	}

@@ -117,6 +117,10 @@ type GetResp struct {
 	Found    bool
 	Data     []byte
 	Redirect Addr
+
+	// pooled marks a response built by AcquireGetResp, owned one whose
+	// Data the TCP transport releases (OwnPayloads). Never on the wire.
+	pooled, owned bool
 }
 
 // RemoveReq deletes a block after DelaySec seconds (§3).
@@ -201,8 +205,10 @@ type MultiGetResp struct {
 	Items []BatchItem
 
 	// pooled marks a response built by AcquireMultiGetResp; the TCP
-	// transport recycles it after the frame is written. Never on the wire.
-	pooled bool
+	// transport recycles it after the frame is written. owned marks one
+	// whose payloads the transport releases then (OwnPayloads). Never on
+	// the wire.
+	pooled, owned bool
 }
 
 // MultiPutReq stores several block replicas on one node in a single RPC —
@@ -244,8 +250,10 @@ type FetchRangeResp struct {
 	More bool
 
 	// pooled marks a response built by AcquireFetchRangeResp; the TCP
-	// transport recycles it after the frame is written. Never on the wire.
-	pooled bool
+	// transport recycles it after the frame is written. owned marks one
+	// whose payloads the transport releases then (OwnPayloads). Never on
+	// the wire.
+	pooled, owned bool
 }
 
 // PutPtrReq installs a block pointer: the receiver becomes responsible

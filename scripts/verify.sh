@@ -43,7 +43,17 @@
 #                            TCP, a short codec fuzz pass, and the alloc
 #                            guard proving the TCP serve path
 #                            (read→decode→handle→encode→writev) stays
-#                            zero-allocation; it also prints the client
+#                            zero-allocation, and a second one for a bulk
+#                            read (BenchmarkOwnedServePath: a MultiGet
+#                            of 16 × 8 KB whose handler fills payloads from
+#                            the payload pool) proving the transport
+#                            returns owned payloads after the write, so
+#                            serving block reads produces no garbage; it
+#                            also runs the payload-ownership tests under
+#                            -race (an unowned response never releases, a
+#                            MultiGet naming one key twice gets two
+#                            buffers, the TCP disk-node read hammer); it
+#                            also prints the client
 #                            read ladder's allocs/op (BenchmarkBatchedRead,
 #                            mem ring; a figure to compare against the
 #                            parent commit, not a gate)
@@ -185,6 +195,8 @@ if [ "${1:-}" = "wire" ]; then
 	echo "== wire tier: codec + pool tests under -race"
 	go test -race -run 'Codec|Pool|TCP' ./internal/transport/
 	go test -race -run 'PutMany|MultiPut|PutCancels' ./internal/node/
+	echo "== wire tier: payload ownership tests under -race"
+	go test -race -run 'Payload|Owned|Acquired|DistinctBuffers' ./internal/transport/ ./internal/node/ ./internal/store/ ./internal/wire/
 	echo "== wire tier: codec fuzz (10s)"
 	go test -run '^$' -fuzz 'FuzzCodecRoundTrip' -fuzztime 10s ./internal/transport/
 	echo "== wire tier: TCP serve-path alloc guard (want 0 allocs/op)"
@@ -192,6 +204,13 @@ if [ "${1:-}" = "wire" ]; then
 		./internal/transport/ | tee /dev/stderr)
 	echo "$out" | grep -q 'BenchmarkTCPServePath.* 0 B/op[[:space:]]*0 allocs/op' || {
 		echo "wire tier: TCP serve path allocates" >&2
+		exit 1
+	}
+	echo "== wire tier: owned-payload serve-path alloc guard (want 0 allocs/op)"
+	out=$(go test -run '^$' -bench 'BenchmarkOwnedServePath' -benchmem \
+		./internal/transport/ | tee /dev/stderr)
+	echo "$out" | grep -q 'BenchmarkOwnedServePath.* 0 allocs/op' || {
+		echo "wire tier: owned-payload serve path allocates (payloads not recycled?)" >&2
 		exit 1
 	}
 	echo "== wire tier: client read ladder allocs/op (report only; perblock = 64 single-key Gets)"
