@@ -178,10 +178,10 @@ type Cluster struct {
 //
 // Nodes join in rounds, at most one per gap of the ring formed so far and
 // through the node that will be its successor, so each join lookup answers
-// in one hop from settled state and each gap closes in one stabilization
-// round: 1,000 nodes settle in a dozen-odd rounds. Joining everyone at
-// once through one seed leaves most successor pointers wrong, and Chord
-// stabilization repairs them one hop per round.
+// in one hop from settled state and both of the joiner's neighbours take
+// it in before Join returns: 1,000 nodes settle in a dozen-odd rounds.
+// Joining everyone at once through one seed leaves most successor
+// pointers wrong, and Chord stabilization repairs them one hop per round.
 func NewCluster(ctx context.Context, n int, opts NodeOptions) (*Cluster, error) {
 	if n < 1 {
 		return nil, fmt.Errorf("d2: cluster needs at least one node, got %d", n)

@@ -288,11 +288,10 @@ func decodeRoot(data []byte) (RootBlock, error) {
 // contentHash is the integrity hash stored in parent metadata.
 func contentHash(data []byte) [32]byte { return sha256.Sum256(data) }
 
-// versionHash derives the 4-byte version field of a block's key from its
-// content (§4.2: the last key bytes distinguish versions of an
-// overwritten block).
-func versionHash(data []byte) uint32 {
-	h := contentHash(data)
+// versionHash derives the 4-byte version field of a block's key from the
+// block's content hash (§4.2: the last key bytes distinguish versions of
+// an overwritten block), so a written block is hashed once.
+func versionHash(h [32]byte) uint32 {
 	v := binary.BigEndian.Uint32(h[:4])
 	if v == 0 {
 		v = 1 // version 0 is reserved for in-place metadata

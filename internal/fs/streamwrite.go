@@ -116,9 +116,10 @@ func (w *streamWriter) Write(p []byte) (int, error) {
 func (w *streamWriter) sealBlock() {
 	data := w.buf[w.start:len(w.buf):len(w.buf)]
 	w.start = len(w.buf)
-	ver := versionHash(data)
+	h := contentHash(data)
+	ver := versionHash(h)
 	w.ino.BlockVers = append(w.ino.BlockVers, ver)
-	w.ino.BlockHashes = append(w.ino.BlockHashes, contentHash(data))
+	w.ino.BlockHashes = append(w.ino.BlockHashes, h)
 	w.keys = append(w.keys, w.cur.blockKey(uint64(len(w.ino.BlockVers)), ver))
 	w.data = append(w.data, data)
 	w.v.metrics.blocksWritten.Inc()

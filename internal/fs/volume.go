@@ -1166,9 +1166,10 @@ func (v *Volume) writeContent(cur pathCursor, data []byte, old *Inode, ino *Inod
 			end = len(data)
 		}
 		blk := data[off:end]
-		ver := versionHash(blk)
+		h := contentHash(blk)
+		ver := versionHash(h)
 		ino.BlockVers = append(ino.BlockVers, ver)
-		ino.BlockHashes = append(ino.BlockHashes, contentHash(blk))
+		ino.BlockHashes = append(ino.BlockHashes, h)
 		v.writeBlock(cur.blockKey(uint64(off/BlockSize+1), ver), blk, ino.IsDir)
 	}
 }
@@ -1178,12 +1179,13 @@ func (v *Volume) writeContent(cur pathCursor, data []byte, old *Inode, ino *Inod
 // held.
 func (v *Volume) writeInode(cur pathCursor, ino *Inode, oldVer uint32) (uint32, [32]byte, error) {
 	data := encodeInode(ino)
-	ver := versionHash(data)
+	h := contentHash(data)
+	ver := versionHash(h)
 	if oldVer != 0 {
 		v.removeBlock(cur.blockKey(0, oldVer))
 	}
 	v.writeBlock(cur.blockKey(0, ver), data, ino.IsDir)
-	return ver, contentHash(data), nil
+	return ver, h, nil
 }
 
 // commitChain writes the modified directory chain bottom-up: each dir's

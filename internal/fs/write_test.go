@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"context"
 	"crypto/ed25519"
+	"crypto/sha256"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"runtime"
@@ -531,5 +533,70 @@ func TestSyncPhaseHistograms(t *testing.T) {
 	mustSync(t, v)
 	if d, r, rm := phase("data"), phase("root"), phase("remove"); d != 2 || r != 2 || rm != 1 {
 		t.Fatalf("after an overwrite: data %d root %d remove %d, want 2 2 1", d, r, rm)
+	}
+}
+
+// TestBlockVersionIsContentHashPrefix: every versioned block a volume
+// writes — file content, inodes and blocks written through WriteStream —
+// carries the first four bytes of its content's SHA-256 as its key's
+// version, with 0 (reserved for in-place metadata) taken as 1.
+func TestBlockVersionIsContentHashPrefix(t *testing.T) {
+	var zeroPrefix [32]byte
+	zeroPrefix[4] = 9
+	if got := versionHash(zeroPrefix); got != 1 {
+		t.Fatalf("versionHash of a hash starting with four zero bytes = %d, want 1", got)
+	}
+
+	v, svc := newTestVolume(t)
+	ctx := context.Background()
+	saved := bytes.Repeat([]byte("saved "), BlockSize*7/12)
+	streamed := bytes.Repeat([]byte("streamed "), BlockSize*5/18)
+	if err := v.WriteFile(ctx, "/saved.bin", saved); err != nil {
+		t.Fatal(err)
+	}
+	w, err := v.WriteStream(ctx, "/streamed.bin")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := w.Write(streamed); err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if err := v.Sync(ctx); err != nil {
+		t.Fatal(err)
+	}
+
+	checked := map[string]bool{}
+	inodes := 0
+	svc.mu.Lock()
+	for k, data := range svc.blocks {
+		if k.Version() == 0 {
+			continue // the root block, rewritten in place
+		}
+		h := sha256.Sum256(data)
+		want := binary.BigEndian.Uint32(h[:4])
+		if want == 0 {
+			want = 1
+		}
+		if k.Version() != want {
+			t.Errorf("block %d of %s: version %08x, want %08x", k.BlockNum(), k.Short(), k.Version(), want)
+		}
+		checked[string(data)] = true
+		if k.BlockNum() == 0 {
+			inodes++
+		}
+	}
+	svc.mu.Unlock()
+	for name, data := range map[string][]byte{"saved": saved, "streamed": streamed} {
+		for off := 0; off < len(data); off += BlockSize {
+			if blk := data[off:min(off+BlockSize, len(data))]; !checked[string(blk)] {
+				t.Errorf("%s content block at %d not among the checked blocks", name, off)
+			}
+		}
+	}
+	if inodes < 2 {
+		t.Errorf("checked %d inodes, want at least the two files'", inodes)
 	}
 }

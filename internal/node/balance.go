@@ -132,14 +132,13 @@ func (n *Node) moveTo(ctx context.Context, a transport.PeerInfo) {
 		}
 	}
 
-	// Rejoin at the median: a becomes our successor.
-	n.mu.Lock()
-	n.self = transport.PeerInfo{ID: split.Median, Addr: n.tr.Addr()}
-	n.pred = newPred
-	n.succs = append([]transport.PeerInfo{a}, aNeighbors.Succs...)
-	n.trimSuccsLocked()
-	newSelf := n.self
-	n.mu.Unlock()
+	// Rejoin at the median: a becomes our successor. Our old neighbours
+	// still name us at the old ID; the notice sends the old predecessor's
+	// round to drop that entry and link to our old successor, and makes
+	// the old successor forget us as its predecessor.
+	newSelf := transport.PeerInfo{ID: split.Median, Addr: n.tr.Addr()}
+	n.linkIn(ctx, newSelf, newPred, append([]transport.PeerInfo{a}, aNeighbors.Succs...))
+	n.notify(ctx, newSelf, oldPred, succ)
 
 	// The ring position changed; a durable engine must remember the new
 	// one or a restart would rejoin on the pre-move arc.
@@ -149,8 +148,6 @@ func (n *Node) moveTo(ctx context.Context, a transport.PeerInfo) {
 	n.events.Log(obs.LevelInfo, "balance.move",
 		"old_id", oldSelf.ID.Short(), "new_id", newSelf.ID.Short(),
 		"succ", string(a.Addr))
-	_, _ = transport.Expect[*transport.NotifyResp](
-		n.call(ctx, a.Addr, &transport.NotifyReq{Cand: newSelf}))
 
 	// Census delta: resweep against the new arc immediately instead of
 	// waiting out the round, and log the before/after pair.

@@ -26,6 +26,8 @@ type nodeMetrics struct {
 	handoffs       *obs.Counter   // blocks handed to their primary and dropped
 	rejoins        *obs.Counter   // ring re-entries after successor collapse
 	succDrops      *obs.Counter   // successors dropped as dead or moved
+	timerRounds    *obs.Counter   // stabilization rounds the timer ran
+	eventRounds    *obs.Counter   // stabilization rounds a view change ran (kick)
 	removals       *obs.Counter   // removal deadlines set (§3)
 	expired        *obs.Counter   // entries dropped once their deadline passed
 
@@ -53,6 +55,8 @@ func newNodeMetrics(reg *obs.Registry, n *Node) *nodeMetrics {
 		handoffs:       reg.Counter("d2_node_handoffs_total"),
 		rejoins:        reg.Counter("d2_node_rejoins_total"),
 		succDrops:      reg.Counter("d2_node_succ_drops_total"),
+		timerRounds:    reg.Counter(`d2_node_stabilize_rounds_total{cause="timer"}`),
+		eventRounds:    reg.Counter(`d2_node_stabilize_rounds_total{cause="event"}`),
 		removals:       reg.Counter("d2_node_removals_scheduled_total"),
 		expired:        reg.Counter("d2_node_expired_total"),
 

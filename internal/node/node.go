@@ -33,7 +33,9 @@ type Config struct {
 	ID keys.Key
 	// Replicas is r (default 3).
 	Replicas int
-	// StabilizeInterval drives ring maintenance (default 500 ms).
+	// StabilizeInterval paces the timer rounds of ring maintenance, the
+	// path that notices failed neighbours (default 500 ms). A change of a
+	// neighbour view runs a round at once as well (see kick).
 	StabilizeInterval time.Duration
 	// RepairInterval paces the maintenance round — census, replica
 	// repair, hand-off and pointer stabilization (default 5 s).
@@ -102,14 +104,21 @@ type Node struct {
 	succs []transport.PeerInfo
 	links []transport.PeerInfo
 	rng   *rand.Rand
+	// lastSuccs is the successor list the last completed stabilization
+	// round ended with; a round that ends with another one tells its
+	// predecessor, whose list is built from ours.
+	lastSuccs []transport.PeerInfo
 	// lastSplit records the median most recently handed to a balance
 	// prober, so concurrent probers cannot all be told the same split
 	// point and rejoin with identical IDs.
 	lastSplit   keys.Key
 	lastSplitAt time.Time
 
-	stop chan struct{}
-	wg   sync.WaitGroup
+	// kicks asks the stabilize loop for a round now; one pending kick
+	// stands for any number.
+	kicks chan struct{}
+	stop  chan struct{}
+	wg    sync.WaitGroup
 
 	reg     *obs.Registry
 	metrics *nodeMetrics
@@ -161,6 +170,7 @@ func Start(tr transport.Transport, cfg Config) *Node {
 		st:     st,
 		self:   transport.PeerInfo{ID: id, Addr: tr.Addr()},
 		rng:    rng,
+		kicks:  make(chan struct{}, 1),
 		stop:   make(chan struct{}),
 		reg:    reg,
 		events: cfg.Events,
@@ -201,7 +211,7 @@ func (n *Node) saveIdentity(id keys.Key) {
 }
 
 func (n *Node) startLoops() {
-	n.loop(n.cfg.StabilizeInterval, n.stabilize)
+	n.stabilizeLoop()
 	n.loop(n.cfg.RepairInterval, n.maintain)
 	if n.cfg.BalanceInterval > 0 {
 		n.loop(n.cfg.BalanceInterval, n.balanceProbe)
@@ -222,6 +232,46 @@ func (n *Node) loop(interval time.Duration, fn func()) {
 			case <-t.C:
 				fn()
 			}
+		}
+	}()
+}
+
+// kickFloor spaces the rounds that kicks run, so a flapping neighbour
+// view costs at most one round per floor.
+const kickFloor = 5 * time.Millisecond
+
+// kick asks the stabilize loop for a round now, without waiting for it.
+func (n *Node) kick() {
+	select {
+	case n.kicks <- struct{}{}:
+	default:
+	}
+}
+
+// stabilizeLoop runs a stabilization round every StabilizeInterval — the
+// path that notices failed neighbours — and another whenever a change to
+// the neighbour view kicks it, at most one per kickFloor. Each round is
+// counted by its cause.
+func (n *Node) stabilizeLoop() {
+	n.wg.Add(1)
+	go func() {
+		defer n.wg.Done()
+		t := time.NewTicker(n.cfg.StabilizeInterval)
+		defer t.Stop()
+		var last time.Time
+		for {
+			rounds := n.metrics.timerRounds
+			select {
+			case <-n.stop:
+				return
+			case <-t.C:
+			case <-n.kicks:
+				rounds = n.metrics.eventRounds
+				time.Sleep(kickFloor - time.Since(last))
+			}
+			rounds.Inc()
+			last = time.Now()
+			n.stabilize()
 		}
 	}()
 }
@@ -313,43 +363,47 @@ func (n *Node) censusBounds() census.Bounds {
 	return census.Bounds{Self: self.ID, Pred: pred.ID, Ok: true}
 }
 
-// Join enters the ring known to the seed address.
+// Join enters the ring known to the seed address. It returns once the
+// joiner's successor and predecessor have taken it in; the nodes before it
+// learn it within a few round trips (see linkIn).
 func (n *Node) Join(ctx context.Context, seed transport.Addr) error {
-	n.mu.Lock()
-	id := n.self.ID
-	n.mu.Unlock()
-	owner, pred, err := n.iterLookup(ctx, seed, id)
-	if err != nil {
-		return fmt.Errorf("node: join via %s: %w", seed, err)
-	}
-	if owner.Addr == n.tr.Addr() {
+	self := n.Self()
+	owner, pred, err := n.iterLookup(ctx, seed, self.ID)
+	if err == nil && owner.Addr == self.Addr {
 		// The lookup terminated on ourselves: a durable node restarting
 		// before the ring forgot its previous incarnation is reachable
 		// at its old address with its old ID, so stale links route the
 		// join lookup straight back to the joiner — which, as a
-		// singleton, claims its own key. Adopting that answer would
-		// leave us a one-node ring forever. Link via the seed instead;
-		// stabilization walks us to our true position within a few
-		// rounds.
-		resp, perr := transport.Expect[*transport.PingResp](
-			n.call(ctx, seed, &transport.PingReq{}))
-		if perr != nil {
-			return fmt.Errorf("node: join via %s: %w", seed, perr)
+		// singleton, claims its own key. The key just before our ID
+		// routes only through nodes before it, and its answer names
+		// our predecessor. If that node still names our old incarnation
+		// as its successor, ours is the next entry in its list.
+		owner, pred, err = n.iterLookup(ctx, seed, self.ID.Prev())
+		if err == nil && owner.Addr == self.Addr {
+			owner, err = n.successorAfter(ctx, pred, self)
 		}
-		owner, pred = resp.Self, transport.PeerInfo{}
 	}
-	n.mu.Lock()
-	n.pred = pred
-	if owner.Addr != n.self.Addr {
-		n.succs = append([]transport.PeerInfo{owner}, n.succs...)
-		n.trimSuccsLocked()
+	if err != nil {
+		return fmt.Errorf("node: join via %s: %w", seed, err)
 	}
-	n.mu.Unlock()
-	// Announce ourselves so the ring links in quickly.
-	_, _ = transport.Expect[*transport.NotifyResp](
-		n.call(ctx, owner.Addr, &transport.NotifyReq{Cand: n.Self()}))
-	n.stabilize()
+	n.linkIn(ctx, self, pred, []transport.PeerInfo{owner})
 	return nil
+}
+
+// successorAfter returns the entry after self in pred's successor list,
+// or pred itself when the list names no one else (a two-node ring).
+func (n *Node) successorAfter(ctx context.Context, pred, self transport.PeerInfo) (transport.PeerInfo, error) {
+	resp, err := transport.Expect[*transport.NeighborsResp](
+		n.call(ctx, pred.Addr, &transport.NeighborsReq{}))
+	if err != nil {
+		return transport.PeerInfo{}, err
+	}
+	for _, p := range resp.Succs {
+		if p.Addr != self.Addr {
+			return p, nil
+		}
+	}
+	return pred, nil
 }
 
 // Close stops background loops and the transport. Data is not handed off:

@@ -50,13 +50,15 @@ func startRing(t testing.TB, net *transport.MemNetwork, n int, mutate func(i int
 	return nodes
 }
 
-// waitConverged polls until successor and predecessor pointers form the
-// correct cycle.
+// waitConverged polls until every node's predecessor and its first r−1
+// successors are the nodes around it, so each replica group is right.
+// Join returns once the joiner's two neighbours take it in; the lists of
+// the nodes before it learn it a few round trips later.
 func waitConverged(t testing.TB, nodes []*Node, timeout time.Duration) {
 	t.Helper()
 	deadline := time.Now().Add(timeout)
 	for {
-		if Settled(nodes, 2) {
+		if Settled(nodes, testConfig(0).Replicas) {
 			return
 		}
 		if time.Now().After(deadline) {

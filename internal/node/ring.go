@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"slices"
 	"time"
 
 	"github.com/defragdht/d2/internal/keys"
@@ -133,8 +134,8 @@ func (n *Node) handleFindSucc(r *transport.FindSuccReq) transport.Message {
 	defer n.mu.Unlock()
 	succ := n.succs[0]
 	if succ.Addr == n.self.Addr && !n.pred.IsZero() && n.pred.Addr != n.self.Addr {
-		// Two-node bootstrap: our notifier is both predecessor and
-		// successor until the next stabilization round.
+		// Our successor list collapsed while a predecessor remains: it is
+		// the nearest successor we know of until the next round.
 		succ = n.pred
 	}
 	if succ.Addr != n.self.Addr && r.Key.Between(n.self.ID, succ.ID) {
@@ -171,18 +172,82 @@ func (n *Node) handleNeighbors() transport.Message {
 	return &transport.NeighborsResp{Self: n.self, Pred: n.pred, Succs: succs}
 }
 
-// handleNotify adopts a candidate predecessor if it is closer than the
-// current one.
+// handleNotify takes the notifier in as a neighbour on whichever side it
+// is closer than the current one: as predecessor when it lies in (pred,
+// self), as first successor when it lies in (self, succs[0]) or we are
+// alone. A predecessor that notifies from a new ID has moved away (§6) and
+// is forgotten; the node now before us notifies us in turn. Any change
+// runs a round now, and so does a notify from our first successor that is
+// not also our predecessor: its successor list changed, and ours is built
+// from it.
 func (n *Node) handleNotify(cand transport.PeerInfo) {
 	if cand.IsZero() || cand.Addr == n.tr.Addr() {
 		return
 	}
 	n.mu.Lock()
-	defer n.mu.Unlock()
-	if n.pred.IsZero() || n.pred.Addr == n.self.Addr ||
-		cand.ID.InOpenInterval(n.pred.ID, n.self.ID) {
-		n.pred = cand
+	changed := false
+	switch pred := n.pred; {
+	case pred == cand:
+	case pred.IsZero() || pred.Addr == n.self.Addr || cand.ID.InOpenInterval(pred.ID, n.self.ID):
+		if !n.closerSuccessorLocked(cand) {
+			n.pred, changed = cand, true
+		}
+	case cand.Addr == pred.Addr:
+		n.pred, changed = transport.PeerInfo{}, true
 	}
+	if head := n.succs[0]; head.Addr == n.self.Addr || cand.ID.InOpenInterval(n.self.ID, head.ID) {
+		n.succs = append([]transport.PeerInfo{cand}, n.succs...)
+		n.trimSuccsLocked()
+		changed = true
+	}
+	fromSucc := cand.Addr == n.succs[0].Addr && cand.Addr != n.pred.Addr
+	n.mu.Unlock()
+	if changed || fromSucc {
+		n.kick()
+	}
+}
+
+// closerSuccessorLocked reports whether our successor list names a node
+// between cand and us, so that cand cannot be our predecessor. It keeps a
+// node without one from adopting a successor that notifies it because its
+// list changed. Callers hold n.mu.
+func (n *Node) closerSuccessorLocked(cand transport.PeerInfo) bool {
+	return slices.ContainsFunc(n.succs, func(s transport.PeerInfo) bool {
+		return s.ID.InOpenInterval(cand.ID, n.self.ID)
+	})
+}
+
+// notify tells each peer in to (once, skipping empty entries and
+// ourselves) that cand is its neighbour; see handleNotify.
+func (n *Node) notify(ctx context.Context, cand transport.PeerInfo, to ...transport.PeerInfo) {
+	for i, p := range to {
+		if p.IsZero() || p.Addr == n.tr.Addr() ||
+			slices.ContainsFunc(to[:i], func(q transport.PeerInfo) bool { return q.Addr == p.Addr }) {
+			continue
+		}
+		_, _ = transport.Expect[*transport.NotifyResp](
+			n.call(ctx, p.Addr, &transport.NotifyReq{Cand: cand}))
+	}
+}
+
+// linkIn is the one step by which a node enters the ring at a position,
+// on a Join and on a §6 move: it takes self, pred and succs (succs[0]
+// first) as its view, notifies its successor and predecessor, so each
+// takes it in before linkIn returns, and runs a round now to refresh its
+// successor list. That round, and the predecessor's, tell the nodes before
+// them in turn (stabilize), so every successor list that must name the new
+// node does within a few round trips.
+func (n *Node) linkIn(ctx context.Context, self, pred transport.PeerInfo, succs []transport.PeerInfo) {
+	if pred.Addr == self.Addr {
+		pred = transport.PeerInfo{}
+	}
+	n.mu.Lock()
+	n.self, n.pred, n.succs = self, pred, succs
+	n.trimSuccsLocked()
+	succ := n.succs[0]
+	n.mu.Unlock()
+	n.notify(ctx, self, succ, pred)
+	n.kick()
 }
 
 // handleSample implements random-walk peer sampling: forward the request
@@ -221,7 +286,11 @@ func (n *Node) handleSample(ctx context.Context, r *transport.SampleReq) transpo
 
 // stabilize runs one round of ring maintenance: verify the successor,
 // adopt its predecessor when closer, refresh the successor list, and
-// notify.
+// notify the head. A round whose list differs from the last one's also
+// notifies the predecessor, so a change travels back through the nodes
+// whose lists must name it and stops at the first list it leaves as it
+// was. A successor found dead or moved is dropped, and the next round runs
+// at once with the one after it.
 func (n *Node) stabilize() {
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 	defer cancel()
@@ -232,9 +301,8 @@ func (n *Node) stabilize() {
 	pred := n.pred
 	n.mu.Unlock()
 	if succ.Addr == self.Addr {
-		// Alone, or our successor list collapsed. If someone notified us
-		// (two-node bootstrap), they are both our predecessor and our
-		// successor.
+		// Alone, or our successor list collapsed. A predecessor we still
+		// have is the nearest successor we know of.
 		if pred.IsZero() || pred.Addr == self.Addr {
 			n.rejoinViaLink(ctx)
 			return
@@ -248,6 +316,7 @@ func (n *Node) stabilize() {
 		n.call(ctx, succ.Addr, &transport.NeighborsReq{}))
 	if err != nil {
 		n.dropSuccessor(succ)
+		n.kick()
 		return
 	}
 	if !resp.Self.ID.Equal(succ.ID) {
@@ -255,6 +324,7 @@ func (n *Node) stabilize() {
 		// treat the stale entry as departed and remember the new spot.
 		n.dropSuccessor(succ)
 		n.learnLink(resp.Self)
+		n.kick()
 		return
 	}
 	n.verifyPred(ctx)
@@ -274,12 +344,15 @@ func (n *Node) stabilize() {
 	}
 	n.succs = merged
 	n.trimSuccsLocked()
-	head := n.succs[0]
+	to := []transport.PeerInfo{n.succs[0]}
+	if !slices.Equal(n.succs, n.lastSuccs) {
+		to = append(to, n.pred)
+		n.lastSuccs = slices.Clone(n.succs)
+	}
 	n.mu.Unlock()
 
-	_, _ = transport.Expect[*transport.NotifyResp](
-		n.call(ctx, head.Addr, &transport.NotifyReq{Cand: self}))
-	n.learnLink(head)
+	n.notify(ctx, self, to...)
+	n.learnLink(to[0])
 	n.probeOneLink(ctx)
 }
 
@@ -316,8 +389,7 @@ func (n *Node) rejoinViaLink(ctx context.Context) {
 	n.metrics.rejoins.Inc()
 	n.events.Log(obs.LevelWarn, "ring.rejoin",
 		"via", string(start), "succ", string(owner.Addr))
-	_, _ = transport.Expect[*transport.NotifyResp](
-		n.call(ctx, owner.Addr, &transport.NotifyReq{Cand: self}))
+	n.notify(ctx, self, owner)
 }
 
 // probeOneLink pings a random long link, dropping it (and refreshing its

@@ -31,6 +31,16 @@
 #                            any failed operation fails the tier (checks
 #                            the harness still works; not a performance
 #                            measurement)
+#   scripts/verify.sh ring   ring tier: the event-driven maintenance tests
+#                            under -race -count=20 (sequential joins, a
+#                            §6 move and a restart at a persisted ID on a
+#                            16-node ring whose stabilize timer never
+#                            fires must each leave every replica group
+#                            right within 100 ms; the 2- and 3-node
+#                            bootstraps; a settled ring runs 20 timer
+#                            rounds and no event round), then the ring
+#                            tests that need whole replica groups right
+#                            after a join, -count=20
 #   scripts/verify.sh trace  trace tier: the request-tracing tests under
 #                            -race (TCP propagation, sink wraparound, the
 #                            cross-node e2e assembly) plus the alloc guard
@@ -121,6 +131,18 @@
 set -eu
 cd "$(dirname "$0")/.."
 
+# capture runs a command, keeps its stdout in $out for the gate that
+# follows and prints it on stderr once the command ends. It writes to the
+# descriptor the script already has: `tee /dev/stderr` would reopen it and
+# truncate a log that holds stdout and stderr together. A failing command
+# fails the tier.
+capture() {
+	status=0
+	out=$("$@") || status=$?
+	printf '%s\n' "$out" >&2
+	return "$status"
+}
+
 lint() {
 	echo "== lint: go vet ./... && gofmt -l ."
 	go vet ./...
@@ -177,13 +199,22 @@ if [ "${1:-}" = "lint" ]; then
 	exit 0
 fi
 
+if [ "${1:-}" = "ring" ]; then
+	echo "== ring tier: convergence by view changes alone, -race -count=20"
+	go test -race -count=20 -run '^(TestRingSettlesByEventsAlone|TestSettledRingRunsNoEventRounds|TestSuccessorNotifyIsNoPredecessor)$' ./internal/node/
+	echo "== ring tier: tests that need whole replica groups after joins, -count=20"
+	go test -count=20 -run \
+		'^(TestDelayedRemove|TestWalkRingSkipsDeadMember|TestRestartedPrimaryRegainsItsBlocks|TestRejoinWithStaleSelfEntry)$' ./internal/node/
+	exit 0
+fi
+
 if [ "${1:-}" = "trace" ]; then
 	echo "== trace tier: tracing tests under -race"
 	go test -race ./internal/obs/tracing/
 	go test -race -run 'Trace' ./internal/obs/ ./internal/transport/ ./internal/node/ .
 	echo "== trace tier: unsampled-path alloc guard (want 0 allocs/op)"
-	out=$(go test -run '^$' -bench 'BenchmarkStartOpUnsampled' -benchmem \
-		./internal/obs/tracing/ | tee /dev/stderr)
+	capture go test -run '^$' -bench 'BenchmarkStartOpUnsampled' -benchmem \
+		./internal/obs/tracing/
 	echo "$out" | grep -q 'BenchmarkStartOpUnsampled.* 0 B/op[[:space:]]*0 allocs/op' || {
 		echo "trace tier: unsampled StartOp allocates" >&2
 		exit 1
@@ -200,15 +231,15 @@ if [ "${1:-}" = "wire" ]; then
 	echo "== wire tier: codec fuzz (10s)"
 	go test -run '^$' -fuzz 'FuzzCodecRoundTrip' -fuzztime 10s ./internal/transport/
 	echo "== wire tier: TCP serve-path alloc guard (want 0 allocs/op)"
-	out=$(go test -run '^$' -bench 'BenchmarkTCPServePath' -benchmem \
-		./internal/transport/ | tee /dev/stderr)
+	capture go test -run '^$' -bench 'BenchmarkTCPServePath' -benchmem \
+		./internal/transport/
 	echo "$out" | grep -q 'BenchmarkTCPServePath.* 0 B/op[[:space:]]*0 allocs/op' || {
 		echo "wire tier: TCP serve path allocates" >&2
 		exit 1
 	}
 	echo "== wire tier: owned-payload serve-path alloc guard (want 0 allocs/op)"
-	out=$(go test -run '^$' -bench 'BenchmarkOwnedServePath' -benchmem \
-		./internal/transport/ | tee /dev/stderr)
+	capture go test -run '^$' -bench 'BenchmarkOwnedServePath' -benchmem \
+		./internal/transport/
 	echo "$out" | grep -q 'BenchmarkOwnedServePath.* 0 allocs/op' || {
 		echo "wire tier: owned-payload serve path allocates (payloads not recycled?)" >&2
 		exit 1
@@ -222,8 +253,8 @@ if [ "${1:-}" = "stream" ]; then
 	echo "== stream tier: streaming pipeline tests under -race"
 	go test -race -run 'Stream|ReadCacheByteCap|MissingKeysCostOneLadder|EveryOpSurvivesDeadCachedOwner' ./internal/fs/ ./internal/node/ .
 	echo "== stream tier: consume-path alloc gate (want < 4 MB/op for an 8 MB stream)"
-	out=$(go test -run '^$' -bench 'BenchmarkStreamConsume' -benchmem \
-		./internal/fs/ | tee /dev/stderr)
+	capture go test -run '^$' -bench 'BenchmarkStreamConsume' -benchmem \
+		./internal/fs/
 	echo "$out" | awk '
 		/BenchmarkStreamConsume/ { for (i = 2; i <= NF; i++) if ($i == "B/op") bytes = $(i-1) }
 		END {
@@ -242,8 +273,8 @@ if [ "${1:-}" = "obs" ]; then
 	echo "== obs tier: 10s concurrent sampler soak under -race"
 	D2_HISTORY_SOAK=10s go test -race -run 'TestSamplerSoak' ./internal/obs/history/
 	echo "== obs tier: tick + evaluation alloc gates (want 0 allocs/op)"
-	out=$(go test -run '^$' -bench 'BenchmarkSamplerTick|BenchmarkHealthEvaluate' -benchmem \
-		./internal/obs/history/ | tee /dev/stderr)
+	capture go test -run '^$' -bench 'BenchmarkSamplerTick|BenchmarkHealthEvaluate' -benchmem \
+		./internal/obs/history/
 	echo "$out" | grep -q 'BenchmarkSamplerTick.* 0 B/op[[:space:]]*0 allocs/op' || {
 		echo "obs tier: sampling tick allocates" >&2
 		exit 1
@@ -264,8 +295,8 @@ if [ "${1:-}" = "census" ]; then
 	echo "== census tier: 10s sweep-during-churn soak under -race"
 	D2_CENSUS_SOAK=10s go test -race -run 'TestSweepDuringChurn' ./internal/obs/census/
 	echo "== census tier: sweep-tick alloc gate (want 0 allocs/op)"
-	out=$(go test -run '^$' -bench 'BenchmarkSweepTick' -benchmem \
-		./internal/obs/census/ | tee /dev/stderr)
+	capture go test -run '^$' -bench 'BenchmarkSweepTick' -benchmem \
+		./internal/obs/census/
 	echo "$out" | grep -q 'BenchmarkSweepTick.* 0 B/op[[:space:]]*0 allocs/op' || {
 		echo "census tier: steady-state sweep tick allocates" >&2
 		exit 1
@@ -287,8 +318,8 @@ if [ "${1:-}" = "disk" ]; then
 	echo "== disk tier: WAL replay fuzz (10s)"
 	go test -run '^$' -fuzz 'FuzzWALReplay' -fuzztime 10s ./internal/store/disk/
 	echo "== disk tier: indexed-read alloc gate (want 0 allocs/op)"
-	out=$(go test -run '^$' -bench 'BenchmarkDiskReadInto' -benchmem \
-		./internal/store/disk/ | tee /dev/stderr)
+	capture go test -run '^$' -bench 'BenchmarkDiskReadInto' -benchmem \
+		./internal/store/disk/
 	echo "$out" | grep -q 'BenchmarkDiskReadInto.* 0 B/op[[:space:]]*0 allocs/op' || {
 		echo "disk tier: indexed read path allocates" >&2
 		exit 1
@@ -301,8 +332,8 @@ if [ "${1:-}" = "sim" ]; then
 	go test -race -run 'TestDifferentialLiveRing' ./internal/simdht/
 	go test -race -run 'TestParallelDeterminism|TestFiguresGolden' ./internal/experiments/
 	echo "== sim tier: replica-group and resync alloc gates (want 0 allocs/op)"
-	out=$(go test -run '^$' -bench 'BenchmarkReplicaNodes|BenchmarkNodeInGroup|BenchmarkResyncBlockStable' -benchmem \
-		./internal/simdht/ | tee /dev/stderr)
+	capture go test -run '^$' -bench 'BenchmarkReplicaNodes|BenchmarkNodeInGroup|BenchmarkResyncBlockStable' -benchmem \
+		./internal/simdht/
 	for b in BenchmarkReplicaNodes BenchmarkNodeInGroup BenchmarkResyncBlockStable; do
 		echo "$out" | grep -q "$b.* 0 B/op[[:space:]]*0 allocs/op" || {
 			echo "sim tier: $b allocates" >&2
@@ -323,7 +354,7 @@ if [ "${1:-}" = "fs" ]; then
 	echo "== fs tier: fs tests under -race"
 	go test -race ./internal/fs/
 	echo "== fs tier: cold directory scan gate (want <= $fs_cold_calls service calls)"
-	out=$(go test -run '^TestColdScanServiceCalls$' -v ./internal/fs/ | tee /dev/stderr)
+	capture go test -run '^TestColdScanServiceCalls$' -v ./internal/fs/
 	echo "$out" | awk -v max="$fs_cold_calls" '
 		{ for (i = 1; i <= NF; i++) if ($i ~ /^cold_scan_calls=/) { split($i, kv, "="); calls = kv[2] } }
 		END {
@@ -333,8 +364,8 @@ if [ "${1:-}" = "fs" ]; then
 			}
 		}'
 	echo "== fs tier: warm ReadFile alloc gate (want <= $fs_warm_allocs allocs/op)"
-	out=$(go test -run '^$' -bench 'BenchmarkReadFileWarm' -benchmem \
-		./internal/fs/ | tee /dev/stderr)
+	capture go test -run '^$' -bench 'BenchmarkReadFileWarm' -benchmem \
+		./internal/fs/
 	echo "$out" | awk -v max="$fs_warm_allocs" '
 		/BenchmarkReadFileWarm/ { for (i = 2; i <= NF; i++) if ($i == "allocs/op") allocs = $(i-1) }
 		END {
@@ -358,7 +389,7 @@ fi
 
 if [ "${1:-}" = "bench" ]; then
 	echo "== tier 3: benchmark harness smoke (walk-small, 1 s)"
-	out=$(bash bench/run.sh --workload walk-small --seconds 1 | tee /dev/stderr)
+	capture bash bench/run.sh --workload walk-small --seconds 1
 	echo "$out" | tail -n 1 | grep -q '"correct":true,"attempted":[1-9][0-9]*,"failed":0,' || {
 		echo "bench tier: harness reported a verification failure or failed operations" >&2
 		exit 1
