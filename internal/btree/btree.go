@@ -56,19 +56,29 @@ func (t *Tree[V]) Len() int { return t.size }
 
 // Get returns the value stored under k.
 func (t *Tree[V]) Get(k keys.Key) (V, bool) {
+	if p, ok := t.Ref(k); ok {
+		return *p, true
+	}
+	var zero V
+	return zero, false
+}
+
+// Ref returns a pointer to the value stored under k, through which it may
+// be read or changed in place. The pointer aims into a tree node: it is
+// valid only until the next Set or Delete, which may move the value.
+func (t *Tree[V]) Ref(k keys.Key) (*V, bool) {
 	n := t.root
 	for n != nil {
 		i, ok := n.find(k)
 		if ok {
-			return n.items[i].value, true
+			return &n.items[i].value, true
 		}
 		if n.leaf() {
 			break
 		}
 		n = n.children[i]
 	}
-	var zero V
-	return zero, false
+	return nil, false
 }
 
 // Set stores v under k, returning the previous value if one existed.
@@ -106,12 +116,26 @@ func (n *node[V]) splitChild(i int) {
 	// full node's array would keep that array half empty for good.
 	child.items = append(make([]item[V], 0, mid), child.items[:mid]...)
 
-	n.items = append(n.items, item[V]{})
+	n.items = append(grow(n.items, 1), item[V]{})
 	copy(n.items[i+1:], n.items[i:])
 	n.items[i] = median
 	n.children = append(n.children, nil)
 	copy(n.children[i+2:], n.children[i+1:])
 	n.children[i+1] = right
+}
+
+// grow returns items with room for n more. The capacity grows by a
+// quarter (at least n) up to maxItems, where append would double it: the
+// item arrays are nearly all of what the tree costs, and a doubled one
+// would sit up to half empty until its node splits. The new array takes
+// whatever its allocation size class holds.
+func grow[V any](items []item[V], n int) []item[V] {
+	if len(items)+n <= cap(items) {
+		return items
+	}
+	c := max(len(items)+n, min(cap(items)+cap(items)/4, maxItems))
+	out := append([]item[V](nil), make([]item[V], c)...)
+	return out[:copy(out, items)]
 }
 
 func (n *node[V]) insert(k keys.Key, v V) (V, bool) {
@@ -123,7 +147,7 @@ func (n *node[V]) insert(k keys.Key, v V) (V, bool) {
 	}
 	var zero V
 	if n.leaf() {
-		n.items = append(n.items, item[V]{})
+		n.items = append(grow(n.items, 1), item[V]{})
 		copy(n.items[i+1:], n.items[i:])
 		n.items[i] = item[V]{key: k, value: v}
 		return zero, false
@@ -232,7 +256,7 @@ func (n *node[V]) growChild(i int, k keys.Key) int {
 	if i > 0 && len(n.children[i-1].items) >= degree {
 		// Borrow from the left sibling through the separator.
 		left := n.children[i-1]
-		child.items = append(child.items, item[V]{})
+		child.items = append(grow(child.items, 1), item[V]{})
 		copy(child.items[1:], child.items)
 		child.items[0] = n.items[i-1]
 		n.items[i-1] = left.items[len(left.items)-1]
@@ -248,7 +272,7 @@ func (n *node[V]) growChild(i int, k keys.Key) int {
 	if i < len(n.children)-1 && len(n.children[i+1].items) >= degree {
 		// Borrow from the right sibling.
 		right := n.children[i+1]
-		child.items = append(child.items, n.items[i])
+		child.items = append(grow(child.items, 1), n.items[i])
 		n.items[i] = right.items[0]
 		right.items = append(right.items[:0], right.items[1:]...)
 		if !child.leaf() {
@@ -267,7 +291,7 @@ func (n *node[V]) growChild(i int, k keys.Key) int {
 // mergeChildren merges children i and i+1 around separator i.
 func (n *node[V]) mergeChildren(i int) {
 	left, right := n.children[i], n.children[i+1]
-	left.items = append(left.items, n.items[i])
+	left.items = append(grow(left.items, 1+len(right.items)), n.items[i])
 	left.items = append(left.items, right.items...)
 	left.children = append(left.children, right.children...)
 	n.items = append(n.items[:i], n.items[i+1:]...)

@@ -133,12 +133,14 @@ func appendInode(b []byte, ino *Inode) []byte {
 	return wire.AppendU16(b, ino.NextSlot)
 }
 
-// readInodeFields decodes appendInode's output. Byte fields are copied:
-// inode structs outlive the block buffer they were parsed from.
+// readInodeFields decodes appendInode's output. Inline content borrows
+// the block buffer: an inode block is kept, unchanged, in the read cache
+// for as long as its decode, and ReadFile hands out a copy. A root block
+// copies it (decodeRoot).
 func readInodeFields(r *wire.Reader, ino *Inode) {
 	ino.IsDir = r.Bool()
 	ino.Size = r.I64()
-	ino.Inline = r.BytesCopy()
+	ino.Inline = r.Bytes()
 	n := r.Count(4)
 	if n > 0 {
 		ino.BlockVers = make([]uint32, n)
@@ -277,6 +279,7 @@ func decodeRoot(data []byte) (RootBlock, error) {
 	root.PublicKey = r.BytesCopy()
 	root.Version = r.U32()
 	readInodeFields(&r, &root.Root)
+	root.Root.Inline = bytes.Clone(root.Root.Inline)
 	root.Signature = r.BytesCopy()
 	r.ExpectEmpty()
 	if err := r.Err(); err != nil {

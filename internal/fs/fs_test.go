@@ -292,6 +292,60 @@ func TestReaderSeesFlushedWrites(t *testing.T) {
 	}
 }
 
+// TestReadFileReturnsPrivateCopy: the bytes ReadFile returns are the
+// caller's. Writing into them must not change what the handle serves
+// next — an inline file's content lives in the handle's cached, checked
+// inode, and nothing checks it again.
+func TestReadFileReturnsPrivateCopy(t *testing.T) {
+	v, svc := newTestVolume(t)
+	ctx := context.Background()
+	want := []byte("xxxxxxxxxxxx")
+	if err := v.WriteFile(ctx, "/inline", want); err != nil {
+		t.Fatal(err)
+	}
+	if err := v.Sync(ctx); err != nil {
+		t.Fatal(err)
+	}
+	reader, err := Open(ctx, svc, "testvol", testKey.Public().(ed25519.PublicKey), nil, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, h := range []*Volume{v, reader} {
+		got, err := h.ReadFile(ctx, "/inline")
+		if err != nil || !bytes.Equal(got, want) {
+			t.Fatalf("first read = (%q, %v)", got, err)
+		}
+		got[0] = 'Z'
+		if again, err := h.ReadFile(ctx, "/inline"); err != nil || !bytes.Equal(again, want) {
+			t.Fatalf("after the caller wrote into its result, a second read = (%q, %v), want %q", again, err, want)
+		}
+	}
+}
+
+// TestWriteFileKeepsPrivateCopy: WriteFile keeps what it was given, as
+// os.WriteFile does. A caller reusing its buffer before Sync must not
+// change the content written, nor leave blocks that fail their checks.
+func TestWriteFileKeepsPrivateCopy(t *testing.T) {
+	v, svc := newTestVolume(t)
+	ctx := context.Background()
+	buf := bytes.Repeat([]byte("0123456789abcdef"), 24<<10/16) // three blocks
+	want := bytes.Clone(buf)
+	if err := v.WriteFile(ctx, "/big", buf); err != nil {
+		t.Fatal(err)
+	}
+	buf[0], buf[len(buf)-1] = 'Z', 'Z'
+	if err := v.Sync(ctx); err != nil {
+		t.Fatal(err)
+	}
+	reader, err := Open(ctx, svc, "testvol", testKey.Public().(ed25519.PublicKey), nil, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, err := reader.ReadFile(ctx, "/big"); err != nil || !bytes.Equal(got, want) {
+		t.Fatalf("fresh handle read %d bytes (%v); want the %d bytes WriteFile was given", len(got), err, len(want))
+	}
+}
+
 func TestSignatureVerificationRejectsTamper(t *testing.T) {
 	v, svc := newTestVolume(t)
 	ctx := context.Background()

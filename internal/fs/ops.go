@@ -1,6 +1,7 @@
 package fs
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
@@ -37,6 +38,12 @@ func (v *Volume) WriteFile(ctx context.Context, path string, data []byte) error 
 	ctx, sp := tracing.ChildSpan(ctx, "fs.write_file")
 	if sp != nil {
 		sp.Annotate("path", path, "bytes", len(data))
+	}
+	if len(data) > InlineMax {
+		// The write-back window keeps the content blocks until Sync: keep
+		// a private copy, as os.WriteFile leaves the caller its buffer.
+		// (Inline content is copied into the inode.)
+		data = bytes.Clone(data)
 	}
 	v.mu.Lock()
 	defer v.mu.Unlock()
@@ -127,7 +134,12 @@ func (v *Volume) readFile(ctx context.Context, path string, comps []string) ([]b
 	if scanning {
 		v.readAheadContent(ctx, &f)
 	}
-	return v.readContent(ctx, f.cur, &f.ino)
+	data, err := v.readContent(ctx, f.cur, &f.ino)
+	if len(f.ino.Inline) > 0 {
+		// Inline content is the cached inode's: the caller gets a copy.
+		data = bytes.Clone(data)
+	}
+	return data, err
 }
 
 // fileRef is a resolved file: the directory holding it, its position in

@@ -2,6 +2,8 @@ package node
 
 import (
 	"context"
+	"slices"
+	"sort"
 	"time"
 
 	"github.com/defragdht/d2/internal/keys"
@@ -109,34 +111,78 @@ func (n *Node) replicaRangeStart(ctx context.Context) keys.Key {
 	return walked.Floor(i, n.cfg.Replicas)
 }
 
+// repairPage is how many keys one page of a replica target's listing
+// carries: the repair round's memory per target is one page, not its arc.
+const repairPage = 1024
+
 // repairReplicas pushes to each replica target the primary blocks ks of
 // (lo, hi] its key listing lacks, and publishes the replica deficit for
 // the health engine: slots with no target to fill them (a ring smaller
-// than r) plus blocks not confirmed on a target this round.
+// than r) plus blocks not confirmed on a target this round. ks comes in
+// key order, as the census walk listed it; an arc that wraps past key
+// zero starts with its keys above lo, so those are rotated to the front.
 func (n *Node) repairReplicas(ctx context.Context, lo, hi keys.Key, targets []transport.PeerInfo, ks []keys.Key) {
+	cut := sort.Search(len(ks), func(i int) bool { return lo.Less(ks[i]) })
+	slices.Reverse(ks[:cut])
+	slices.Reverse(ks[cut:])
+	slices.Reverse(ks)
 	deficit := int64(n.cfg.Replicas-1-len(targets)) * int64(len(ks))
 	for _, target := range targets {
+		deficit += int64(n.repairTarget(ctx, lo, hi, target.Addr, ks))
+	}
+	n.metrics.replicaDeficit.Set(deficit)
+}
+
+// repairTarget lists the target's keys of (lo, hi] a page at a time, each
+// page resuming after the last key of the one before, and merges each
+// page against the part of ks it covers; both lists run in arc order from
+// lo. What the pages lack is pushed once a page's worth has gathered, and
+// at the end. It returns how many of ks went unconfirmed: those gathered
+// but not pushed and those not yet compared when a listing or a push
+// failed.
+func (n *Node) repairTarget(ctx context.Context, lo, hi keys.Key, to transport.Addr, ks []keys.Key) int {
+	var missing []keys.Key
+	for i, from := 0, lo; ; {
 		resp, err := transport.Expect[*transport.RangeResp](
-			n.call(ctx, target.Addr, &transport.RangeReq{Lo: lo, Hi: hi}))
+			n.call(ctx, to, &transport.RangeReq{Lo: from, Hi: hi, Limit: repairPage}))
 		if err != nil {
-			deficit += int64(len(ks)) // unreachable: the replica may be gone
-			continue
+			return len(missing) + len(ks) - i // unreachable: the replica may be gone
 		}
-		have := make(map[keys.Key]bool, len(resp.Items))
-		for _, it := range resp.Items {
-			have[it.Key] = true
-		}
-		var missing []keys.Key
-		for _, k := range ks {
-			if !have[k] {
+		page := resp.Items
+		final := len(page) < repairPage || page[len(page)-1].Key == hi
+		for j := 0; i < len(ks); i++ {
+			k := ks[i]
+			if !final && arcBefore(lo, page[len(page)-1].Key, k) {
+				break // a later page covers k
+			}
+			for j < len(page) && arcBefore(lo, page[j].Key, k) {
+				j++
+			}
+			if j == len(page) || page[j].Key != k {
 				missing = append(missing, k)
 			}
 		}
-		deficit += int64(n.push(ctx, target.Addr, missing, false, func(sent []keys.Key) {
-			n.metrics.repairPushes.Add(uint64(len(sent)))
-		}))
+		if final || len(missing) >= repairPage {
+			unconfirmed := n.push(ctx, to, missing, false, func(sent []keys.Key) {
+				n.metrics.repairPushes.Add(uint64(len(sent)))
+			})
+			if unconfirmed > 0 || final {
+				return unconfirmed + len(ks) - i
+			}
+			missing = missing[:0]
+		}
+		from = page[len(page)-1].Key
 	}
-	n.metrics.replicaDeficit.Set(deficit)
+}
+
+// arcBefore reports whether a comes before b on the arc that starts just
+// past lo and runs once around the ring: keys above lo first, in key
+// order, then those from zero up to lo itself.
+func arcBefore(lo, a, b keys.Key) bool {
+	if aHigh, bHigh := lo.Less(a), lo.Less(b); aHigh != bHigh {
+		return aHigh
+	}
+	return a.Less(b)
 }
 
 // pushToOwners pushes the key-sorted ks to their owners, replicating, in

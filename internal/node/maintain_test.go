@@ -313,6 +313,62 @@ func TestMaintenanceRoundWalksOnce(t *testing.T) {
 	})
 }
 
+// TestRepairPagesWrappedArc runs the repair round of the first node of a
+// five-node ring (IDs 0x19, 0x4c, 0x80, 0xb3, 0xe6), whose primary arc
+// (0xe6, 0x19] wraps past key zero and holds more keys than one page of a
+// successor's listing. Each successor lacks one key on each side of zero;
+// exactly those two keys are pushed to each, and each listing takes two
+// pages.
+func TestRepairPagesWrappedArc(t *testing.T) {
+	rn, trs := countedRing()
+	nodes := startSpacedRing(t, rn, 5, func(_ int, c *Config) {
+		c.RepairInterval = time.Hour // the test runs the round itself
+	})
+	defer closeAll(t, nodes)
+	x, succs := nodes[0], nodes[1:3]
+
+	var ks []keys.Key
+	for i := uint64(1); i <= repairPage; i++ {
+		ks = append(ks, keys.Key{0xf0}.WithBlock(i), keys.Key{0x05}.WithBlock(i))
+	}
+	high, low := keys.Key{0xf0}.WithBlock(7), keys.Key{0x05}.WithBlock(repairPage-3)
+	now := time.Now()
+	for _, k := range ks {
+		x.Store().Put(k, []byte("d"), 0, now)
+		for _, s := range succs {
+			if k != high && k != low {
+				s.Store().Put(k, []byte("d"), 0, now)
+			}
+		}
+	}
+
+	before := (*trs)[0].sent()
+	x.maintain()
+	after := (*trs)[0].sent()
+
+	for _, s := range succs {
+		for _, k := range []keys.Key{high, low} {
+			if !hasData(s, k) {
+				t.Fatalf("missing key %s not pushed to %s", k.Short(), s.Self().ID.Short())
+			}
+		}
+		if got := s.Store().Len(); got != len(ks) {
+			t.Fatalf("successor %s holds %d keys, want %d", s.Self().ID.Short(), got, len(ks))
+		}
+	}
+	if n := x.metrics.repairPushes.Value(); n != 4 {
+		t.Fatalf("repair pushed %d blocks, want 4 (two keys to each successor)", n)
+	}
+	if d := x.metrics.replicaDeficit.Value(); d != 0 {
+		t.Fatalf("replica deficit = %d after a full repair, want 0", d)
+	}
+	sent := func(rpc string) int { return after[rpc] - before[rpc] }
+	if sent("range") != 4 || sent("multi_put") != 2 {
+		t.Fatalf("round sent range=%d multi_put=%d; want 4 (two pages per successor) and 2",
+			sent("range"), sent("multi_put"))
+	}
+}
+
 // TestDurableAckPut: an owner whose engine cannot make a single-key put
 // durable answers with an error, and Client.Put returns it.
 func TestDurableAckPut(t *testing.T) {

@@ -23,8 +23,8 @@ func TestCheapCounters(t *testing.T) {
 
 	check := func(step string, ttls, ptrs int) {
 		t.Helper()
-		if s.ttls != ttls || s.ptrs != ptrs {
-			t.Fatalf("%s: ttls=%d ptrs=%d, want %d/%d", step, s.ttls, s.ptrs, ttls, ptrs)
+		if gotTTLs, gotPtrs := s.Counts(); gotTTLs != ttls || gotPtrs != ptrs {
+			t.Fatalf("%s: ttls=%d ptrs=%d, want %d/%d", step, gotTTLs, gotPtrs, ttls, ptrs)
 		}
 	}
 

@@ -6,6 +6,7 @@ import (
 	"path/filepath"
 
 	"github.com/defragdht/d2/internal/keys"
+	"github.com/defragdht/d2/internal/store"
 )
 
 // Checkpointing compacts the log: the live index is streamed, in key
@@ -17,17 +18,20 @@ import (
 //  1. Rotate: create a new WAL file and durably write a rotation
 //     manifest listing the old files PLUS the new WAL — before any
 //     record reaches it. A crash here replays everything.
-//  2. Swap writers and snapshot the index under the write lock (entry
-//     pointers + value copies), then stream the snapshot into the
-//     segment without holding the lock; concurrent writes go to the new
-//     WAL and are replayed over the segment, so they win regardless.
+//  2. Swap writers and snapshot the index under the write lock (value
+//     copies of the entries and of the pointer side table), then stream
+//     the snapshot into the segment without holding the lock; concurrent
+//     writes go to the new WAL and are replayed over the segment, so they
+//     win regardless.
 //  3. Commit: fsync the segment, durably write the final manifest
 //     {segment, active WAL}. A crash before this replays the old set;
 //     after it, the new.
 //  4. Retarget unchanged index entries at their segment copies and
-//     delete the old files. Readers are blocked only for the retarget
-//     pass; payload reads never race a close because files are closed
-//     under the write lock.
+//     delete the old files. An entry is unchanged when its location still
+//     equals the snapshot's: a newer put always lands at a new (file,
+//     offset), so the test is exact. Readers are blocked only for the
+//     retarget pass; payload reads never race a close because files are
+//     closed under the write lock.
 
 // checkpointDue reports whether a checkpoint would pay for itself: the WAL
 // has passed the configured size and at least half of what the log files
@@ -59,13 +63,13 @@ func (s *Store) startCheckpoint() {
 	}()
 }
 
-// ckptSnap is one index entry captured for checkpointing: the live
-// pointer (for the identity check at retarget time) plus a value copy so
-// the streaming pass reads no shared state.
+// ckptSnap is one index entry captured for checkpointing, by value, so
+// the streaming pass reads no shared state and the retarget pass can
+// tell whether the live entry still holds the location copied.
 type ckptSnap struct {
-	k keys.Key
-	e *entry
-	v entry
+	k   keys.Key
+	v   entry
+	ptr store.Ptr // a pointer entry's side-table record (Target set)
 	// segOff is filled during streaming: the payload offset in the new
 	// segment (data entries only).
 	segOff int64
@@ -96,6 +100,9 @@ func (s *Store) Checkpoint() (err error) {
 	walSeq := s.seq + 1
 	segSeq := s.seq + 2
 	s.mu.RUnlock()
+	if segSeq > maxSeq {
+		return fmt.Errorf("disk: checkpoint: file sequence %d does not fit the index's 32-bit file field", segSeq)
+	}
 
 	walFile, err := createLogFile(s.dir, walName(walSeq), magicWAL, walSeq)
 	if err != nil {
@@ -122,8 +129,9 @@ func (s *Store) Checkpoint() (err error) {
 	s.files[walSeq] = walFile
 	s.man = rotMan
 	s.seq = segSeq
-	s.Ascend(func(k keys.Key, e *entry) bool {
-		snaps = append(snaps, ckptSnap{k: k, e: e, v: *e})
+	s.Ascend(func(k keys.Key, e entry) bool {
+		p, _ := s.Pointer(k)
+		snaps = append(snaps, ckptSnap{k: k, v: e, ptr: p})
 		return true
 	})
 	readFiles := make(map[uint64]*os.File, len(s.files))
@@ -131,6 +139,9 @@ func (s *Store) Checkpoint() (err error) {
 		readFiles[seq] = f
 	}
 	s.mu.Unlock()
+	if s.ckptSnapped != nil {
+		s.ckptSnapped()
+	}
 
 	// The old writer's goroutines are no longer needed; its file stays
 	// open in s.files for payload reads until the commit below.
@@ -169,12 +180,11 @@ func (s *Store) Checkpoint() (err error) {
 	s.segBytes = segInfo.Size()
 	for i := range snaps {
 		sn := &snaps[i]
-		if sn.v.IsPointer() {
+		if sn.ptr.Target != "" {
 			continue
 		}
-		if cur, ok := s.Peek(sn.k); ok && cur == sn.e {
-			cur.Payload.file = segSeq
-			cur.Payload.off = sn.segOff
+		if cur, ok := s.Peek(sn.k); ok && cur.Payload == sn.v.Payload {
+			cur.Payload = loc{sn.segOff, uint32(segSeq), sn.v.Payload.length}
 		}
 	}
 	var dead []uint64
@@ -220,8 +230,8 @@ func (s *Store) writeSegment(segSeq uint64, snaps []ckptSnap, readFiles map[uint
 	var recBuf, payload []byte
 	for i := range snaps {
 		sn := &snaps[i]
-		if sn.v.IsPointer() {
-			recBuf = appendPointer(recBuf[:0], sn.k, sn.v.Pointer, sn.v.Size, sn.v.PointerSince)
+		if p := sn.ptr; p.Target != "" {
+			recBuf = appendPointer(recBuf[:0], sn.k, p.Target, p.Size, p.Since)
 		} else {
 			n := int(sn.v.Payload.length)
 			if cap(payload) < n {
@@ -229,7 +239,7 @@ func (s *Store) writeSegment(segSeq uint64, snaps []ckptSnap, readFiles map[uint
 			}
 			payload = payload[:n]
 			if n > 0 {
-				src := readFiles[sn.v.Payload.file]
+				src := readFiles[uint64(sn.v.Payload.file)]
 				if src == nil {
 					s.m.readErrors.Inc()
 					return fail(fmt.Errorf("payload of %s: file %d not open", sn.k.Short(), sn.v.Payload.file))

@@ -22,8 +22,10 @@ package disk
 import (
 	"errors"
 	"fmt"
+	"math"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -61,12 +63,23 @@ func (o *Options) applyDefaults() {
 	}
 }
 
-// loc is where a data entry's payload lives on disk.
+// loc is where a data entry's payload lives on disk: 16 bytes, no
+// pointers, so with its deadline an index entry is 24 bytes the garbage
+// collector never scans. A data entry's size is its length; a pointer
+// entry's loc is zero (file sequences start at 1).
 type loc struct {
-	file   uint64 // seq of the WAL/segment file holding the payload
 	off    int64  // payload offset within that file
+	file   uint32 // seq of the WAL/segment file holding the payload
 	length uint32 // payload length
 }
+
+// maxSeq is the largest file sequence a loc can name. Open refuses a
+// directory past it and a checkpoint refuses to allocate one, rather
+// than let a location wrap onto another file.
+const maxSeq = math.MaxUint32
+
+// locLen is the index's payload size: a data entry's size is its length.
+func locLen(l loc) int64 { return int64(l.length) }
 
 // entry is one slot of the shared index, holding a file location in
 // place of the payload.
@@ -105,6 +118,10 @@ type Store struct {
 
 	ckptMu      sync.Mutex // serializes checkpoints
 	ckptRunning atomic.Bool
+	// ckptSnapped, when set, runs once a checkpoint has taken its
+	// snapshot and released the lock (a test hook: writes it makes land
+	// between the snapshot and the commit).
+	ckptSnapped func()
 
 	m   *metrics
 	rec RecoveryStats
@@ -131,7 +148,7 @@ func Open(dir string, opt Options) (*Store, error) {
 		opt:   opt,
 		files: map[uint64]*os.File{},
 	}
-	s.Index = store.NewIndex(&s.mu, s.readPayload)
+	s.Index = store.NewIndex(&s.mu, s.readPayload, locLen)
 	s.m = newMetrics(opt.Metrics, s)
 
 	man, ok, err := readManifest(dir)
@@ -147,6 +164,10 @@ func Open(dir string, opt Options) (*Store, error) {
 		if err := writeManifest(dir, man); err != nil {
 			return nil, fmt.Errorf("disk: open %s: %w", dir, err)
 		}
+	}
+	s.seq = max(man.segSeq, slices.Max(man.walSeqs))
+	if s.seq > maxSeq {
+		return nil, fmt.Errorf("disk: open %s: file sequence %d does not fit the index's 32-bit file field", dir, s.seq)
 	}
 	s.man = man
 	if err := s.removeOrphans(); err != nil {
@@ -182,18 +203,10 @@ func Open(dir string, opt Options) (*Store, error) {
 			walEnd = end
 		}
 	}
-	for _, seq := range man.walSeqs {
-		if seq > s.seq {
-			s.seq = seq
-		}
-	}
-	if man.segSeq > s.seq {
-		s.seq = man.segSeq
-	}
 
 	// Count the live state recovery produced.
-	s.Ascend(func(_ keys.Key, e *entry) bool {
-		if e.IsPointer() {
+	s.Ascend(func(k keys.Key, _ entry) bool {
+		if _, ptr := s.Pointer(k); ptr {
 			s.rec.Pointers++
 		} else {
 			s.rec.Blocks++
@@ -354,13 +367,9 @@ func (s *Store) replayFile(seq uint64, name string, magic [8]byte, truncate bool
 func (s *Store) applyRecord(file uint64, recOff int64, rec record) {
 	switch rec.op {
 	case opPut:
-		s.Set(rec.key, &entry{
-			Payload: loc{file, recOff + recHeadSize + int64(rec.payloadOff), uint32(rec.payloadLen)},
-			Size:    int64(rec.payloadLen),
-			Expires: rec.expires,
-		})
+		s.SetData(rec.key, loc{recOff + recHeadSize + int64(rec.payloadOff), uint32(file), uint32(rec.payloadLen)}, rec.expires)
 	case opPointer:
-		s.Set(rec.key, &entry{Size: rec.size, Pointer: rec.addr, PointerSince: rec.since})
+		s.SetPointer(rec.key, store.Ptr{Target: rec.addr, Size: rec.size, Since: rec.since})
 	case opDelete:
 		s.Drop(rec.key)
 	case opRefresh:
@@ -495,11 +504,7 @@ func (s *Store) PutBatch(ks []keys.Key, data [][]byte, ttl time.Duration, now ti
 			return
 		}
 		for i, k := range ks {
-			s.Set(k, &entry{
-				Payload: loc{s.w.seq, start + putPayloadOff, uint32(len(data[i]))},
-				Size:    int64(len(data[i])),
-				Expires: expires,
-			})
+			s.SetData(k, loc{start + putPayloadOff, uint32(s.w.seq), uint32(len(data[i]))}, expires)
 			start += putPayloadOff + int64(len(data[i]))
 		}
 	})
@@ -514,7 +519,7 @@ func (s *Store) PutPointer(k keys.Key, target transport.Addr, size int64, now ti
 			return
 		}
 		if _, ok := tx.log(rec, 1); ok {
-			s.Set(k, &entry{Size: size, Pointer: target, PointerSince: since})
+			s.SetPointer(k, store.Ptr{Target: target, Size: size, Since: since})
 		}
 	})
 }
@@ -581,7 +586,7 @@ func (s *Store) pread(l loc, buf []byte) bool {
 	if l.length == 0 {
 		return true
 	}
-	f := s.files[l.file]
+	f := s.files[uint64(l.file)]
 	if f == nil {
 		s.m.readErrors.Inc()
 		return false
@@ -614,7 +619,7 @@ func (s *Store) ReadInto(k keys.Key, buf []byte) (int, bool) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	e, ok := s.Peek(k)
-	if !ok || e.IsPointer() {
+	if _, ptr := s.Pointer(k); !ok || ptr {
 		return 0, false
 	}
 	n := int(e.Payload.length)

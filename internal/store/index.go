@@ -1,6 +1,7 @@
 package store
 
 import (
+	"slices"
 	"sync"
 	"time"
 
@@ -10,84 +11,122 @@ import (
 	"github.com/defragdht/d2/internal/transport"
 )
 
-// Entry is one index slot: the metadata that range scans, load accounting
-// and expiry need without touching the payload, plus P — where the
+// Entry is one index slot, held by value in the B-tree: P says where the
 // block's bytes live (the bytes themselves for the memory engine, a file
-// location for the disk engine). Times are Unix nanoseconds, as the disk
-// engine's log records carry them.
+// location for the disk engine) and Expires is its deadline in Unix
+// nanoseconds (0 = none), as the disk engine's log records carry it. A
+// data entry's size is its payload's length. A pointer entry's P is the
+// zero value; what it points at lives in the index's side table.
 type Entry[P any] struct {
-	Payload      P              // data entries only
-	Size         int64          // logical size (pointers: the pointed-to size)
-	Expires      int64          // TTL deadline (0 = none)
-	Pointer      transport.Addr // non-empty = pointer entry, no payload
-	PointerSince int64          // pointer install time
+	Payload P     // data entries only
+	Expires int64 // deadline (0 = none)
 }
 
-// IsPointer reports whether the entry is a block pointer.
-func (e *Entry[P]) IsPointer() bool { return e.Pointer != "" }
+// Ptr is a §6 block pointer: the node that holds the block's data, the
+// pointed-to size (so load accounting reflects eventual storage) and the
+// install time in Unix nanoseconds.
+type Ptr struct {
+	Target transport.Addr
+	Size   int64
+	Since  int64
+}
 
 // Index is the ordered block index under both storage engines: the
-// B-tree, the bytes/ttls/ptrs accounting, the pointer-versus-data rule
-// and every operation that needs only index metadata, written once. An
-// engine embeds it and adds what is its own: how a mutation becomes
-// durable and how a payload P turns into bytes.
+// B-tree, the bytes/ttls accounting, the pointer side table, the
+// pointer-versus-data rule and every operation that needs only index
+// metadata, written once. An engine embeds it and adds what is its own:
+// how a mutation becomes durable and how a payload P turns into bytes.
+//
+// Entries are tree values, not heap objects, so a block costs its key and
+// one Entry[P] in a node — and nothing the garbage collector scans when P
+// holds no pointers, as the disk engine's location does not. Pointers
+// exist only between a §6 move and pointer stabilization, so they live in
+// a map beside the tree; an index holding none never consults it.
 //
 // The lock is the engine's: it also guards whatever engine state has to
 // change together with the index (the disk engine's file table and
 // active WAL). The read-side methods take it themselves, so an engine
 // serves them by embedding alone. The mutation primitives (and Peek /
-// Ascend) instead require the engine to already hold it, because the
-// engine's own step — a WAL append — must be atomic with the index change.
+// Ascend / Pointer) instead require the engine to already hold it,
+// because the engine's own step — a WAL append — must be atomic with the
+// index change.
 type Index[P any] struct {
-	mu    *sync.RWMutex
-	tree  btree.Tree[*Entry[P]]
-	load  func(P) ([]byte, bool)
+	mu   *sync.RWMutex
+	tree btree.Tree[Entry[P]]
+	load func(P) ([]byte, bool)
+	size func(P) int64
+	// ptrs is the pointer side table: every pointer entry's Ptr, by key.
+	ptrs  map[keys.Key]Ptr
 	bytes int64 // data bytes stored (pointers excluded)
-	// ttls and ptrs count entries carrying a TTL deadline / pointer
-	// entries, so Expired and StalePointers can skip their full-tree
-	// scans when there is nothing they could find — the common case on
-	// nodes that never see TTL writes or balance moves.
+	// ttls counts entries carrying a deadline, so Expired can skip its
+	// full-tree scan when there is nothing it could find — the common
+	// case on nodes that see no removals.
 	ttls int
-	ptrs int
 }
 
 // NewIndex creates an empty index guarded by the engine's mu. load turns
 // an entry's payload into the block's bytes (ok=false drops the entry
 // from the result, for an engine whose payload read can fail); it runs
-// with mu read-held.
-func NewIndex[P any](mu *sync.RWMutex, load func(P) ([]byte, bool)) *Index[P] {
-	return &Index[P]{mu: mu, load: load}
+// with mu read-held. size returns a payload's length in bytes.
+func NewIndex[P any](mu *sync.RWMutex, load func(P) ([]byte, bool), size func(P) int64) *Index[P] {
+	return &Index[P]{mu: mu, load: load, size: size, ptrs: map[keys.Key]Ptr{}}
 }
 
 // --- primitives: the engine holds mu (for writing, unless noted) --------
 
-// Peek returns the live entry under k. mu may be held for reading; the
-// entry must not be modified except through Retime, or — payload
-// location only — by the engine while it holds mu for writing.
-func (ix *Index[P]) Peek(k keys.Key) (*Entry[P], bool) { return ix.tree.Get(k) }
+// Peek returns the live entry under k (a pointer entry's has a zero
+// payload). mu may be held for reading. The result points into a tree
+// node: it is valid only while mu is held and only until the next
+// SetData, SetPointer or Drop, and it must not be modified except through
+// Retime, or — payload location only — by the engine while it holds mu
+// for writing.
+func (ix *Index[P]) Peek(k keys.Key) (*Entry[P], bool) { return ix.tree.Ref(k) }
+
+// Pointer returns the pointer installed under k, if the entry there is
+// one. mu may be held for reading.
+func (ix *Index[P]) Pointer(k keys.Key) (Ptr, bool) {
+	if len(ix.ptrs) == 0 {
+		return Ptr{}, false
+	}
+	p, ok := ix.ptrs[k]
+	return p, ok
+}
 
 // Ascend walks every live entry in key order until fn returns false. mu
 // may be held for reading.
-func (ix *Index[P]) Ascend(fn func(k keys.Key, e *Entry[P]) bool) {
+func (ix *Index[P]) Ascend(fn func(k keys.Key, e Entry[P]) bool) {
 	ix.tree.AscendRange(keys.Zero, keys.MaxKey, fn)
 }
 
 // AdmitsPointer reports whether a pointer may be installed under k: real
 // data wins over a pointer, so it may not once data is present.
 func (ix *Index[P]) AdmitsPointer(k keys.Key) bool {
-	prev, ok := ix.tree.Get(k)
-	return !ok || prev.IsPointer()
+	if _, ok := ix.tree.Ref(k); !ok {
+		return true
+	}
+	_, ptr := ix.Pointer(k)
+	return ptr
 }
 
-// Set installs e under k, replacing any previous entry.
-func (ix *Index[P]) Set(k keys.Key, e *Entry[P]) {
+// SetData installs a data entry under k, replacing any previous entry
+// (including a pointer: the data has arrived).
+func (ix *Index[P]) SetData(k keys.Key, payload P, expires int64) {
+	ix.set(k, Entry[P]{Payload: payload, Expires: expires})
+	ix.bytes += ix.size(payload)
+}
+
+// SetPointer installs a pointer entry under k, replacing any previous
+// entry; the caller has checked AdmitsPointer.
+func (ix *Index[P]) SetPointer(k keys.Key, p Ptr) {
+	ix.set(k, Entry[P]{})
+	ix.ptrs[k] = p
+}
+
+// set stores e under k and reverses the accounting of the entry it
+// replaces; e itself is counted by the caller.
+func (ix *Index[P]) set(k keys.Key, e Entry[P]) {
 	if prev, had := ix.tree.Set(k, e); had {
-		ix.uncount(prev)
-	}
-	if e.IsPointer() {
-		ix.ptrs++
-	} else {
-		ix.bytes += e.Size
+		ix.uncount(k, prev)
 	}
 	if e.Expires != 0 {
 		ix.ttls++
@@ -98,24 +137,24 @@ func (ix *Index[P]) Set(k keys.Key, e *Entry[P]) {
 func (ix *Index[P]) Drop(k keys.Key) bool {
 	prev, ok := ix.tree.Delete(k)
 	if ok {
-		ix.uncount(prev)
+		ix.uncount(k, prev)
 	}
 	return ok
 }
 
-// uncount reverses Set's accounting for a removed entry.
-func (ix *Index[P]) uncount(e *Entry[P]) {
-	if e.IsPointer() {
-		ix.ptrs--
+// uncount reverses the accounting of the entry e that left k.
+func (ix *Index[P]) uncount(k keys.Key, e Entry[P]) {
+	if _, ptr := ix.Pointer(k); ptr {
+		delete(ix.ptrs, k)
 	} else {
-		ix.bytes -= e.Size
+		ix.bytes -= ix.size(e.Payload)
 	}
 	if e.Expires != 0 {
 		ix.ttls--
 	}
 }
 
-// Retime changes a live entry's TTL deadline (0 clears it).
+// Retime changes a live entry's deadline (0 clears it).
 func (ix *Index[P]) Retime(e *Entry[P], expires int64) {
 	if (e.Expires != 0) != (expires != 0) {
 		if expires != 0 {
@@ -133,6 +172,14 @@ func (ix *Index[P]) Footprint() (entries int, bytes int64) {
 	return ix.tree.Len(), ix.bytes
 }
 
+// meta is the index-resident metadata of entry e under k.
+func (ix *Index[P]) meta(k keys.Key, e Entry[P]) Meta {
+	if p, ok := ix.Pointer(k); ok {
+		return Meta{Size: p.Size, Pointer: p.Target, PointerSince: p.Since, Expires: e.Expires}
+	}
+	return Meta{Size: ix.size(e.Payload), Expires: e.Expires}
+}
+
 // --- reads: each takes mu itself ---------------------------------------
 
 // Expired returns the keys whose TTL deadline passed before now: the first
@@ -145,7 +192,7 @@ func (ix *Index[P]) Expired(now int64) []keys.Key {
 		return nil
 	}
 	var dead []keys.Key
-	ix.Ascend(func(k keys.Key, e *Entry[P]) bool {
+	ix.Ascend(func(k keys.Key, e Entry[P]) bool {
 		if e.Expires != 0 && e.Expires < now {
 			dead = append(dead, k)
 		}
@@ -173,22 +220,23 @@ func (ix *Index[P]) Keys() []keys.Key {
 	ix.mu.RLock()
 	defer ix.mu.RUnlock()
 	out := make([]keys.Key, 0, ix.tree.Len())
-	ix.Ascend(func(k keys.Key, _ *Entry[P]) bool {
+	ix.Ascend(func(k keys.Key, _ Entry[P]) bool {
 		out = append(out, k)
 		return true
 	})
 	return out
 }
 
-// block materializes a fresh Block for e — never the live entry, so a
-// later Refresh cannot race a reader of the result.
-func (ix *Index[P]) block(e *Entry[P]) (*Block, bool) {
-	b := &Block{Size: e.Size, Pointer: e.Pointer}
-	if e.Expires != 0 {
-		b.Expires = time.Unix(0, e.Expires)
+// block materializes a fresh Block for entry e under k — never the live
+// entry, so a later Refresh cannot race a reader of the result.
+func (ix *Index[P]) block(k keys.Key, e Entry[P]) (*Block, bool) {
+	m := ix.meta(k, e)
+	b := &Block{Size: m.Size, Pointer: m.Pointer}
+	if m.Expires != 0 {
+		b.Expires = time.Unix(0, m.Expires)
 	}
-	if e.IsPointer() {
-		b.PointerSince = time.Unix(0, e.PointerSince)
+	if m.IsPointer() {
+		b.PointerSince = time.Unix(0, m.PointerSince)
 		return b, true
 	}
 	data, ok := ix.load(e.Payload)
@@ -207,7 +255,7 @@ func (ix *Index[P]) Get(k keys.Key) (*Block, bool) {
 	if !ok {
 		return nil, false
 	}
-	return ix.block(e)
+	return ix.block(k, e)
 }
 
 // GetBatch returns the entries for a batch of keys (nil for absent ones)
@@ -219,7 +267,7 @@ func (ix *Index[P]) GetBatch(ks []keys.Key) []*Block {
 	out := make([]*Block, len(ks))
 	for i, k := range ks {
 		if e, ok := ix.tree.Get(k); ok {
-			out[i], _ = ix.block(e)
+			out[i], _ = ix.block(k, e)
 		}
 	}
 	return out
@@ -238,12 +286,12 @@ func (ix *Index[P]) Arc(lo, hi keys.Key) []Item {
 func (ix *Index[P]) ArcLimit(lo, hi keys.Key, limit int) (items []Item, more bool) {
 	ix.mu.RLock()
 	defer ix.mu.RUnlock()
-	ix.tree.AscendArc(lo, hi, func(k keys.Key, e *Entry[P]) bool {
+	ix.tree.AscendArc(lo, hi, func(k keys.Key, e Entry[P]) bool {
 		if limit > 0 && len(items) == limit {
 			more = true
 			return false
 		}
-		if b, ok := ix.block(e); ok {
+		if b, ok := ix.block(k, e); ok {
 			items = append(items, Item{Key: k, Block: b})
 		}
 		return true
@@ -261,8 +309,8 @@ func (ix *Index[P]) ArcBytes(lo, hi keys.Key) int64 {
 
 func (ix *Index[P]) arcBytes(lo, hi keys.Key) int64 {
 	var total int64
-	ix.tree.AscendArc(lo, hi, func(_ keys.Key, e *Entry[P]) bool {
-		total += e.Size
+	ix.tree.AscendArc(lo, hi, func(k keys.Key, e Entry[P]) bool {
+		total += ix.meta(k, e).Size
 		return true
 	})
 	return total
@@ -275,8 +323,8 @@ func (ix *Index[P]) arcBytes(lo, hi keys.Key) int64 {
 func (ix *Index[P]) ArcVisit(lo, hi keys.Key, fn func(k keys.Key, m Meta) bool) {
 	ix.mu.RLock()
 	defer ix.mu.RUnlock()
-	ix.tree.AscendArc(lo, hi, func(k keys.Key, e *Entry[P]) bool {
-		return fn(k, Meta{Size: e.Size, Pointer: e.Pointer, PointerSince: e.PointerSince, Expires: e.Expires})
+	ix.tree.AscendArc(lo, hi, func(k keys.Key, e Entry[P]) bool {
+		return fn(k, ix.meta(k, e))
 	})
 }
 
@@ -289,7 +337,7 @@ func (ix *Index[P]) MedianKey(lo, hi keys.Key) (split keys.Key, found bool) {
 	ix.mu.RLock()
 	defer ix.mu.RUnlock()
 	ring.ByteSplit(func(visit func(keys.Key, int64) bool) {
-		ix.tree.AscendArc(lo, hi, func(k keys.Key, e *Entry[P]) bool { return visit(k, e.Size) })
+		ix.tree.AscendArc(lo, hi, func(k keys.Key, e Entry[P]) bool { return visit(k, ix.meta(k, e).Size) })
 	}, 2, func(k keys.Key) bool {
 		split, found = k, true
 		return false
@@ -299,22 +347,20 @@ func (ix *Index[P]) MedianKey(lo, hi keys.Key) (split keys.Key, found bool) {
 
 // StalePointers returns pointers installed before the deadline, due for
 // stabilization (§6: a node retrieves the block for a pointer it has held
-// longer than the pointer stabilization time). When no pointer entries
-// exist the scan is skipped entirely.
+// longer than the pointer stabilization time), in key order. It reads the
+// pointer side table, not the tree, so it costs nothing without pointers.
 func (ix *Index[P]) StalePointers(deadline time.Time) []Item {
 	dl := deadline.UnixNano()
 	ix.mu.RLock()
 	defer ix.mu.RUnlock()
-	if ix.ptrs == 0 {
-		return nil
-	}
 	var out []Item
-	ix.Ascend(func(k keys.Key, e *Entry[P]) bool {
-		if e.IsPointer() && e.PointerSince < dl {
-			b, _ := ix.block(e)
+	for k, p := range ix.ptrs {
+		if p.Since < dl {
+			e, _ := ix.tree.Get(k)
+			b, _ := ix.block(k, e)
 			out = append(out, Item{Key: k, Block: b})
 		}
-		return true
-	})
+	}
+	slices.SortFunc(out, func(a, b Item) int { return a.Key.Compare(b.Key) })
 	return out
 }

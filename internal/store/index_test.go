@@ -10,7 +10,7 @@ import (
 func (ix *Index[P]) Counts() (ttls, ptrs int) {
 	ix.mu.RLock()
 	defer ix.mu.RUnlock()
-	return ix.ttls, ix.ptrs
+	return ix.ttls, len(ix.ptrs)
 }
 
 // TestIndexMedianKey pins the split rule on the bare index: the result is
@@ -19,17 +19,17 @@ func (ix *Index[P]) Counts() (ttls, ptrs int) {
 // the ring, and an arc holding no bytes has no median.
 func TestIndexMedianKey(t *testing.T) {
 	var mu sync.RWMutex
-	ix := NewIndex(&mu, func(int) ([]byte, bool) { return nil, true })
+	ix := NewIndex(&mu, func(int) ([]byte, bool) { return nil, true }, func(size int) int64 { return int64(size) })
 	for _, e := range []struct {
 		k    uint64
 		size int64
 		ptr  bool
 	}{{10, 100, false}, {20, 100, false}, {30, 600, true}, {40, 0, false}, {250, 200, false}} {
-		ent := &Entry[int]{Size: e.size}
 		if e.ptr {
-			ent.Pointer = "peer"
+			ix.SetPointer(ck(e.k), Ptr{Target: "peer", Size: e.size})
+		} else {
+			ix.SetData(ck(e.k), int(e.size), 0)
 		}
-		ix.Set(ck(e.k), ent)
 	}
 	for _, tc := range []struct {
 		name   string

@@ -177,7 +177,7 @@ var _ Engine = (*Store)(nil)
 // New creates an empty store.
 func New() *Store {
 	s := &Store{}
-	s.Index = NewIndex(&s.mu, loadCopy)
+	s.Index = NewIndex(&s.mu, loadCopy, func(data []byte) int64 { return int64(len(data)) })
 	return s
 }
 
@@ -204,7 +204,7 @@ func Deadline(ttl time.Duration, now time.Time) int64 {
 func (s *Store) Put(k keys.Key, data []byte, ttl time.Duration, now time.Time) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.Set(k, &Entry[[]byte]{Payload: data, Size: int64(len(data)), Expires: Deadline(ttl, now)})
+	s.SetData(k, data, Deadline(ttl, now))
 }
 
 // PutPointer installs a pointer entry unless data is already present.
@@ -212,7 +212,7 @@ func (s *Store) PutPointer(k keys.Key, target transport.Addr, size int64, now ti
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.AdmitsPointer(k) {
-		s.Set(k, &Entry[[]byte]{Size: size, Pointer: target, PointerSince: now.UnixNano()})
+		s.SetPointer(k, Ptr{Target: target, Size: size, Since: now.UnixNano()})
 	}
 }
 

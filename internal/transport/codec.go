@@ -294,7 +294,10 @@ func releaseItems(items []BatchItem) {
 // so pool round trips do not re-box the slice header.
 type frameBuf struct{ b []byte }
 
-var framePool = sync.Pool{New: func() any { return &frameBuf{b: make([]byte, 0, 4096)} }}
+// framePool's New makes an empty buffer: getFrame sizes it for its first
+// frame, where a preallocated one would be thrown away by every frame
+// larger than it.
+var framePool = sync.Pool{New: func() any { return new(frameBuf) }}
 
 // getFrame returns a pooled buffer resized to exactly n bytes.
 func getFrame(n int) *frameBuf {

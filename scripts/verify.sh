@@ -104,8 +104,13 @@
 #                            to another node), a 10 s crash-loop soak
 #                            (repeated recover cycles with checkpoints
 #                            interleaved), a 10 s WAL-replay fuzz pass,
-#                            and the alloc gate proving the indexed read
-#                            path (ReadInto) stays zero-allocation
+#                            the alloc gate proving the indexed read
+#                            path (ReadInto) stays zero-allocation, and
+#                            the index memory gate: 200 000 random keys
+#                            must cost at most 110 B and 0.2 heap objects
+#                            per entry (BenchmarkIndexBytesPerEntry; its
+#                            ns/op, one full GC with that index live, is
+#                            printed, not gated)
 #   scripts/verify.sh sim    sim tier: the simulator/live-node
 #                            differential test (20 seeded schedules
 #                            through simdht and a real mem-transport
@@ -324,6 +329,22 @@ if [ "${1:-}" = "disk" ]; then
 		echo "disk tier: indexed read path allocates" >&2
 		exit 1
 	}
+	echo "== disk tier: index memory gate (want <= 110 B/entry, <= 0.2 heap objects/entry)"
+	capture go test -run '^$' -bench 'BenchmarkIndexBytesPerEntry' -benchtime 10x \
+		./internal/store/disk/
+	echo "$out" | awk '
+		/BenchmarkIndexBytesPerEntry/ {
+			for (i = 2; i <= NF; i++) {
+				if ($i == "B/entry") b = $(i-1)
+				if ($i == "objs/entry") o = $(i-1)
+			}
+		}
+		END {
+			if (b == "" || o == "" || b + 0 > 110 || o + 0 > 0.2) {
+				print "disk tier: index holds " b " B and " o " heap objects per entry (gates 110, 0.2)" > "/dev/stderr"
+				exit 1
+			}
+		}'
 	exit 0
 fi
 
