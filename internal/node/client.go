@@ -176,24 +176,16 @@ func (c *Client) Lookup(ctx context.Context, k keys.Key) (transport.PeerInfo, er
 }
 
 // freshLookup performs a full DHT lookup and caches the owner's range.
-// Lookups retry briefly: right after a crash, routing state needs a few
-// stabilization rounds to drop the dead node (§8.1: routing failures are
-// transient and resolved by retrying after the link repair time). Each
-// attempt visits the seeds in a rotated order so one dead seed is not
-// hammered first by every client, and attempts are spaced by jittered
-// exponential backoff so a burst of failing clients does not retry in
-// lockstep.
+// The walk routes around dead hops and falls back on each seed in turn.
+// A walk that still fails — stuck, or out of seeds — is tried again after
+// jittered exponential back-off, up to four walks (§8.1: routing failures
+// are transient and resolved by retrying after the link repair time).
 func (c *Client) freshLookup(ctx context.Context, k keys.Key) (transport.PeerInfo, error) {
 	const attempts = 4
-	var lastErr error
 	backoff := 40 * time.Millisecond
-	for attempt := 0; attempt < attempts; attempt++ {
-		for _, seed := range c.seedOrder(attempt) {
-			owner, pred, err := c.iterLookup(ctx, seed, k)
-			if err != nil {
-				lastErr = err
-				continue
-			}
+	for attempt := 0; ; attempt++ {
+		owner, pred, err := lookup(ctx, k, c.seedOrder(attempt), nil, c.lookupHops, c.hop)
+		if err == nil {
 			if !pred.IsZero() {
 				c.mu.Lock()
 				c.cache.Insert(pred.ID, owner.ID, owner, c.now())
@@ -202,14 +194,13 @@ func (c *Client) freshLookup(ctx context.Context, k keys.Key) (transport.PeerInf
 			return owner, nil
 		}
 		if attempt == attempts-1 {
-			break
+			return transport.PeerInfo{}, fmt.Errorf("node: lookup failed: %w", err)
 		}
 		if err := c.sleep(ctx, backoff); err != nil {
 			return transport.PeerInfo{}, err
 		}
 		backoff *= 2
 	}
-	return transport.PeerInfo{}, fmt.Errorf("node: lookup failed: %w", lastErr)
 }
 
 // seedOrder returns the seed list for one lookup attempt. The first
@@ -230,32 +221,17 @@ func (c *Client) seedOrder(attempt int) []transport.Addr {
 	return out
 }
 
-// iterLookup drives the iterative protocol from a seed. Under a trace,
-// each hop is its own child span carrying the hop index and the queried
-// node, so a slow lookup shows exactly which hop cost the time.
-func (c *Client) iterLookup(ctx context.Context, start transport.Addr, k keys.Key) (owner, pred transport.PeerInfo, err error) {
-	cur := start
-	for hops := 0; hops < 128; hops++ {
-		hctx, hsp := c.tracer.StartSpan(ctx, "lookup.hop")
-		if hsp != nil {
-			hsp.Annotate("hop", hops, "at", cur)
-		}
-		resp, err := transport.Expect[*transport.FindSuccResp](
-			c.call(hctx, cur, &transport.FindSuccReq{Key: k}))
-		hsp.EndErr(err)
-		if err != nil {
-			return transport.PeerInfo{}, transport.PeerInfo{}, err
-		}
-		if resp.Done {
-			c.lookupHops.Observe(int64(hops + 1))
-			return resp.Node, resp.Pred, nil
-		}
-		if resp.Node.Addr == cur {
-			return transport.PeerInfo{}, transport.PeerInfo{}, fmt.Errorf("node: lookup stuck at %s", cur)
-		}
-		cur = resp.Node.Addr
+// hop sends one request of a lookup walk. Under a trace, each hop is its
+// own child span carrying the queried node, so a slow lookup shows
+// exactly which hop cost the time.
+func (c *Client) hop(ctx context.Context, to transport.Addr, req *transport.FindSuccReq) (*transport.FindSuccResp, error) {
+	hctx, hsp := c.tracer.StartSpan(ctx, "lookup.hop")
+	if hsp != nil {
+		hsp.Annotate("at", to)
 	}
-	return transport.PeerInfo{}, transport.PeerInfo{}, errors.New("node: lookup exceeded hop limit")
+	resp, err := transport.Expect[*transport.FindSuccResp](c.call(hctx, to, req))
+	hsp.EndErr(err)
+	return resp, err
 }
 
 // invalidate drops the cache entry covering k after a stale hit.

@@ -365,45 +365,18 @@ func (n *Node) censusBounds() census.Bounds {
 
 // Join enters the ring known to the seed address. It returns once the
 // joiner's successor and predecessor have taken it in; the nodes before it
-// learn it within a few round trips (see linkIn).
+// learn it within a few round trips (see linkIn). The lookup for our own
+// ID avoids our own address: a node restarting at its persisted ID may
+// still be named by the ring as its old incarnation, and the node before
+// that one then answers with the successor after it.
 func (n *Node) Join(ctx context.Context, seed transport.Addr) error {
 	self := n.Self()
-	owner, pred, err := n.iterLookup(ctx, seed, self.ID)
-	if err == nil && owner.Addr == self.Addr {
-		// The lookup terminated on ourselves: a durable node restarting
-		// before the ring forgot its previous incarnation is reachable
-		// at its old address with its old ID, so stale links route the
-		// join lookup straight back to the joiner — which, as a
-		// singleton, claims its own key. The key just before our ID
-		// routes only through nodes before it, and its answer names
-		// our predecessor. If that node still names our old incarnation
-		// as its successor, ours is the next entry in its list.
-		owner, pred, err = n.iterLookup(ctx, seed, self.ID.Prev())
-		if err == nil && owner.Addr == self.Addr {
-			owner, err = n.successorAfter(ctx, pred, self)
-		}
-	}
+	owner, pred, err := lookup(ctx, self.ID, []transport.Addr{seed}, []transport.Addr{self.Addr}, n.metrics.lookupHops, n.hop)
 	if err != nil {
 		return fmt.Errorf("node: join via %s: %w", seed, err)
 	}
 	n.linkIn(ctx, self, pred, []transport.PeerInfo{owner})
 	return nil
-}
-
-// successorAfter returns the entry after self in pred's successor list,
-// or pred itself when the list names no one else (a two-node ring).
-func (n *Node) successorAfter(ctx context.Context, pred, self transport.PeerInfo) (transport.PeerInfo, error) {
-	resp, err := transport.Expect[*transport.NeighborsResp](
-		n.call(ctx, pred.Addr, &transport.NeighborsReq{}))
-	if err != nil {
-		return transport.PeerInfo{}, err
-	}
-	for _, p := range resp.Succs {
-		if p.Addr != self.Addr {
-			return p, nil
-		}
-	}
-	return pred, nil
 }
 
 // Close stops background loops and the transport. Data is not handed off:

@@ -742,16 +742,8 @@ func TestRestartedPrimaryRegainsItsBlocks(t *testing.T) {
 	slow(0, &cfg)
 	restarted := Start(net.NewEndpoint(), cfg)
 	nodes = append(nodes, restarted)
-	// A join lookup may still route through a link to the dead
-	// incarnation; retry as an operator would.
-	for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(50 * time.Millisecond) {
-		err := restarted.Join(ctx, nodes[0].Self().Addr)
-		if err == nil {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatal(err)
-		}
+	if err := restarted.Join(ctx, nodes[0].Self().Addr); err != nil {
+		t.Fatal(err)
 	}
 	waitConverged(t, nodes, 10*time.Second)
 	waitPlaced("after the restart")

@@ -125,15 +125,22 @@ func (n *Node) owns(k keys.Key) bool {
 }
 
 // handleFindSucc answers one routing step: done if we own the key or our
-// first successor does; otherwise the best next hop.
+// first live successor does; otherwise the best next hop. Peers the
+// request avoids count as gone, so the predecessor of a dead node answers
+// with the successor after it.
 func (n *Node) handleFindSucc(r *transport.FindSuccReq) transport.Message {
 	if n.owns(r.Key) {
 		return &transport.FindSuccResp{Done: true, Node: n.Self(), Pred: n.Predecessor()}
 	}
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	succ := n.succs[0]
-	if succ.Addr == n.self.Addr && !n.pred.IsZero() && n.pred.Addr != n.self.Addr {
+	skip := func(p transport.PeerInfo) bool {
+		return p.IsZero() || p.Addr == n.self.Addr || slices.Contains(r.Avoid, p.Addr)
+	}
+	succ := n.self
+	if i := slices.IndexFunc(n.succs, func(p transport.PeerInfo) bool { return !skip(p) }); i >= 0 {
+		succ = n.succs[i]
+	} else if !skip(n.pred) {
 		// Our successor list collapsed while a predecessor remains: it is
 		// the nearest successor we know of until the next round.
 		succ = n.pred
@@ -146,7 +153,7 @@ func (n *Node) handleFindSucc(r *transport.FindSuccReq) transport.Message {
 	bestDist := n.self.ID.Distance(best.ID)
 	keyDist := n.self.ID.Distance(r.Key)
 	consider := func(p transport.PeerInfo) {
-		if p.IsZero() || p.Addr == n.self.Addr {
+		if skip(p) {
 			return
 		}
 		d := n.self.ID.Distance(p.ID)
@@ -334,14 +341,14 @@ func (n *Node) stabilize() {
 		resp.Pred.ID.InOpenInterval(self.ID, succ.ID) {
 		n.succs = append([]transport.PeerInfo{resp.Pred}, n.succs...)
 	}
-	// Merge the successor's list after our own head.
+	// Merge the successor's list after our own head, and keep our own
+	// tail behind it: a short answer — a node restarted at its old address
+	// answers with its lone view until it joins — never shrinks our list.
 	merged := []transport.PeerInfo{n.succs[0]}
-	if n.succs[0].Addr == succ.Addr {
-		merged = append(merged, resp.Succs...)
-	} else {
+	if n.succs[0].Addr != succ.Addr {
 		merged = append(merged, succ)
-		merged = append(merged, resp.Succs...)
 	}
+	merged = append(append(merged, resp.Succs...), n.succs[1:]...)
 	n.succs = merged
 	n.trimSuccsLocked()
 	to := []transport.PeerInfo{n.succs[0]}
@@ -361,35 +368,23 @@ func (n *Node) stabilize() {
 // successor entry (each move changes a node's ID) faster than
 // replacements are learned, leaving a node isolated — claiming nothing
 // and reachable by stale links — even though its link table still names
-// live peers. Look up our own ID from a link and adopt the answer as
-// successor, exactly as an initial Join does.
+// live peers. It joins again through a link, exactly as an initial Join.
 func (n *Node) rejoinViaLink(ctx context.Context) {
 	n.mu.Lock()
 	var start transport.Addr
 	if len(n.links) > 0 {
 		start = n.links[n.rng.IntN(len(n.links))].Addr
 	}
-	id := n.self.ID
 	n.mu.Unlock()
 	if start == "" {
 		return // genuinely alone: nothing to rejoin
 	}
-	owner, pred, err := n.iterLookup(ctx, start, id)
-	if err != nil || owner.Addr == n.tr.Addr() {
+	if n.Join(ctx, start) != nil {
 		return
 	}
-	n.mu.Lock()
-	if n.pred.IsZero() && !pred.IsZero() && pred.Addr != n.tr.Addr() {
-		n.pred = pred
-	}
-	n.succs = append([]transport.PeerInfo{owner}, n.succs...)
-	n.trimSuccsLocked()
-	self := n.self
-	n.mu.Unlock()
 	n.metrics.rejoins.Inc()
 	n.events.Log(obs.LevelWarn, "ring.rejoin",
-		"via", string(start), "succ", string(owner.Addr))
-	n.notify(ctx, self, owner)
+		"via", string(start), "succ", string(n.Successor().Addr))
 }
 
 // probeOneLink pings a random long link, dropping it (and refreshing its
@@ -410,15 +405,7 @@ func (n *Node) probeOneLink(ctx context.Context) {
 	if err == nil && resp.Self.ID.Equal(link.ID) {
 		return
 	}
-	n.mu.Lock()
-	out := n.links[:0]
-	for _, l := range n.links {
-		if l.Addr != link.Addr {
-			out = append(out, l)
-		}
-	}
-	n.links = out
-	n.mu.Unlock()
+	n.dropLink(link.Addr)
 	if err == nil {
 		n.learnLink(resp.Self) // moved, not dead
 	}
@@ -476,28 +463,22 @@ func (n *Node) dropSuccessor(dead transport.PeerInfo) {
 	n.metrics.succDrops.Inc()
 	n.events.Log(obs.LevelInfo, "ring.drop_succ", "addr", string(dead.Addr))
 	n.mu.Lock()
-	defer n.mu.Unlock()
-	out := n.succs[:0]
-	for _, p := range n.succs {
-		if p.Addr != dead.Addr {
-			out = append(out, p)
-		}
-	}
-	n.succs = out
+	n.succs = slices.DeleteFunc(n.succs, func(p transport.PeerInfo) bool { return p.Addr == dead.Addr })
 	if len(n.succs) == 0 {
 		n.succs = []transport.PeerInfo{n.self}
 	}
 	if n.pred.Addr == dead.Addr {
 		n.pred = transport.PeerInfo{}
 	}
-	// Purge from links too.
-	links := n.links[:0]
-	for _, p := range n.links {
-		if p.Addr != dead.Addr {
-			links = append(links, p)
-		}
-	}
-	n.links = links
+	n.mu.Unlock()
+	n.dropLink(dead.Addr)
+}
+
+// dropLink forgets a dead or moved peer as a long link.
+func (n *Node) dropLink(addr transport.Addr) {
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	n.links = slices.DeleteFunc(n.links, func(l transport.PeerInfo) bool { return l.Addr == addr })
 }
 
 // learnLink remembers a peer in the long-link table (random replacement
@@ -520,27 +501,58 @@ func (n *Node) learnLink(p transport.PeerInfo) {
 	n.links[n.rng.IntN(len(n.links))] = p
 }
 
-// iterLookup drives an iterative lookup starting from the given address,
-// returning the owner and its predecessor.
-func (n *Node) iterLookup(ctx context.Context, start transport.Addr, k keys.Key) (owner, pred transport.PeerInfo, err error) {
-	cur := start
-	for hops := 0; hops < 128; hops++ {
-		resp, err := transport.Expect[*transport.FindSuccResp](
-			n.call(ctx, cur, &transport.FindSuccReq{Key: k}))
-		if err != nil {
-			return transport.PeerInfo{}, transport.PeerInfo{}, err
+// maxHops bounds the requests of one lookup walk, failed ones included.
+const maxHops = 128
+
+// lookup walks FindSucc hops toward k's owner and returns the owner and
+// its predecessor. Its stack holds the starts, the first on top, and above
+// them each hop that named the next. A hop that fails joins avoid, which
+// every later request carries, and the walk asks the address below it
+// again, which now skips the dead peer: the predecessor of a dead node
+// answers with the successor after it. The walk fails once its stack runs
+// out, a node names itself or maxHops requests are spent. hop sends one
+// request; the node and the client each wrap their own bookkeeping around
+// the call.
+func lookup(ctx context.Context, k keys.Key, starts, avoid []transport.Addr, hops *obs.Histogram,
+	hop func(ctx context.Context, to transport.Addr, req *transport.FindSuccReq) (*transport.FindSuccResp, error),
+) (owner, pred transport.PeerInfo, err error) {
+	stack := slices.Clone(starts)
+	slices.Reverse(stack)
+	for i := 0; len(stack) > 0; i++ {
+		cur := stack[len(stack)-1]
+		if i == maxHops {
+			return owner, pred, fmt.Errorf("node: lookup for %s exceeded hop limit", k.Short())
 		}
-		n.learnLink(resp.Node)
-		if resp.Done {
-			n.metrics.lookupHops.Observe(int64(hops + 1))
+		resp, herr := hop(ctx, cur, &transport.FindSuccReq{Key: k, Avoid: avoid})
+		switch {
+		case herr != nil:
+			err = herr
+			avoid = append(avoid, cur)
+			stack = stack[:len(stack)-1]
+		case resp.Done:
+			hops.Observe(int64(i + 1))
 			return resp.Node, resp.Pred, nil
+		case resp.Node.Addr == cur:
+			return owner, pred, fmt.Errorf("node: lookup stuck at %s", cur)
+		default:
+			stack = append(stack, resp.Node.Addr)
 		}
-		if resp.Node.Addr == cur {
-			return transport.PeerInfo{}, transport.PeerInfo{}, fmt.Errorf("node: lookup stuck at %s", cur)
-		}
-		cur = resp.Node.Addr
 	}
-	return transport.PeerInfo{}, transport.PeerInfo{}, fmt.Errorf("node: lookup for %s exceeded hop limit", k.Short())
+	return owner, pred, err
+}
+
+// hop sends one request of this node's lookup walk: it learns the peer
+// the answer names as a long link, and drops a hop found dead.
+func (n *Node) hop(ctx context.Context, to transport.Addr, req *transport.FindSuccReq) (*transport.FindSuccResp, error) {
+	resp, err := transport.Expect[*transport.FindSuccResp](n.call(ctx, to, req))
+	if err != nil {
+		if ctx.Err() == nil {
+			n.dropLink(to)
+		}
+		return nil, err
+	}
+	n.learnLink(resp.Node)
+	return resp, nil
 }
 
 // Lookup finds the owner of key k from this node's own routing state.
@@ -548,5 +560,5 @@ func (n *Node) Lookup(ctx context.Context, k keys.Key) (owner, pred transport.Pe
 	if n.owns(k) {
 		return n.Self(), n.Predecessor(), nil
 	}
-	return n.iterLookup(ctx, n.tr.Addr(), k)
+	return lookup(ctx, k, []transport.Addr{n.tr.Addr()}, nil, n.metrics.lookupHops, n.hop)
 }

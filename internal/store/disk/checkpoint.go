@@ -232,6 +232,11 @@ func (s *Store) writeSegment(segSeq uint64, snaps []ckptSnap, readFiles map[uint
 		sn := &snaps[i]
 		if p := sn.ptr; p.Target != "" {
 			recBuf = appendPointer(recBuf[:0], sn.k, p.Target, p.Size, p.Since)
+			if sn.v.Expires != 0 {
+				// A pointer record has no deadline field; a removal
+				// deadline rides behind it as a refresh record.
+				recBuf = appendRefresh(recBuf, sn.k, sn.v.Expires)
+			}
 		} else {
 			n := int(sn.v.Payload.length)
 			if cap(payload) < n {

@@ -12,6 +12,36 @@ import (
 // name is a test key's number, k's inverse for keys below 256.
 func name(key keys.Key) string { return fmt.Sprint(key[keys.Size-1]) }
 
+// TestCheckpointKeepsPointerDeadline: a pointer given a removal deadline
+// keeps it through a checkpoint and a reopen, so it does not outlive its
+// removal.
+func TestCheckpointKeepsPointerDeadline(t *testing.T) {
+	dir := t.TempDir()
+	s := mustOpen(t, dir, Options{})
+	s.PutPointer(k(1), "peer:1", 10, t0)
+	if !s.Refresh(k(1), time.Hour, t0) {
+		t.Fatal("Refresh found no pointer")
+	}
+	if err := s.Checkpoint(); err != nil {
+		t.Fatalf("Checkpoint: %v", err)
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	s = mustOpen(t, dir, Options{})
+	defer s.Close()
+	s.mu.RLock()
+	var expires int64
+	e, ok := s.Peek(k(1))
+	if ok {
+		expires = e.Expires
+	}
+	s.mu.RUnlock()
+	if want := t0.Add(time.Hour).UnixNano(); !ok || expires != want {
+		t.Fatalf("after reopen: found %v, expires %d, want %d", ok, expires, want)
+	}
+}
+
 // TestCheckpointRetargetsByLocation lands a Refresh, an overwrite, a
 // delete and a pointer install between a checkpoint's snapshot and its
 // commit. The retarget pass moves an entry to the segment only while its

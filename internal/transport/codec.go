@@ -473,7 +473,12 @@ func (e *frameEncoder) body(typ byte, m Message) {
 		return
 	case tFindSuccReq:
 		v := m.(*FindSuccReq)
-		e.buf = append(b, v.Key[:]...)
+		b = append(b, v.Key[:]...)
+		b = wire.AppendU32(b, uint32(len(v.Avoid)))
+		for _, a := range v.Avoid {
+			b = wire.AppendShortString(b, string(a))
+		}
+		e.buf = b
 		return
 	case tFindSuccResp:
 		v := m.(*FindSuccResp)
@@ -785,6 +790,10 @@ func decodeBody(typ byte, r *wire.Reader) Message {
 	case tFindSuccReq:
 		v := m.(*FindSuccReq)
 		readKey(r, &v.Key)
+		v.Avoid = nil // no stale entries from a pooled struct; none sent decodes as nil
+		for n := r.Count(2); n > 0; n-- {
+			v.Avoid = append(v.Avoid, Addr(r.ShortString()))
+		}
 	case tFindSuccResp:
 		v := m.(*FindSuccResp)
 		v.Done = r.Bool()

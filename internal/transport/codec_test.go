@@ -62,6 +62,7 @@ func sampleMessages() []Message {
 		&PingReq{},
 		&PingResp{Self: testPeer(1)},
 		&FindSuccReq{Key: testKey(2)},
+		&FindSuccReq{Key: testKey(37), Avoid: []Addr{"10.4.4.4:7000", "10.5.5.5:7000"}},
 		&FindSuccResp{Done: true, Node: testPeer(3), Pred: testPeer(4)},
 		&NeighborsReq{},
 		&NeighborsResp{Self: testPeer(5), Pred: testPeer(6), Succs: []PeerInfo{testPeer(7), testPeer(8), testPeer(9)}},
@@ -322,6 +323,13 @@ func TestCodecMalformedRejected(t *testing.T) {
 		body = wire.AppendU32(wire.AppendI64(wire.AppendBool(nil, true), 0), 0xFFFFFFFF)
 		if _, err := decodeMessage(tMultiPutReq, body); !errors.Is(err, wire.ErrMalformed) {
 			t.Fatalf("MultiPutReq: err = %v", err)
+		}
+		// A FindSuccReq whose avoid count runs past the frame: the key,
+		// then a count of two with room for only one address.
+		k := testKey(1)
+		body = wire.AppendShortString(wire.AppendU32(append([]byte(nil), k[:]...), 2), "a")
+		if _, err := decodeMessage(tFindSuccReq, body); !errors.Is(err, wire.ErrMalformed) || !strings.Contains(err.Error(), "count 2") {
+			t.Fatalf("FindSuccReq: err = %v", err)
 		}
 	})
 	t.Run("non-canonical bool", func(t *testing.T) {

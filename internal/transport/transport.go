@@ -65,8 +65,12 @@ type PingReq struct{}
 type PingResp struct{ Self PeerInfo }
 
 // FindSuccReq asks for routing progress toward Key's owner. The reply
-// either names the owner (Done) or the best next hop.
-type FindSuccReq struct{ Key keys.Key }
+// either names the owner (Done) or the best next hop, and names no peer
+// in Avoid: the lookup found those dead, or they are the asker itself.
+type FindSuccReq struct {
+	Key   keys.Key
+	Avoid []Addr
+}
 
 // FindSuccResp carries one routing step's result.
 type FindSuccResp struct {

@@ -38,9 +38,15 @@
 #                            fires must each leave every replica group
 #                            right within 100 ms; the 2- and 3-node
 #                            bootstraps; a settled ring runs 20 timer
-#                            rounds and no event round), then the ring
-#                            tests that need whole replica groups right
-#                            after a join, -count=20
+#                            rounds and no event round) and the dead-hop
+#                            fault test (one node of a 16-node frozen
+#                            ring crashed: 1 000 client and 15 000 node
+#                            lookups, none failing, every client lookup
+#                            done in its first walk with no back-off;
+#                            then the node restarts at its persisted ID
+#                            and joins once), then the ring tests that
+#                            need whole replica groups right after a
+#                            join, -count=20
 #   scripts/verify.sh trace  trace tier: the request-tracing tests under
 #                            -race (TCP propagation, sink wraparound, the
 #                            cross-node e2e assembly) plus the alloc guard
@@ -205,8 +211,8 @@ if [ "${1:-}" = "lint" ]; then
 fi
 
 if [ "${1:-}" = "ring" ]; then
-	echo "== ring tier: convergence by view changes alone, -race -count=20"
-	go test -race -count=20 -run '^(TestRingSettlesByEventsAlone|TestSettledRingRunsNoEventRounds|TestSuccessorNotifyIsNoPredecessor)$' ./internal/node/
+	echo "== ring tier: convergence by view changes alone and lookups around a dead hop, -race -count=20"
+	go test -race -count=20 -run '^(TestRingSettlesByEventsAlone|TestSettledRingRunsNoEventRounds|TestSuccessorNotifyIsNoPredecessor|TestLookupsRouteAroundDeadNode)$' ./internal/node/
 	echo "== ring tier: tests that need whole replica groups after joins, -count=20"
 	go test -count=20 -run \
 		'^(TestDelayedRemove|TestWalkRingSkipsDeadMember|TestRestartedPrimaryRegainsItsBlocks|TestRejoinWithStaleSelfEntry)$' ./internal/node/
