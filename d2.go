@@ -620,9 +620,20 @@ func (c *Client) GetMany(ctx context.Context, ks []Key) (map[Key][]byte, error) 
 // GetSegment fetches a streaming-read segment: GetMany's owner-grouped
 // batching with a longer retry budget, tuned for consumers racing churn
 // (a mid-stream node kill re-resolves the moved keys instead of dropping
-// the stream). Volume.ReadStream uses it automatically.
+// the stream). The answer map keeps its payloads, so each response frame
+// stays with the caller; Volume.ReadStream does not use it, it reads
+// segments through ReadSegment.
 func (c *Client) GetSegment(ctx context.Context, ks []Key) (map[Key][]byte, error) {
 	return c.inner.GetSegment(ctx, ks)
+}
+
+// ReadSegment is GetSegment through a copying sink, the read under
+// Volume.ReadStream: each block found goes to sink, one call at a time,
+// and a key never sunk was not found. A block's bytes are valid only
+// during its sink call — the client reuses the response buffer that holds
+// them — so sink must copy what it keeps.
+func (c *Client) ReadSegment(ctx context.Context, ks []Key, sink func(Key, []byte)) error {
+	return c.inner.ReadSegment(ctx, ks, sink)
 }
 
 // StreamStats reports a stream's TTFB, delivered bytes, stalls, and
@@ -774,3 +785,4 @@ func (c *Client) OpenVolume(ctx context.Context, name string, pub ed25519.Public
 var _ fs.BlockService = (*Client)(nil)
 var _ fs.BatchPutBlockService = (*Client)(nil)
 var _ fs.SegmentBlockService = (*Client)(nil)
+var _ fs.SegmentReader = (*Client)(nil)

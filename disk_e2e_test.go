@@ -260,7 +260,7 @@ func TestDiskNodeCrashRecovery(t *testing.T) {
 }
 
 // waitRing polls until the client sees n ring members.
-func waitRing(t *testing.T, ctx context.Context, client *d2.Client, n int) {
+func waitRing(t testing.TB, ctx context.Context, client *d2.Client, n int) {
 	t.Helper()
 	deadline := time.Now().Add(20 * time.Second)
 	for {

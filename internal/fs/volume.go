@@ -35,6 +35,17 @@ type BlockService interface {
 	GetSegment(ctx context.Context, ks []keys.Key) (map[keys.Key][]byte, error)
 }
 
+// SegmentReader is implemented by block services that read a stream
+// segment through a copying sink (the live client's ReadSegment): each
+// block found goes to sink, one call at a time, its bytes valid only
+// during the call; a key never sunk was not found, after the same
+// re-resolve, replica walk and retries as GetSegment. In exchange the
+// service reuses its response buffers. Volumes take it for ReadStream's
+// segments; any other service is read through GetSegment.
+type SegmentReader interface {
+	ReadSegment(ctx context.Context, ks []keys.Key, sink func(keys.Key, []byte)) error
+}
+
 // BatchPutBlockService is implemented by block services with a batched
 // write path (the live client's PutMany): ks and data are parallel, nil
 // means every block was acknowledged, and on error the caller treats the
@@ -1055,10 +1066,12 @@ func (v *Volume) readContent(ctx context.Context, cur pathCursor, ino *Inode) ([
 // usually costs one RPC per owner. A hole in a batch answer is final: the
 // service has already walked the replicas and retried.
 //
-// stream marks a one-pass read: it takes GetSegment, with its longer
+// stream marks a one-pass read: it takes readSegment, with its longer
 // patience for reads racing churn, and fetched blocks do NOT enter the
 // read cache — a multi-GB stream must not evict the hot metadata working
-// set (§3's cache exists for repeat reads, not one-pass scans).
+// set (§3's cache exists for repeat reads, not one-pass scans). A stream's
+// sink must copy what it keeps: a fetched block's bytes are valid only
+// during its sink call.
 func (v *Volume) fetchBlocks(ctx context.Context, cur pathCursor, ino *Inode, start, end int, stream bool, sink func(i int, data []byte)) error {
 	deliver := func(i int, data []byte) error {
 		if contentHash(data) != ino.BlockHashes[i] {
@@ -1095,22 +1108,17 @@ func (v *Volume) fetchBlocks(ctx context.Context, cur pathCursor, ino *Inode, st
 		}
 		return deliver(pos[j], data)
 	}
-	if len(need) == 1 && !stream {
+	if stream {
+		return v.fetchSegment(ctx, need, pos, fetched)
+	}
+	if len(need) == 1 {
 		data, err := v.svc.Get(ctx, need[0])
 		if err != nil {
 			return fmt.Errorf("fs: block %d: %w", pos[0]+1, err)
 		}
 		return fetched(0, data)
 	}
-	var (
-		got map[keys.Key][]byte
-		err error
-	)
-	if stream {
-		got, err = v.svc.GetSegment(ctx, need)
-	} else {
-		got, err = v.svc.GetMany(ctx, need)
-	}
+	got, err := v.svc.GetMany(ctx, need)
 	if err != nil {
 		return err
 	}
@@ -1121,6 +1129,53 @@ func (v *Volume) fetchBlocks(ctx context.Context, cur pathCursor, ino *Inode, st
 		}
 		if err := fetched(j, data); err != nil {
 			return err
+		}
+	}
+	return nil
+}
+
+// fetchSegment is fetchBlocks' stream fetch: need goes out as one segment
+// read, each block that comes back goes to fetched as it arrives, and the
+// read then fails at the first block, in file order, that was missing or
+// failed its check.
+func (v *Volume) fetchSegment(ctx context.Context, need []keys.Key, pos []int, fetched func(j int, data []byte) error) error {
+	got := make([]bool, len(need))
+	errs := make([]error, len(need))
+	err := v.readSegment(ctx, need, func(k keys.Key, data []byte) {
+		// A segment is at most SegmentBlocks keys: a scan finds k sooner
+		// than a map is built.
+		if j := slices.Index(need, k); j >= 0 {
+			got[j], errs[j] = true, fetched(j, data)
+		}
+	})
+	if err != nil {
+		return err
+	}
+	for j := range need {
+		if !got[j] {
+			return fmt.Errorf("fs: block %d: not found", pos[j]+1)
+		}
+		if errs[j] != nil {
+			return errs[j]
+		}
+	}
+	return nil
+}
+
+// readSegment reads one stream segment through the service's ReadSegment
+// or, for a service without one, through GetSegment, whose answer goes to
+// sink in key order.
+func (v *Volume) readSegment(ctx context.Context, ks []keys.Key, sink func(keys.Key, []byte)) error {
+	if sr, ok := v.svc.(SegmentReader); ok {
+		return sr.ReadSegment(ctx, ks, sink)
+	}
+	got, err := v.svc.GetSegment(ctx, ks)
+	if err != nil {
+		return err
+	}
+	for _, k := range ks {
+		if data, ok := got[k]; ok {
+			sink(k, data)
 		}
 	}
 	return nil

@@ -38,7 +38,8 @@ const (
 	segmentRetryBackoff = 150 * time.Millisecond
 )
 
-// readPolicy is what Get, GetMany and GetSegment tell fetch apart by.
+// readPolicy is what Get, GetMany, GetSegment and ReadSegment tell fetch
+// apart by.
 type readPolicy struct {
 	rounds  int           // retry rounds after the first
 	backoff time.Duration // mean sleep before the first retry round; doubles per round
@@ -46,6 +47,9 @@ type readPolicy struct {
 	// batch marks a batch read: the owner fan-out of every round is
 	// recorded and every owner chunk gets a batch.group span.
 	batch bool
+	// copying marks a sink that copies what it keeps, so a MultiGet
+	// response goes back to the transport as soon as its items are sunk.
+	copying bool
 }
 
 // Get fetches a block, following pointer redirects and trying secondary
@@ -80,7 +84,7 @@ func (c *Client) Get(ctx context.Context, k keys.Key) ([]byte, error) {
 // fetch, as a batch. The result maps each found key to its data; absent
 // keys are simply omitted. Duplicate keys are fetched once.
 func (c *Client) GetMany(ctx context.Context, ks []keys.Key) (map[keys.Key][]byte, error) {
-	return c.getBatch(ctx, "client.get_many", ks, c.manyPolicy)
+	return c.getMap(ctx, "client.get_many", ks, c.manyPolicy)
 }
 
 // GetSegment is the streaming read path's segment fetch: GetMany with the
@@ -89,13 +93,33 @@ func (c *Client) GetMany(ctx context.Context, ks []keys.Key) (map[keys.Key][]byt
 // whether a hole is fatal.
 func (c *Client) GetSegment(ctx context.Context, ks []keys.Key) (map[keys.Key][]byte, error) {
 	c.segments.Inc()
-	return c.getBatch(ctx, "client.segment", ks, c.segPolicy)
+	return c.getMap(ctx, "client.segment", ks, c.segPolicy)
 }
 
-// getBatch runs one traced batch read into a map.
-func (c *Client) getBatch(ctx context.Context, op string, ks []keys.Key, p readPolicy) (map[keys.Key][]byte, error) {
+// ReadSegment is GetSegment through a copying sink: each block found goes
+// to sink, one call at a time, and a key never sunk was not found. The
+// bytes are valid only during the call — the response frame that holds
+// them is reused once sink returns — so sink must copy what it keeps. In
+// exchange a segment read leaves no response frame behind for the garbage
+// collector.
+func (c *Client) ReadSegment(ctx context.Context, ks []keys.Key, sink func(keys.Key, []byte)) error {
+	c.segments.Inc()
+	p := c.segPolicy
+	p.copying = true
+	return c.getBatch(ctx, "client.segment", ks, p, sink)
+}
+
+// getMap runs one batch read into a map.
+func (c *Client) getMap(ctx context.Context, op string, ks []keys.Key, p readPolicy) (map[keys.Key][]byte, error) {
 	out := make(map[keys.Key][]byte, len(ks))
-	err := c.traced(ctx, op, func(ctx context.Context, sp *tracing.ActiveSpan) error {
+	err := c.getBatch(ctx, op, ks, p, func(k keys.Key, d []byte) { out[k] = d })
+	return out, err
+}
+
+// getBatch runs one traced batch read: ks sorted and deduplicated, then
+// the read ladder.
+func (c *Client) getBatch(ctx context.Context, op string, ks []keys.Key, p readPolicy, sink func(keys.Key, []byte)) error {
+	return c.traced(ctx, op, func(ctx context.Context, sp *tracing.ActiveSpan) error {
 		if sp != nil {
 			sp.Annotate("keys", len(ks))
 		}
@@ -104,16 +128,15 @@ func (c *Client) getBatch(ctx context.Context, op string, ks []keys.Key, p readP
 		}
 		sorted := slices.Clone(ks)
 		slices.SortFunc(sorted, keys.Key.Compare)
-		return c.fetch(ctx, slices.Compact(sorted), p, func(k keys.Key, d []byte) { out[k] = d })
+		return c.fetch(ctx, slices.Compact(sorted), p, sink)
 	})
-	return out, err
 }
 
 // fetch is the client's one read ladder: every block the client reads by
 // key — one or many — comes through here, so "what a read does when the
 // first answer is wrong" is decided once. ks is sorted and distinct; each
-// block found goes to sink, on the caller's goroutine; fetch keeps
-// neither.
+// block found goes to sink, one call at a time; fetch keeps neither. Under
+// p.copying a block's bytes are valid only during its sink call.
 //
 // A round asks the cached owners and then — the cached ranges of what
 // they did not return dropped, so ownership is resolved from scratch —
@@ -201,35 +224,37 @@ func (c *Client) sweep(ctx context.Context, ks []keys.Key, walk bool, p readPoli
 		c.fanout.Observe(int64(owners))
 	}
 	if len(runs) == 1 {
-		return c.askGroup(ctx, runs[0].owner, ks, walk, p.batch, sink)
+		return c.askGroup(ctx, runs[0].owner, ks, walk, p, sink)
 	}
 	// What a goroutine is handed lives on the heap, so the fan-out works
 	// on its own copy of the keys and ks can stay on a caller's stack.
 	own := append([]keys.Key(nil), ks...)
 	type result struct {
-		found  []RangeEntry
 		missed []keys.Key
 		err    error
 	}
 	results := make([]result, len(runs))
 	sem := make(chan struct{}, batchFanout)
-	var wg sync.WaitGroup
+	var (
+		wg sync.WaitGroup
+		mu sync.Mutex // one sink call at a time, whichever owner answered
+	)
+	locked := func(k keys.Key, d []byte) {
+		mu.Lock()
+		defer mu.Unlock()
+		sink(k, d)
+	}
 	for i, r := range runs {
 		wg.Add(1)
 		go func(res *result, r run) {
 			defer wg.Done()
 			sem <- struct{}{}
 			defer func() { <-sem }()
-			res.missed, res.err = c.askGroup(ctx, r.owner, own[r.lo:r.hi], walk, p.batch, func(k keys.Key, d []byte) {
-				res.found = append(res.found, RangeEntry{Key: k, Data: d})
-			})
+			res.missed, res.err = c.askGroup(ctx, r.owner, own[r.lo:r.hi], walk, p, locked)
 		}(&results[i], r)
 	}
 	wg.Wait()
 	for _, res := range results {
-		for _, b := range res.found {
-			sink(b.Key, b.Data)
-		}
 		missing = append(missing, res.missed...)
 		if err == nil {
 			err = res.err
@@ -244,8 +269,15 @@ func (c *Client) sweep(ctx context.Context, ks []keys.Key, walk bool, p readPoli
 // for; each call derives its own child from the op span, so concurrent
 // groups never share a parent pointer across goroutines. The error is the
 // owner's: a successor that fails is a replica that is not there.
-func (c *Client) askGroup(ctx context.Context, owner transport.PeerInfo, ks []keys.Key, walk, batch bool, sink func(keys.Key, []byte)) (missed []keys.Key, err error) {
-	if batch {
+//
+// The replicas are the owner's first r-1 successors, and the owner names
+// them. An owner that does not answer cannot, so a lookup walk that avoids
+// it finds the first: the dead node's predecessor answers with the
+// successor after it. That successor is asked, and names the rest of the
+// group itself. A crashed owner thus costs one walk, not a retry round
+// per read until stabilization drops it.
+func (c *Client) askGroup(ctx context.Context, owner transport.PeerInfo, ks []keys.Key, walk bool, p readPolicy, sink func(keys.Key, []byte)) (missed []keys.Key, err error) {
+	if p.batch {
 		gctx, gsp := c.tracer.StartSpan(ctx, "batch.group")
 		if gsp != nil {
 			gsp.Annotate("owner", owner.Addr, "keys", len(ks))
@@ -258,17 +290,28 @@ func (c *Client) askGroup(ctx context.Context, owner transport.PeerInfo, ks []ke
 		}
 		ctx = gctx
 	}
-	missed, err = c.ask(ctx, owner.Addr, ks, sink)
-	if !walk || len(missed) == 0 {
+	missed, err = c.ask(ctx, owner.Addr, ks, p.copying, sink)
+	if !walk || len(missed) == 0 || c.replicas < 2 {
 		return missed, err
 	}
+	from, rest := owner.Addr, c.replicas-1
+	if err != nil {
+		next, _, lerr := lookup(ctx, ks[0], c.seeds, []transport.Addr{owner.Addr}, c.lookupHops, c.hop)
+		if lerr != nil || next.Addr == owner.Addr {
+			return missed, err
+		}
+		if missed, _ = c.ask(ctx, next.Addr, missed, p.copying, sink); len(missed) == 0 {
+			return nil, nil
+		}
+		from, rest = next.Addr, rest-1
+	}
 	group, nerr := transport.Expect[*transport.NeighborsResp](
-		c.call(ctx, owner.Addr, &transport.NeighborsReq{}))
+		c.call(ctx, from, &transport.NeighborsReq{}))
 	if nerr != nil {
 		return missed, err
 	}
-	for i := 0; i < len(group.Succs) && i < c.replicas-1; i++ {
-		if missed, _ = c.ask(ctx, group.Succs[i].Addr, missed, sink); len(missed) == 0 {
+	for i := 0; i < len(group.Succs) && i < rest; i++ {
+		if missed, _ = c.ask(ctx, group.Succs[i].Addr, missed, p.copying, sink); len(missed) == 0 {
 			return nil, nil
 		}
 	}
@@ -279,8 +322,9 @@ func (c *Client) askGroup(ctx context.Context, owner transport.PeerInfo, ks []ke
 // one-block read costs what it always did on the wire; several as one
 // MultiGetReq — chasing pointer redirects. Blocks found go to sink; the
 // keys the node does not have are returned, in order. A failed call
-// returns all of ks with the error.
-func (c *Client) ask(ctx context.Context, addr transport.Addr, ks []keys.Key, sink func(keys.Key, []byte)) ([]keys.Key, error) {
+// returns all of ks with the error. A copying sink lets the MultiGet
+// response go back to the transport once every item is sunk.
+func (c *Client) ask(ctx context.Context, addr transport.Addr, ks []keys.Key, copying bool, sink func(keys.Key, []byte)) ([]keys.Key, error) {
 	if len(ks) == 1 {
 		data, err := c.getFrom(ctx, addr, ks[0])
 		if err != nil {
@@ -301,6 +345,9 @@ func (c *Client) ask(ctx context.Context, addr transport.Addr, ks []keys.Key, si
 	}
 	if err != nil {
 		return ks, err
+	}
+	if copying {
+		defer transport.Release(resp)
 	}
 	var missed []keys.Key
 	for i, it := range resp.Items {

@@ -152,6 +152,11 @@ func TestEveryOpSurvivesDeadCachedOwner(t *testing.T) {
 				}},
 				{"GetMany", stored[0], func() error { return wantAll(c.GetMany(ctx, stored)) }},
 				{"GetSegment", stored[0], func() error { return wantAll(c.GetSegment(ctx, stored)) }},
+				{"ReadSegment", stored[0], func() error {
+					got := map[keys.Key][]byte{}
+					err := c.ReadSegment(ctx, stored, func(k keys.Key, d []byte) { got[k] = bytes.Clone(d) })
+					return wantAll(got, err)
+				}},
 				{"PutMany", fresh[0], func() error {
 					if err := c.PutMany(ctx, fresh, freshData); err != nil {
 						return err

@@ -1,12 +1,16 @@
 package node
 
 import (
+	"bytes"
 	"context"
+	"crypto/ed25519"
+	"io"
 	"math/rand/v2"
 	"slices"
 	"testing"
 	"time"
 
+	"github.com/defragdht/d2/internal/fs"
 	"github.com/defragdht/d2/internal/keys"
 	"github.com/defragdht/d2/internal/ring"
 	"github.com/defragdht/d2/internal/store/disk"
@@ -119,4 +123,136 @@ func TestLookupsRouteAroundDeadNode(t *testing.T) {
 		t.Fatalf("rejoin: %v", err)
 	}
 	waitSettledWithin(t, nodes, settleBudget, "restart")
+}
+
+// putLog is a client whose batched puts record the size of each block
+// they store.
+type putLog struct {
+	*Client
+	sizes map[keys.Key]int
+}
+
+func (p *putLog) PutMany(ctx context.Context, ks []keys.Key, data [][]byte) error {
+	for i, k := range ks {
+		p.sizes[k] = len(data[i])
+	}
+	return p.Client.PutMany(ctx, ks, data)
+}
+
+// TestReadsRouteAroundDeadOwner: on a 16-node ring whose timers are
+// frozen, so no round drops a crashed node, reads of the crashed node's
+// range go to its replicas at once: the walk that avoids it names its
+// successor, which holds a replica. 50 Gets and a ReadStream of a file
+// of five segments stored there all succeed in their first round, so
+// neither retry counter moves.
+func TestReadsRouteAroundDeadOwner(t *testing.T) {
+	const size, gets, fileBlocks = 16, 50, 32
+	net := transport.NewMemNetwork(0)
+	cfgs := make([]Config, size)
+	for i := range cfgs {
+		cfgs[i] = eventConfig(uint64(i + 1))
+		cfgs[i].RepairInterval = time.Hour
+	}
+	nodes := joinEach(t, net, cfgs)
+	defer func() { closeAll(t, nodes) }()
+	c := newClient(t, net, nodes)
+	defer c.Close()
+	ctx := context.Background()
+
+	// One file of 32 full blocks: a stream reads it as segments of 1, 4,
+	// 8, 16 and 3 blocks.
+	priv := ed25519.NewKeyFromSeed(bytes.Repeat([]byte{42}, ed25519.SeedSize))
+	w := &putLog{Client: c, sizes: map[keys.Key]int{}}
+	vol, err := fs.Create(ctx, w, "dead-owner", priv, fs.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	content := make([]byte, fileBlocks*fs.BlockSize)
+	fill := rand.New(rand.NewPCG(42, 2))
+	for i := range content {
+		content[i] = byte(fill.Uint64())
+	}
+	if err := vol.WriteFile(ctx, "/f.bin", content); err != nil {
+		t.Fatal(err)
+	}
+	if err := vol.Close(ctx); err != nil {
+		t.Fatal(err)
+	}
+	var blocks []keys.Key
+	for k, n := range w.sizes {
+		if n == fs.BlockSize {
+			blocks = append(blocks, k)
+		}
+	}
+	if len(blocks) != fileBlocks {
+		t.Fatalf("%d full blocks stored, want %d", len(blocks), fileBlocks)
+	}
+	owner, err := c.Lookup(ctx, blocks[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	ids := make([]keys.Key, len(nodes))
+	for i, nd := range nodes {
+		ids[i] = nd.Self().ID
+	}
+	r := ring.New(ids)
+	for _, k := range blocks {
+		if !r.At(r.SuccessorIndex(k)).Equal(owner.ID) {
+			t.Fatalf("the file spans two owners")
+		}
+	}
+	rng := rand.New(rand.NewPCG(42, 1))
+	var ks []keys.Key
+	for len(ks) < gets {
+		if k := keys.Random(rng); r.At(r.SuccessorIndex(k)).Equal(owner.ID) {
+			if err := c.Put(ctx, k, []byte(k.String())); err != nil {
+				t.Fatal(err)
+			}
+			ks = append(ks, k)
+		}
+	}
+	for _, k := range append(blocks, ks...) {
+		if addrs, _ := holders(nodes, k, nil); len(addrs) != 3 {
+			t.Fatalf("key %s on %d nodes, want 3", k.Short(), len(addrs))
+		}
+	}
+
+	for _, nd := range nodes {
+		if nd.Self().Addr == owner.Addr {
+			if err := nd.Close(); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	nf, seg, segments, rpcs := c.nfRetries.Value(), c.segRetries.Value(), c.segments.Value(), c.RPCs()
+	for _, k := range ks {
+		got, err := c.Get(ctx, k)
+		if err != nil {
+			t.Fatalf("get %s: %v", k.Short(), err)
+		}
+		if string(got) != k.String() {
+			t.Fatalf("get %s = %q", k.Short(), got)
+		}
+	}
+	t.Logf("%.1f RPCs per Get of the dead node's range", float64(c.RPCs()-rpcs)/gets)
+	rd, err := fs.Open(ctx, c, "dead-owner", priv.Public().(ed25519.PublicKey), nil, fs.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rd.Close(ctx)
+	rs, err := rd.ReadStream(ctx, "/f.bin")
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := io.ReadAll(rs)
+	rs.Close()
+	if err != nil || !bytes.Equal(got, content) {
+		t.Fatalf("stream read %d of %d bytes: %v", len(got), len(content), err)
+	}
+	if n := c.segments.Value() - segments; n < 3 {
+		t.Fatalf("the stream read %d segments, want at least 3", n)
+	}
+	if n, s := c.nfRetries.Value()-nf, c.segRetries.Value()-seg; n != 0 || s != 0 {
+		t.Fatalf("reads took retry rounds for %d keys and segments for %d", n, s)
+	}
 }

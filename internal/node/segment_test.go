@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"fmt"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -114,5 +115,58 @@ func TestGetSegmentStreamSurvivesNodeKill(t *testing.T) {
 		if !bytes.Equal(got[k], vals[i]) {
 			t.Fatalf("key %d payload mismatch after node kill", i)
 		}
+	}
+}
+
+// TestReadSegmentSinksEveryBlockOnce: ReadSegment hands each stored key of
+// a batch spread over every owner to its sink exactly once, one call at a
+// time, with the bytes GetSegment returns; a hole is never sunk, and each
+// call counts as one segment. Over TCP the sink copies, because the
+// client reuses the response frames.
+func TestReadSegmentSinksEveryBlockOnce(t *testing.T) {
+	for _, rn := range ringNets() {
+		t.Run(rn.name, func(t *testing.T) {
+			nodes := startSpacedRing(t, rn, 5, nil)
+			defer closeAll(t, nodes)
+			c := clientOn(t, rn, nodes)
+			defer c.Close()
+			ctx := context.Background()
+			ks, data := spreadBatch("read-segment")
+			if err := c.PutMany(ctx, ks, data); err != nil {
+				t.Fatal(err)
+			}
+			want, err := c.GetSegment(ctx, ks)
+			if err != nil || len(want) != len(ks) {
+				t.Fatalf("GetSegment: %d of %d blocks, %v", len(want), len(ks), err)
+			}
+			hole := keys.HashString("read-segment-hole")
+			segments := c.segments.Value()
+			got := map[keys.Key][]byte{}
+			var inSink atomic.Int32
+			err = c.ReadSegment(ctx, append(ks, hole), func(k keys.Key, d []byte) {
+				if inSink.Add(1) != 1 {
+					t.Error("sink called concurrently")
+				}
+				defer inSink.Add(-1)
+				if _, dup := got[k]; dup {
+					t.Errorf("key %s sunk twice", k.Short())
+				}
+				got[k] = bytes.Clone(d)
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, ok := got[hole]; ok || len(got) != len(ks) {
+				t.Fatalf("ReadSegment sank %d keys (hole %v), want the %d stored", len(got), ok, len(ks))
+			}
+			for k, d := range want {
+				if !bytes.Equal(got[k], d) {
+					t.Fatalf("key %s: ReadSegment %q, GetSegment %q", k.Short(), got[k], d)
+				}
+			}
+			if n := c.segments.Value() - segments; n != 1 {
+				t.Fatalf("one ReadSegment counted %d segments", n)
+			}
+		})
 	}
 }

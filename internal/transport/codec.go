@@ -26,6 +26,10 @@
 //     table) the frame buffer's ownership passes to the receiver of the
 //     message and the buffer is never pooled; for every other type the
 //     transport recycles the buffer as soon as decode returns.
+//   - The one borrowed frame that comes back: a MultiGetResp the TCP
+//     client decoded returns its frame to the pool when the caller hands
+//     the response to Release. The caller does so only once nothing it
+//     read from the response is referenced any more.
 //   - Encode borrows the other way: payload slices handed to the encoder
 //     are read, not copied, until the frame is fully written.
 //   - Decoded request structs come from per-type pools and are recycled
@@ -123,9 +127,9 @@ const (
 
 // borrows marks the message types whose decoded form aliases block-payload
 // bytes in the frame buffer. Their frame buffers change ownership at
-// decode (store or caller keeps the data) and are never pooled; all other
-// types are fully copied out at decode and their buffers recycle
-// immediately.
+// decode (store or caller keeps the data) and are never pooled, save a
+// client's MultiGetResp frame handed back through Release; all other types
+// are fully copied out at decode and their buffers recycle immediately.
 var borrows = [numWireTypes]bool{
 	tPutReq:         true,
 	tGetResp:        true,
@@ -142,8 +146,9 @@ var borrows = [numWireTypes]bool{
 
 // msgPools holds one pool per wire type so the serve path reuses request
 // structs (and their slice capacity) instead of allocating per frame.
-// Structs taken for client-side responses simply never come back — a pool
-// miss is an allocation, exactly the pre-pool behavior.
+// Structs taken for client-side responses never come back, save a
+// MultiGetResp handed to Release — a pool miss is an allocation, exactly
+// the pre-pool behavior.
 var msgPools = [numWireTypes]*sync.Pool{
 	tPingReq:        {New: func() any { return new(PingReq) }},
 	tPingResp:       {New: func() any { return new(PingResp) }},
@@ -279,6 +284,24 @@ func recycleResponse(m Message) {
 			msgPools[tMultiGetResp].Put(v)
 		}
 	}
+}
+
+// Release gives a response back to the transport once its caller is
+// done with it. A MultiGetResp the TCP client decoded returns its frame
+// buffer to the frame pool and itself to its type pool, so every Data it
+// carried is invalid from then on: call it after the last read of the
+// response, and only when nothing retains a payload. Release does nothing
+// for any other message or for one it already released, and so nothing
+// on the mem transport.
+func Release(m Message) {
+	v, ok := m.(*MultiGetResp)
+	if !ok || v.frame == nil {
+		return
+	}
+	putFrame(v.frame)
+	clear(v.Items)
+	v.Items, v.frame = v.Items[:0], nil
+	msgPools[tMultiGetResp].Put(v)
 }
 
 // releaseItems returns each item's owned payload to the payload pool.

@@ -1,8 +1,11 @@
 package transport
 
 import (
+	"bytes"
+	"context"
 	"testing"
 
+	"github.com/defragdht/d2/internal/keys"
 	"github.com/defragdht/d2/internal/wire"
 )
 
@@ -90,5 +93,90 @@ func TestAcquiredResponsesStartClean(t *testing.T) {
 		if m := AcquireMultiGetResp(); m.owned || len(m.Items) != 0 {
 			t.Fatalf("acquired MultiGetResp not clean: owned %v, %d items", m.owned, len(m.Items))
 		}
+	}
+}
+
+// multiGetServer answers every MultiGet with block for each key.
+func multiGetServer(block []byte) Handler {
+	return func(_ context.Context, _ Addr, m Message) (Message, error) {
+		resp := &MultiGetResp{}
+		for _, k := range m.(*MultiGetReq).Keys {
+			resp.Items = append(resp.Items, BatchItem{Key: k, Found: true, Data: block})
+		}
+		return resp, nil
+	}
+}
+
+// TestTCPReleaseRecyclesMultiGetFrame: a MultiGetResp the TCP client
+// decoded holds its frame, and Release hands the frame back, so the next
+// response is read into it. Without Release every response gets a fresh
+// frame. (Under -race sync.Pool drops a quarter of its puts at random, so
+// the test asks for some reuse, not all.)
+func TestTCPReleaseRecyclesMultiGetFrame(t *testing.T) {
+	const rounds = 16
+	block := bytes.Repeat([]byte{0xAB}, 8<<10)
+	srv, err := ListenTCP("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	srv.Serve(multiGetServer(block))
+	cli, err := ListenTCP("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cli.Close()
+	ks := make([]keys.Key, 16)
+	for i := range ks {
+		ks[i] = testKey(byte(i))
+	}
+	frames := func(release bool) int {
+		seen := map[*byte]bool{}
+		for i := 0; i < rounds; i++ {
+			resp, err := Expect[*MultiGetResp](cli.Call(context.Background(), srv.Addr(), &MultiGetReq{Keys: ks}))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if resp.frame == nil {
+				t.Fatal("a decoded MultiGetResp does not hold its frame")
+			}
+			for _, it := range resp.Items {
+				if !bytes.Equal(it.Data, block) {
+					t.Fatal("payload differs from the block served")
+				}
+			}
+			seen[&resp.frame.b[0]] = true
+			if release {
+				Release(resp)
+				Release(resp) // a second Release is a no-op
+				if resp.frame != nil || len(resp.Items) != 0 {
+					t.Fatal("a released response kept its frame or items")
+				}
+			}
+		}
+		return len(seen)
+	}
+	if n := frames(false); n != rounds {
+		t.Fatalf("%d responses kept read into %d frames, want one each", rounds, n)
+	}
+	if n := frames(true); n > rounds*3/4 {
+		t.Fatalf("%d released responses read into %d frames, want reuse", rounds, n)
+	}
+}
+
+// TestMemReleaseIsNoOp: a mem-transport response is the struct the handler
+// built, with no frame; Release leaves it and its payloads alone.
+func TestMemReleaseIsNoOp(t *testing.T) {
+	block := []byte("block")
+	net := NewMemNetwork(0)
+	srv, cli := net.NewEndpoint(), net.NewEndpoint()
+	srv.Serve(multiGetServer(block))
+	resp, err := Expect[*MultiGetResp](cli.Call(context.Background(), srv.Addr(), &MultiGetReq{Keys: []keys.Key{testKey(1)}}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	Release(resp)
+	if len(resp.Items) != 1 || !bytes.Equal(resp.Items[0].Data, block) {
+		t.Fatalf("Release changed a mem response: %+v", resp.Items)
 	}
 }

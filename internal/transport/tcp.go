@@ -435,6 +435,8 @@ func (cc *clientConn) readLoop() {
 		}
 		if !borrows[h.typ] {
 			putFrame(f)
+		} else if v, ok := msg.(*MultiGetResp); ok {
+			v.frame = f // back to the pool on Release
 		}
 		cc.mu.Lock()
 		ch := cc.pending[h.tag]

@@ -213,6 +213,9 @@ type MultiGetResp struct {
 	// whose payloads the transport releases then (OwnPayloads). Never on
 	// the wire.
 	pooled, owned bool
+	// frame is the buffer a response decoded by the TCP client aliases;
+	// Release returns it to the frame pool.
+	frame *frameBuf
 }
 
 // MultiPutReq stores several block replicas on one node in a single RPC —

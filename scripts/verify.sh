@@ -20,17 +20,33 @@
 #                                                   fs write half)
 #                              BatchPutter          until direction 2
 #                                                   (store.Engine)
+#                              SegmentReader        fs reads stream segments
+#                                                   through the client's
+#                                                   copying ReadSegment;
+#                                                   BlockService cannot gain
+#                                                   the method while bench/
+#                                                   stays frozen (a change
+#                                                   claiming a gain may not
+#                                                   edit the benchmark).
+#                                                   The entry and fs's
+#                                                   GetSegment adapter go
+#                                                   when direction 3's step
+#                                                   0 lets bench's tracedSvc
+#                                                   embed the service
 #   scripts/verify.sh race   tier 2: tier 1 plus lint and the race
 #                            detector (catches data races in the parallel
 #                            experiment pool and the obs hot paths;
 #                            several times slower)
-#   scripts/verify.sh bench  tier 3: tier 1 plus a one-second smoke run
-#                            of the real benchmark harness (bench/run.sh,
-#                            walk-small on the 5-node disk-engine ring);
-#                            a non-zero exit, a verification failure or
-#                            any failed operation fails the tier (checks
-#                            the harness still works; not a performance
-#                            measurement)
+#   scripts/verify.sh bench  tier 3: tier 1 plus one-second smoke runs
+#                            of the real benchmark harness (bench/run.sh
+#                            on the 5-node disk-engine ring): walk-small,
+#                            write-sync (saves, stream writes, a node
+#                            restart and the stream read-back) and
+#                            stream-read; for each, a non-zero exit, a
+#                            verification failure or any failed
+#                            operation fails the tier (checks the harness
+#                            and the paths it drives still work; not a
+#                            performance measurement)
 #   scripts/verify.sh ring   ring tier: the event-driven maintenance tests
 #                            under -race -count=20 (sequential joins, a
 #                            §6 move and a restart at a persisted ID on a
@@ -44,9 +60,13 @@
 #                            lookups, none failing, every client lookup
 #                            done in its first walk with no back-off;
 #                            then the node restarts at its persisted ID
-#                            and joins once), then the ring tests that
-#                            need whole replica groups right after a
-#                            join, -count=20
+#                            and joins once), the dead-owner read test
+#                            (the same frozen ring: 50 Gets and a
+#                            five-segment ReadStream of the crashed
+#                            node's range all served by its replicas
+#                            with no retry round), then the ring tests
+#                            that need whole replica groups right after
+#                            a join, -count=20
 #   scripts/verify.sh trace  trace tier: the request-tracing tests under
 #                            -race (TCP propagation, sink wraparound, the
 #                            cross-node e2e assembly) plus the alloc guard
@@ -76,10 +96,19 @@
 #   scripts/verify.sh stream stream tier: the windowed-readahead pipeline
 #                            tests under -race (backpressure, adaptive
 #                            window, cancellation, the mid-stream
-#                            node-kill e2e) and the client read ladder's
-#                            cost and dead-owner tests, plus the alloc
-#                            gate proving segment buffers recycle through
-#                            the pool (< 4 MB allocated per 8 MB streamed)
+#                            node-kill e2e, the use-after-release e2e:
+#                            1 000 recycled ReadSegment segments beside
+#                            GetMany, Get and ReadFile reads whose kept
+#                            bytes must not change) and the client read
+#                            ladder's cost and dead-owner tests, plus two
+#                            alloc gates: segment buffers recycle through
+#                            the pool (BenchmarkStreamConsume, in-memory
+#                            service, < 4 MB allocated per 8 MB streamed)
+#                            and the client recycles its MultiGet
+#                            response frames (BenchmarkStreamReadTCP, an
+#                            8 MB ReadStream from a 3-node disk-engine TCP
+#                            ring, <= 2 MB/op; 9.9 MB/op before segments
+#                            went through ReadSegment)
 #   scripts/verify.sh obs    obs tier: the history/health/flight tests and
 #                            the doctor + flight e2e under -race, a 10 s
 #                            concurrent sampler soak, and the alloc gates
@@ -166,7 +195,7 @@ lint() {
 	echo "== lint: type assertions to interfaces"
 	found=$(iface_asserts)
 	echo "$found"
-	bad=$(echo "$found" | grep -vxE '[^ ]+ (store\.IdentityStore|interface\{ UseTracer\(\*tracing\.Tracer\) \}|Message|BatchPutBlockService|BatchPutter)' || true)
+	bad=$(echo "$found" | grep -vxE '[^ ]+ (store\.IdentityStore|interface\{ UseTracer\(\*tracing\.Tracer\) \}|Message|BatchPutBlockService|BatchPutter|SegmentReader)' || true)
 	if [ -n "$bad" ]; then
 		echo "lint: type assertions to interfaces outside the allow-list in scripts/verify.sh:" >&2
 		echo "$bad" >&2
@@ -211,8 +240,8 @@ if [ "${1:-}" = "lint" ]; then
 fi
 
 if [ "${1:-}" = "ring" ]; then
-	echo "== ring tier: convergence by view changes alone and lookups around a dead hop, -race -count=20"
-	go test -race -count=20 -run '^(TestRingSettlesByEventsAlone|TestSettledRingRunsNoEventRounds|TestSuccessorNotifyIsNoPredecessor|TestLookupsRouteAroundDeadNode)$' ./internal/node/
+	echo "== ring tier: convergence by view changes alone, lookups and reads around a dead node, -race -count=20"
+	go test -race -count=20 -run '^(TestRingSettlesByEventsAlone|TestSettledRingRunsNoEventRounds|TestSuccessorNotifyIsNoPredecessor|TestLookupsRouteAroundDeadNode|TestReadsRouteAroundDeadOwner)$' ./internal/node/
 	echo "== ring tier: tests that need whole replica groups after joins, -count=20"
 	go test -count=20 -run \
 		'^(TestDelayedRemove|TestWalkRingSkipsDeadMember|TestRestartedPrimaryRegainsItsBlocks|TestRejoinWithStaleSelfEntry)$' ./internal/node/
@@ -262,7 +291,7 @@ fi
 
 if [ "${1:-}" = "stream" ]; then
 	echo "== stream tier: streaming pipeline tests under -race"
-	go test -race -run 'Stream|ReadCacheByteCap|MissingKeysCostOneLadder|EveryOpSurvivesDeadCachedOwner' ./internal/fs/ ./internal/node/ .
+	go test -race -run 'Stream|ReadSegment|ReadCacheByteCap|MissingKeysCostOneLadder|EveryOpSurvivesDeadCachedOwner' ./internal/fs/ ./internal/node/ .
 	echo "== stream tier: consume-path alloc gate (want < 4 MB/op for an 8 MB stream)"
 	capture go test -run '^$' -bench 'BenchmarkStreamConsume' -benchmem \
 		./internal/fs/
@@ -271,6 +300,19 @@ if [ "${1:-}" = "stream" ]; then
 		END {
 			if (bytes == "" || bytes + 0 >= 4194304) {
 				print "stream tier: consume path allocated " bytes " B/op (segment pool regression?)" > "/dev/stderr"
+				exit 1
+			}
+		}'
+	# Measured before segments went through ReadSegment: 9.9 MB/op, nearly
+	# all of it the client's MultiGet response frames.
+	stream_tcp_bytes=2097152
+	echo "== stream tier: TCP stream-read alloc gate (want <= $stream_tcp_bytes B/op for an 8 MB stream)"
+	capture go test -run '^$' -bench 'BenchmarkStreamReadTCP' -benchmem .
+	echo "$out" | awk -v max="$stream_tcp_bytes" '
+		/BenchmarkStreamReadTCP/ { for (i = 2; i <= NF; i++) if ($i == "B/op") bytes = $(i-1) }
+		END {
+			if (bytes == "" || bytes + 0 > max + 0) {
+				print "stream tier: a TCP stream read allocated " bytes " B/op (gate " max "; response frames not recycled?)" > "/dev/stderr"
 				exit 1
 			}
 		}'
@@ -415,10 +457,12 @@ if [ "${1:-}" = "race" ]; then
 fi
 
 if [ "${1:-}" = "bench" ]; then
-	echo "== tier 3: benchmark harness smoke (walk-small, 1 s)"
-	capture bash bench/run.sh --workload walk-small --seconds 1
-	echo "$out" | tail -n 1 | grep -q '"correct":true,"attempted":[1-9][0-9]*,"failed":0,' || {
-		echo "bench tier: harness reported a verification failure or failed operations" >&2
-		exit 1
-	}
+	for w in walk-small write-sync stream-read; do
+		echo "== tier 3: benchmark harness smoke ($w, 1 s)"
+		capture bash bench/run.sh --workload "$w" --seconds 1
+		echo "$out" | tail -n 1 | grep -q '"correct":true,"attempted":[1-9][0-9]*,"failed":0,' || {
+			echo "bench tier: $w reported a verification failure or failed operations" >&2
+			exit 1
+		}
+	done
 fi

@@ -185,3 +185,69 @@ func BenchmarkStreamRead(b *testing.B) {
 		b.ReportMetric(float64(samples[len(samples)/2])/float64(time.Millisecond), "segment-ms")
 	})
 }
+
+// BenchmarkStreamReadTCP is the stream path's wire-garbage gate: one
+// client reads an 8 MB file to EOF through ReadStream from a 3-node TCP
+// ring on the disk engine. BenchmarkStreamConsume's in-memory service
+// cannot see the frames a client reads responses into; this one counts
+// them (B/op also counts the nodes, whose serve path is garbage-free).
+func BenchmarkStreamReadTCP(b *testing.B) {
+	const size = 8 << 20
+	ctx := context.Background()
+	client := startDurableRing(b, d2.NodeOptions{
+		StabilizeInterval: 50 * time.Millisecond,
+		RepairInterval:    10 * time.Second,
+		Fsync:             "never",
+	})
+	pub, priv, err := d2.GenerateKey()
+	if err != nil {
+		b.Fatal(err)
+	}
+	vol, err := client.CreateVolume(ctx, "streamtcp", priv, d2.VolumeOptions{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	payload := make([]byte, size)
+	rng := rand.New(rand.NewPCG(8, 1))
+	for i := range payload {
+		payload[i] = byte(rng.Uint64())
+	}
+	if err := vol.WriteFile(ctx, "/big.bin", payload); err != nil {
+		b.Fatal(err)
+	}
+	if err := vol.Close(ctx); err != nil {
+		b.Fatal(err)
+	}
+	reader, err := client.OpenVolume(ctx, "streamtcp", pub, nil, d2.VolumeOptions{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer reader.Close(ctx)
+	buf := make([]byte, 256<<10)
+	read := func() {
+		r, err := reader.ReadStream(ctx, "/big.bin")
+		if err != nil {
+			b.Fatal(err)
+		}
+		n := 0
+		for err == nil {
+			var m int
+			m, err = r.Read(buf)
+			n += m
+		}
+		if cerr := r.Close(); err == io.EOF {
+			err = cerr
+		}
+		if err != nil || n != size {
+			b.Fatalf("stream read = (%d, %v)", n, err)
+		}
+	}
+	read() // connections dialled, lookup cache and pools warm
+
+	b.SetBytes(size)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		read()
+	}
+}
