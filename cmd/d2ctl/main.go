@@ -259,8 +259,8 @@ func runCat(ctx context.Context, vol *d2.Volume, path string, verbose bool) erro
 	if verbose {
 		if st, ok := r.(d2.StatStream); ok {
 			s := st.Stats()
-			fmt.Fprintf(os.Stderr, "d2ctl: %d bytes, ttfb %s, %.2f MB/s, stalls %d, window %v\n",
-				s.Bytes, s.TTFB.Round(time.Microsecond), s.MBps(), s.Stalls, s.WindowTrajectory)
+			fmt.Fprintf(os.Stderr, "d2ctl: %d bytes, ttfb %s, %.2f MB/s, stalls %d, waste %d blocks\n",
+				s.Bytes, s.TTFB.Round(time.Microsecond), s.MBps(), s.Stalls, s.WastedBlocks)
 		}
 	}
 	return cerr

@@ -637,7 +637,8 @@ func (c *Client) ReadSegment(ctx context.Context, ks []Key, sink func(Key, []byt
 }
 
 // StreamStats reports a stream's TTFB, delivered bytes, stalls, and
-// adaptive-window trajectory; ReadStream's reader implements StatStream.
+// prefetched blocks an early Close abandoned; ReadStream's reader
+// implements StatStream.
 type StreamStats = fs.StreamStats
 
 // StatStream is the interface ReadStream's io.ReadCloser also satisfies.

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"io"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"github.com/defragdht/d2/internal/obs/tracing"
@@ -20,23 +19,18 @@ type SegmentBlockService = BlockService
 // fan-out: one owner-grouped batch request covering SegmentBlocks
 // consecutive content blocks. The window is how many segments may be in
 // flight (issued but not yet consumed) ahead of the read cursor, so
-// stream memory is bounded by maxStreamWindow*SegmentBytes regardless of
+// stream memory is bounded by streamWindow*SegmentBytes regardless of
 // file size.
 const (
 	// SegmentBlocks is the content blocks fetched per stream segment.
 	SegmentBlocks = 16
 	// SegmentBytes is the payload capacity of one segment buffer.
 	SegmentBytes = SegmentBlocks * BlockSize
-	// minStreamWindow / maxStreamWindow bound the adaptive in-flight
-	// window, in segments.
-	minStreamWindow = 1
-	maxStreamWindow = 16
-	// initStreamWindow is the window a fresh stream starts with: wide
-	// enough to pipeline the second segment behind the first, narrow
-	// enough that a consumer that stops after the head wastes little.
-	initStreamWindow = 2
-	// streamTrajectoryCap bounds the recorded window trajectory.
-	streamTrajectoryCap = 256
+	// streamWindow is the fixed in-flight window, in segments: 1 MB of
+	// payload, like the paper's fixed cap on simultaneous transfers. On
+	// the stream-read workload 8 reads as fast as an adaptive window and
+	// holds less memory; 16 raised TTFB and saved nothing.
+	streamWindow = 8
 )
 
 // streamRamp sizes (in blocks) the first prefetch segments. A full-size
@@ -68,9 +62,6 @@ type StreamStats struct {
 	// WastedBlocks counts blocks fetched but never consumed (the stream
 	// was closed before the window drained).
 	WastedBlocks int
-	// WindowTrajectory records the adaptive window size over the
-	// stream's lifetime, starting with the initial window.
-	WindowTrajectory []int
 }
 
 // MBps returns the sustained consumer throughput in megabytes per second.
@@ -101,10 +92,10 @@ type streamSegment struct {
 
 // streamReader streams a file's content blocks through a windowed
 // prefetch pipeline: a prefetcher walks the inode's contiguous content
-// key range issuing up to `window` segment fetches ahead of the read
+// key range issuing up to streamWindow segment fetches ahead of the read
 // cursor, with in-order reassembly and backpressure (tokens return only
 // when the consumer finishes a segment, so a stalled consumer freezes
-// the pipeline with at most maxStreamWindow segments of memory held).
+// the pipeline with at most streamWindow segments of memory held).
 type streamReader struct {
 	v      *Volume
 	ctx    context.Context
@@ -116,27 +107,22 @@ type streamReader struct {
 	segCh  chan *streamSegment
 	tokens chan struct{}
 	wg     sync.WaitGroup
-	ready  atomic.Int64 // segments completed but not yet consumed
 
 	// Consumer state, guarded by rmu (Read/Stats/Close may race; Close
 	// first cancels ctx so a blocked Read wakes before cleanup).
-	rmu         sync.Mutex
-	headBlocks  int  // head segment size, fetched inline by the first Read
-	started     bool // prefetch pipeline launched (by the first Read)
-	seg         *streamSegment
-	segOff      int
-	window      int
-	debt        int // shrink decisions waiting to swallow a returned token
-	readyStreak int
-	opened      time.Time
-	ttfb        time.Duration
-	bytes       int64
-	elapsed     time.Duration
-	stalls      int
-	waste       int
-	traj        []int
-	closed      bool
-	err         error
+	rmu        sync.Mutex
+	headBlocks int  // head segment size, fetched inline by the first Read
+	started    bool // prefetch pipeline launched (by the first Read)
+	seg        *streamSegment
+	segOff     int
+	opened     time.Time
+	ttfb       time.Duration
+	bytes      int64
+	elapsed    time.Duration
+	stalls     int
+	waste      int
+	closed     bool
+	err        error
 }
 
 // ReadStream opens path for sequential streaming. The returned reader
@@ -174,11 +160,9 @@ func (v *Volume) ReadStream(ctx context.Context, path string) (io.ReadCloser, er
 		cur:    cur,
 		ino:    ino,
 		sp:     sp,
-		segCh:  make(chan *streamSegment, maxStreamWindow),
-		tokens: make(chan struct{}, maxStreamWindow),
-		window: initStreamWindow,
+		segCh:  make(chan *streamSegment, streamWindow),
+		tokens: make(chan struct{}, streamWindow),
 		opened: time.Now(),
-		traj:   []int{initStreamWindow},
 	}
 	// The first ramp segment is fetched synchronously by the first Read:
 	// goroutine handoffs would sit directly on the first byte's critical
@@ -187,8 +171,8 @@ func (v *Volume) ReadStream(ctx context.Context, path string) (io.ReadCloser, er
 	if r.headBlocks > len(ino.BlockVers) {
 		r.headBlocks = len(ino.BlockVers)
 	}
-	v.metrics.streamWindow.Observe(initStreamWindow)
-	for i := 0; i < initStreamWindow; i++ {
+	v.metrics.streamWindow.Observe(streamWindow)
+	for i := 0; i < streamWindow; i++ {
 		r.tokens <- struct{}{}
 	}
 	// The prefetcher starts from the first Read (after the inline head
@@ -213,7 +197,7 @@ func (v *Volume) resolveFile(ctx context.Context, path string, comps []string) (
 // prefetch is the pipeline driver: it walks segments in order, acquiring
 // one window token per issue (tokens return when the consumer finishes a
 // segment — that is the backpressure), spawns the fetch, and queues the
-// segment for in-order consumption. segCh's capacity is maxStreamWindow,
+// segment for in-order consumption. segCh's capacity is streamWindow,
 // and at most that many tokens exist, so the send never blocks.
 func (r *streamReader) prefetch() {
 	defer r.wg.Done()
@@ -253,7 +237,6 @@ func (r *streamReader) fetchSegment(seg *streamSegment, start, end int) {
 	defer r.wg.Done()
 	defer close(seg.done)
 	seg.err = r.fill(seg, start, end)
-	r.ready.Add(1)
 }
 
 // fill fetches content blocks [start, end) into seg.buf, in order, traced
@@ -276,9 +259,7 @@ func (r *streamReader) fill(seg *streamSegment, start, end int) error {
 }
 
 // Read hands out the next in-order bytes, waiting on the front segment
-// when the pipeline runs behind and adapting the window: a wait means
-// the consumer outpaces the prefetcher (grow), a fully-ready window
-// means the consumer is the bottleneck (shrink after a streak).
+// when the pipeline runs behind.
 func (r *streamReader) Read(p []byte) (int, error) {
 	r.rmu.Lock()
 	defer r.rmu.Unlock()
@@ -311,28 +292,13 @@ func (r *streamReader) Read(p []byte) (int, error) {
 	for r.seg == nil || r.segOff == r.seg.n {
 		if r.seg != nil {
 			wasHead := r.seg.head
-			if !wasHead {
-				// A window segment was fully consumed. Judge the
-				// pipeline now, before the token return launches the
-				// next fetch (which would always read as not-ready): if
-				// every other in-flight slot is already fetched, the
-				// consumer is the bottleneck, and a sustained streak
-				// shrinks the window.
-				if int(r.ready.Load()) >= r.window-1 {
-					r.readyStreak++
-					if r.readyStreak >= 2 {
-						r.setWindow(r.window - 1)
-						r.readyStreak = 0
-					}
-				} else {
-					r.readyStreak = 0
-				}
-			}
 			r.recycleLocked(r.seg)
 			r.seg = nil
 			if !wasHead {
-				// The head segment holds no window token to give back.
-				r.returnToken()
+				// Give the consumed segment's window slot back; the head
+				// segment holds none. At most streamWindow tokens exist,
+				// so the send never blocks.
+				r.tokens <- struct{}{}
 			}
 		}
 		var (
@@ -356,12 +322,9 @@ func (r *streamReader) Read(p []byte) (int, error) {
 		select {
 		case <-seg.done:
 		default:
-			// The pipeline is behind the consumer: count the stall and
-			// widen the window before blocking.
+			// The pipeline is behind the consumer: count the stall.
 			r.stalls++
 			r.v.metrics.streamStalls.Inc()
-			r.setWindow(r.window + 1)
-			r.readyStreak = 0
 			select {
 			case <-seg.done:
 			case <-r.ctx.Done():
@@ -372,7 +335,6 @@ func (r *streamReader) Read(p []byte) (int, error) {
 				return 0, r.fail(r.ctx.Err())
 			}
 		}
-		r.ready.Add(-1)
 		if seg.err != nil {
 			err := seg.err
 			r.recycleLocked(seg)
@@ -390,59 +352,6 @@ func (r *streamReader) Read(p []byte) (int, error) {
 	r.elapsed = time.Since(r.opened)
 	r.v.metrics.streamBytes.Add(uint64(n))
 	return n, nil
-}
-
-// setWindow clamps and applies a new window size, adjusting the token
-// supply: growth releases an extra token (or cancels a pending debt),
-// shrink swallows a free token now or defers it to the next return.
-func (r *streamReader) setWindow(w int) {
-	if w < minStreamWindow {
-		w = minStreamWindow
-	}
-	if w > maxStreamWindow {
-		w = maxStreamWindow
-	}
-	if w == r.window {
-		return
-	}
-	if w > r.window {
-		for i := 0; i < w-r.window; i++ {
-			if r.debt > 0 {
-				r.debt--
-				continue
-			}
-			select {
-			case r.tokens <- struct{}{}:
-			default:
-			}
-		}
-	} else {
-		for i := 0; i < r.window-w; i++ {
-			select {
-			case <-r.tokens:
-			default:
-				r.debt++
-			}
-		}
-	}
-	r.window = w
-	if len(r.traj) < streamTrajectoryCap {
-		r.traj = append(r.traj, w)
-	}
-	r.v.metrics.streamWindow.Observe(int64(w))
-}
-
-// returnToken gives the consumed segment's window slot back to the
-// prefetcher, unless a pending shrink swallows it.
-func (r *streamReader) returnToken() {
-	if r.debt > 0 {
-		r.debt--
-		return
-	}
-	select {
-	case r.tokens <- struct{}{}:
-	default:
-	}
 }
 
 // recycleLocked returns a segment's buffer to the pool.
@@ -525,15 +434,12 @@ func (r *streamReader) finishMetrics() {
 func (r *streamReader) Stats() StreamStats {
 	r.rmu.Lock()
 	defer r.rmu.Unlock()
-	traj := make([]int, len(r.traj))
-	copy(traj, r.traj)
 	return StreamStats{
-		TTFB:             r.ttfb,
-		Bytes:            r.bytes,
-		Elapsed:          r.elapsed,
-		Stalls:           r.stalls,
-		WastedBlocks:     r.waste,
-		WindowTrajectory: traj,
+		TTFB:         r.ttfb,
+		Bytes:        r.bytes,
+		Elapsed:      r.elapsed,
+		Stalls:       r.stalls,
+		WastedBlocks: r.waste,
 	}
 }
 
@@ -566,9 +472,8 @@ func (s *inlineStream) Close() error { s.closed = true; return nil }
 
 func (s *inlineStream) Stats() StreamStats {
 	return StreamStats{
-		TTFB:             s.ttfb,
-		Bytes:            int64(s.off),
-		Elapsed:          time.Since(s.opened),
-		WindowTrajectory: []int{0},
+		TTFB:    s.ttfb,
+		Bytes:   int64(s.off),
+		Elapsed: time.Since(s.opened),
 	}
 }

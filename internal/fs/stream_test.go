@@ -309,7 +309,7 @@ func TestStreamBackpressureBoundsPrefetch(t *testing.T) {
 	time.Sleep(200 * time.Millisecond) // let any runaway prefetch happen
 	fetched := svc.servedBlocks()
 	// Hard bound: consumed segment + a full window of prefetch, in blocks.
-	limit := (1 + maxStreamWindow) * SegmentBlocks
+	limit := (1 + streamWindow) * SegmentBlocks
 	if fetched > limit {
 		t.Fatalf("prefetch ran ahead: %d blocks fetched with consumer stalled (limit %d)", fetched, limit)
 	}
@@ -414,12 +414,16 @@ func TestStreamEarlyCloseCountsWaste(t *testing.T) {
 	if st.WastedBlocks == 0 {
 		t.Error("early close reported zero wasted blocks; prefetched segments unaccounted")
 	}
+	// The abandoned work is bounded by one full window of segments.
+	if limit := streamWindow * SegmentBlocks; st.WastedBlocks > limit {
+		t.Errorf("early close wasted %d blocks, more than one window (%d)", st.WastedBlocks, limit)
+	}
 	if v.metrics.streamWaste.Value() == 0 {
 		t.Error("d2_stream_prefetch_waste_total not incremented")
 	}
 }
 
-func TestStreamAdaptiveWindowGrowsUnderStall(t *testing.T) {
+func TestStreamCountsStalls(t *testing.T) {
 	v, svc := newStreamVolume(t)
 	ctx := context.Background()
 	want := randBytes(30 * SegmentBytes)
@@ -441,57 +445,11 @@ func TestStreamAdaptiveWindowGrowsUnderStall(t *testing.T) {
 	if _, err := io.Copy(io.Discard, r); err != nil {
 		t.Fatal(err)
 	}
-	st := r.(StatStream).Stats()
-	if st.Stalls == 0 {
+	if st := r.(StatStream).Stats(); st.Stalls == 0 {
 		t.Error("fast consumer over slow service reported no stalls")
 	}
-	max := 0
-	for _, w := range st.WindowTrajectory {
-		if w > max {
-			max = w
-		}
-	}
-	if max <= initStreamWindow {
-		t.Errorf("window never grew under sustained stalls: trajectory %v", st.WindowTrajectory)
-	}
-}
-
-func TestStreamAdaptiveWindowShrinksOnSlowConsumer(t *testing.T) {
-	v, _ := newStreamVolume(t)
-	ctx := context.Background()
-	want := randBytes(20 * SegmentBytes)
-	if err := v.WriteFile(ctx, "/fastsvc.bin", want); err != nil {
-		t.Fatal(err)
-	}
-	if err := v.Sync(ctx); err != nil {
-		t.Fatal(err)
-	}
-	v.dropReadCacheForTest()
-	r, err := v.ReadStream(ctx, "/fastsvc.bin")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer r.Close()
-	buf := make([]byte, SegmentBytes)
-	for {
-		_, err := io.ReadFull(r, buf)
-		if err == io.EOF || err == io.ErrUnexpectedEOF {
-			break
-		}
-		if err != nil {
-			t.Fatal(err)
-		}
-		time.Sleep(3 * time.Millisecond) // consumer slower than the service
-	}
-	st := r.(StatStream).Stats()
-	min := maxStreamWindow + 1
-	for _, w := range st.WindowTrajectory {
-		if w < min {
-			min = w
-		}
-	}
-	if min > minStreamWindow {
-		t.Errorf("window never shrank with a slow consumer: trajectory %v", st.WindowTrajectory)
+	if v.metrics.streamStalls.Value() == 0 {
+		t.Error("d2_stream_stalls_total not incremented")
 	}
 }
 

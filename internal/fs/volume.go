@@ -162,7 +162,7 @@ type volumeMetrics struct {
 	streamStalls   *obs.Counter   // reads that blocked on an in-flight segment
 	streamWaste    *obs.Counter   // prefetched blocks never consumed
 	streamTTFB     *obs.Histogram // open-to-first-byte latency
-	streamWindow   *obs.Histogram // adaptive window sizes observed
+	streamWindow   *obs.Histogram // window size, once per pipelined stream
 	streamBps      *obs.Gauge     // last stream's sustained bytes/s
 }
 

@@ -175,16 +175,16 @@ func (c *Client) Lookup(ctx context.Context, k keys.Key) (transport.PeerInfo, er
 	return owner, err
 }
 
-// freshLookup performs a full DHT lookup and caches the owner's range.
-// The walk routes around dead hops and falls back on each seed in turn.
-// A walk that still fails — stuck, or out of seeds — is tried again after
-// jittered exponential back-off, up to four walks (§8.1: routing failures
-// are transient and resolved by retrying after the link repair time).
-func (c *Client) freshLookup(ctx context.Context, k keys.Key) (transport.PeerInfo, error) {
+// freshLookup performs a full DHT lookup that skips the avoided peers and
+// caches the owner's range. The walk routes around dead hops and falls back
+// on each seed in turn. A walk that still fails — stuck, or out of seeds —
+// is tried again after jittered exponential back-off, up to four walks
+// (§8.1: routing failures are transient, resolved once links are repaired).
+func (c *Client) freshLookup(ctx context.Context, k keys.Key, avoid ...transport.Addr) (transport.PeerInfo, error) {
 	const attempts = 4
 	backoff := 40 * time.Millisecond
 	for attempt := 0; ; attempt++ {
-		owner, pred, err := lookup(ctx, k, c.seedOrder(attempt), nil, c.lookupHops, c.hop)
+		owner, pred, err := lookup(ctx, k, c.seedOrder(attempt), avoid, c.lookupHops, c.hop)
 		if err == nil {
 			if !pred.IsZero() {
 				c.mu.Lock()
@@ -201,6 +201,15 @@ func (c *Client) freshLookup(ctx context.Context, k keys.Key) (transport.PeerInf
 		}
 		backoff *= 2
 	}
+}
+
+// failover resolves k's owner after failed did not answer, counting a cache
+// miss: a walk that avoids failed is answered by its predecessor with the
+// successor after it, which holds a replica of the range. The answer is
+// cached, so later requests for the range go straight there.
+func (c *Client) failover(ctx context.Context, k keys.Key, failed transport.Addr) (transport.PeerInfo, error) {
+	c.misses.Inc()
+	return c.freshLookup(ctx, k, failed)
 }
 
 // seedOrder returns the seed list for one lookup attempt. The first
@@ -277,8 +286,9 @@ func (c *Client) traced(ctx context.Context, op string, fn func(context.Context,
 // withOwner runs fn against the owner of k: the cached owner first and,
 // when that fails — a stale cache entry or a dead node, which cost
 // latency, never correctness (§5) — once more against a freshly resolved
-// one. Every single-owner request (Put, Remove, a PutMany chunk, a
-// ReadRange partition) goes through it.
+// one: past the owner if it did not answer, else (say its disk failed) the
+// owner a lookup names. Every single-owner request (Put, Remove, a PutMany
+// chunk, a ReadRange partition) goes through it.
 func (c *Client) withOwner(ctx context.Context, k keys.Key, fn func(owner transport.PeerInfo) error) error {
 	owner, err := c.Lookup(ctx, k)
 	if err != nil {
@@ -289,7 +299,12 @@ func (c *Client) withOwner(ctx context.Context, k keys.Key, fn func(owner transp
 	}
 	tracing.FromContext(ctx).Annotate("retry", err.Error())
 	c.invalidate(k)
-	if owner, err = c.Lookup(ctx, k); err != nil {
+	if errors.Is(err, transport.ErrUnreachable) {
+		owner, err = c.failover(ctx, k, owner.Addr)
+	} else {
+		owner, err = c.Lookup(ctx, k)
+	}
+	if err != nil {
 		return err
 	}
 	return fn(owner)

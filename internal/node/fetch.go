@@ -274,8 +274,8 @@ func (c *Client) sweep(ctx context.Context, ks []keys.Key, walk bool, p readPoli
 // them. An owner that does not answer cannot, so a lookup walk that avoids
 // it finds the first: the dead node's predecessor answers with the
 // successor after it. That successor is asked, and names the rest of the
-// group itself. A crashed owner thus costs one walk, not a retry round
-// per read until stabilization drops it.
+// group itself. A crashed owner thus costs one walk, whose cached answer
+// sends later reads of the range straight to that successor.
 func (c *Client) askGroup(ctx context.Context, owner transport.PeerInfo, ks []keys.Key, walk bool, p readPolicy, sink func(keys.Key, []byte)) (missed []keys.Key, err error) {
 	if p.batch {
 		gctx, gsp := c.tracer.StartSpan(ctx, "batch.group")
@@ -296,7 +296,7 @@ func (c *Client) askGroup(ctx context.Context, owner transport.PeerInfo, ks []ke
 	}
 	from, rest := owner.Addr, c.replicas-1
 	if err != nil {
-		next, _, lerr := lookup(ctx, ks[0], c.seeds, []transport.Addr{owner.Addr}, c.lookupHops, c.hop)
+		next, lerr := c.failover(ctx, ks[0], owner.Addr)
 		if lerr != nil || next.Addr == owner.Addr {
 			return missed, err
 		}

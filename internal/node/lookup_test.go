@@ -256,3 +256,104 @@ func TestReadsRouteAroundDeadOwner(t *testing.T) {
 		t.Fatalf("reads took retry rounds for %d keys and segments for %d", n, s)
 	}
 }
+
+// TestWritesRouteAroundDeadOwner: on a 16-node ring whose timers are
+// frozen, so no round drops a crashed node, writes to the crashed node's
+// range go to its successor at once: the walk that avoids the dead owner
+// names it, and the client caches that answer. Each phase starts with the
+// range's cached owner dropped, so each meets the dead node once. 50
+// Puts, 50 Removes and a PutMany of 50 blocks in four chunks all succeed
+// with no failed walk, so no back-off, and 50 Gets of the PutMany's blocks
+// then cost at most two RPCs each on average.
+func TestWritesRouteAroundDeadOwner(t *testing.T) {
+	const size, crashed, ops = 16, 5, 50
+	net := transport.NewMemNetwork(0)
+	cfgs := make([]Config, size)
+	for i := range cfgs {
+		cfgs[i] = eventConfig(uint64(i + 1))
+		cfgs[i].RepairInterval = time.Hour
+	}
+	nodes := joinEach(t, net, cfgs)
+	defer func() { closeAll(t, nodes) }()
+	c := newClient(t, net, nodes)
+	defer c.Close()
+	ctx := context.Background()
+
+	ids := make([]keys.Key, len(nodes))
+	for i, nd := range nodes {
+		ids[i] = nd.Self().ID
+	}
+	r := ring.New(ids)
+	dead := nodes[crashed].Self().ID
+	rng := rand.New(rand.NewPCG(45, 1))
+	var ks []keys.Key
+	for len(ks) < 2*ops {
+		if k := keys.Random(rng); r.At(r.SuccessorIndex(k)).Equal(dead) {
+			ks = append(ks, k)
+		}
+	}
+	single, batch := ks[:ops], ks[ops:]
+	slices.SortFunc(batch, keys.Key.Compare)
+	if err := nodes[crashed].Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	// Every request a phase sends is a hop of a walk that succeeded or one
+	// of its writes; a back-off follows only a walk that failed. Each write
+	// goes once, and the first goes once more, after failing at the dead
+	// node.
+	phase := func(name string, writes int, run func() error) {
+		t.Helper()
+		c.invalidate(ks[0])
+		rpcs, hops := c.RPCs(), c.lookupHops.Sum()
+		if err := run(); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		sent, walked := c.RPCs()-rpcs, uint64(c.lookupHops.Sum()-hops)
+		if sent-walked > uint64(writes+1) {
+			t.Fatalf("%s: %d requests beyond successful walks, want at most %d writes", name, sent-walked, writes+1)
+		}
+	}
+	phase("put", ops, func() error {
+		for _, k := range single {
+			if err := c.Put(ctx, k, []byte(k.String())); err != nil {
+				return err
+			}
+		}
+		return nil
+	})
+	phase("remove", ops, func() error {
+		for _, k := range single {
+			if err := c.Remove(ctx, k); err != nil {
+				return err
+			}
+		}
+		return nil
+	})
+	data := make([][]byte, len(batch))
+	for i, k := range batch {
+		data[i] = []byte(k.String())
+	}
+	chunks := (len(batch) + maxPutBatchBlocks - 1) / maxPutBatchBlocks
+	phase("put_many", chunks, func() error { return c.PutMany(ctx, batch, data) })
+
+	c.invalidate(ks[0])
+	nf, rpcs := c.nfRetries.Value(), c.RPCs()
+	for _, k := range batch {
+		got, err := c.Get(ctx, k)
+		if err != nil {
+			t.Fatalf("get %s: %v", k.Short(), err)
+		}
+		if string(got) != k.String() {
+			t.Fatalf("get %s = %q", k.Short(), got)
+		}
+	}
+	perGet := float64(c.RPCs()-rpcs) / ops
+	t.Logf("%.2f RPCs per Get of the dead node's range", perGet)
+	if perGet > 2 {
+		t.Fatalf("%.2f RPCs per Get of the dead node's range, want at most 2", perGet)
+	}
+	if n := c.nfRetries.Value() - nf; n != 0 {
+		t.Fatalf("gets took retry rounds for %d keys", n)
+	}
+}

@@ -47,7 +47,7 @@ func TestTCPPipelinesOnOneConnection(t *testing.T) {
 	defer cli.Close()
 	// Pin the peer pool to one stream so every call shares a single
 	// connection — the point under test is pipelining, not pooling.
-	cli.SetPoolConfig(1, 0, 0, 0)
+	cli.poolSize = 1
 
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()

@@ -37,7 +37,7 @@ func (p *peerPool) get(ctx context.Context) (*clientConn, error) {
 			cc := p.leastLoadedLocked()
 			// Grow the pool in the background when every stream is busy
 			// and there is room — the current call proceeds on cc.
-			if cc.load() > 0 && len(p.conns) < p.size() && p.dialing == nil {
+			if cc.load() > 0 && len(p.conns) < p.t.poolSize && p.dialing == nil {
 				ch := make(chan struct{})
 				p.dialing = ch
 				go func() {
@@ -74,12 +74,6 @@ func (p *peerPool) get(ctx context.Context) (*clientConn, error) {
 	}
 }
 
-// size reads the configured pool size.
-func (p *peerPool) size() int {
-	size, _, _, _ := p.t.poolConfig()
-	return size
-}
-
 // pruneLocked drops dead connections. Callers hold p.mu.
 func (p *peerPool) pruneLocked() {
 	live := p.conns[:0]
@@ -110,7 +104,7 @@ func (p *peerPool) leastLoadedLocked() *clientConn {
 func (p *peerPool) dialOne(ctx context.Context) (*clientConn, error) {
 	m := p.t.rpcMetrics()
 	m.dialed()
-	d := net.Dialer{Timeout: p.t.DialTimeout}
+	d := net.Dialer{Timeout: p.t.dialTimeout}
 	conn, err := d.DialContext(ctx, "tcp", string(p.to))
 	if err != nil {
 		return nil, fmt.Errorf("%w: %s: %v", ErrUnreachable, p.to, err)
@@ -157,10 +151,9 @@ func (p *peerPool) dialDone(err error, ch chan struct{}) {
 // backoff returns the jittered exponential delay for the current failure
 // count. Callers hold p.mu.
 func (p *peerPool) backoff() time.Duration {
-	_, base, max, _ := p.t.poolConfig()
-	d := base << (p.failures - 1)
-	if d <= 0 || d > max {
-		d = max
+	d := p.t.backoffBase << (p.failures - 1)
+	if d <= 0 || d > p.t.backoffMax {
+		d = p.t.backoffMax
 	}
 	// Jitter into [d/2, d) so a burst of callers against a dead peer does
 	// not re-dial in lockstep.

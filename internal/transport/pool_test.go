@@ -39,7 +39,7 @@ func TestPoolReconnectAfterPeerRestart(t *testing.T) {
 	m := NewRPCMetrics(reg)
 	cli.UseMetrics(m)
 	const backoffBase = 400 * time.Millisecond
-	cli.SetPoolConfig(2, backoffBase, backoffBase, 0)
+	cli.poolSize, cli.backoffBase, cli.backoffMax = 2, backoffBase, backoffBase
 
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
@@ -185,7 +185,7 @@ func TestPoolGrowsUnderLoad(t *testing.T) {
 	}
 	defer cli.Close()
 	const size = 3
-	cli.SetPoolConfig(size, 0, 0, 0)
+	cli.poolSize = size
 
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
@@ -236,7 +236,10 @@ func TestPoolEvictsIdle(t *testing.T) {
 	defer cli.Close()
 	m := NewRPCMetrics(obs.New())
 	cli.UseMetrics(m)
-	cli.SetPoolConfig(2, 0, 0, 50*time.Millisecond)
+	cli.poolSize = 2
+	cli.mu.Lock()
+	cli.idleTimeout = 50 * time.Millisecond
+	cli.mu.Unlock()
 
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()

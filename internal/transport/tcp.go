@@ -36,26 +36,18 @@ type TCPTransport struct {
 	wg      sync.WaitGroup
 	stop    chan struct{}
 
-	// DialTimeout bounds connection establishment. Set before traffic.
-	DialTimeout time.Duration
-
-	// pool knobs, guarded by mu (SetPoolConfig).
-	poolSize    int
-	backoffBase time.Duration
-	backoffMax  time.Duration
-	idleTimeout time.Duration
+	// Connection knobs, fixed by ListenTCP. In-package tests change them
+	// before traffic; idleTimeout only under mu, since the janitor reads it
+	// from the start.
+	dialTimeout time.Duration // bounds connection establishment
+	poolSize    int           // pipelined streams per peer
+	backoffBase time.Duration // first reconnect backoff after a failed dial
+	backoffMax  time.Duration // reconnect backoff ceiling
+	idleTimeout time.Duration // eviction age for unused connections
 
 	metrics *RPCMetrics
 	tracer  *tracing.Tracer
 }
-
-// Pool and framing defaults.
-const (
-	defaultPoolSize    = 4
-	defaultBackoffBase = 50 * time.Millisecond
-	defaultBackoffMax  = 3 * time.Second
-	defaultIdleTimeout = 2 * time.Minute
-)
 
 // UseTracer attaches a request tracer to the endpoint: outbound calls
 // belonging to a sampled trace record an rpc.<kind> send span, and the
@@ -88,33 +80,6 @@ func (t *TCPTransport) rpcMetrics() *RPCMetrics {
 	return t.metrics
 }
 
-// SetPoolConfig tunes the per-peer connection pools: size is the stream
-// count per peer, base/max bound the reconnect backoff, idle is the
-// eviction age for unused connections. Zero keeps a knob's default.
-func (t *TCPTransport) SetPoolConfig(size int, base, max, idle time.Duration) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if size > 0 {
-		t.poolSize = size
-	}
-	if base > 0 {
-		t.backoffBase = base
-	}
-	if max > 0 {
-		t.backoffMax = max
-	}
-	if idle > 0 {
-		t.idleTimeout = idle
-	}
-}
-
-// poolConfig reads the pool knobs consistently.
-func (t *TCPTransport) poolConfig() (size int, base, max, idle time.Duration) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.poolSize, t.backoffBase, t.backoffMax, t.idleTimeout
-}
-
 var _ Transport = (*TCPTransport)(nil)
 
 // ListenTCP starts a TCP endpoint on the given address ("127.0.0.1:0"
@@ -130,11 +95,11 @@ func ListenTCP(bind string) (*TCPTransport, error) {
 		pools:       make(map[Addr]*peerPool),
 		serving:     make(map[net.Conn]struct{}),
 		stop:        make(chan struct{}),
-		DialTimeout: 5 * time.Second,
-		poolSize:    defaultPoolSize,
-		backoffBase: defaultBackoffBase,
-		backoffMax:  defaultBackoffMax,
-		idleTimeout: defaultIdleTimeout,
+		dialTimeout: 5 * time.Second,
+		poolSize:    4,
+		backoffBase: 50 * time.Millisecond,
+		backoffMax:  3 * time.Second,
+		idleTimeout: 2 * time.Minute,
 	}
 	t.wg.Add(2)
 	go t.acceptLoop()
@@ -565,7 +530,9 @@ func (t *TCPTransport) pool(to Addr) (*peerPool, error) {
 func (t *TCPTransport) janitor() {
 	defer t.wg.Done()
 	for {
-		_, _, _, idle := t.poolConfig()
+		t.mu.Lock()
+		idle := t.idleTimeout
+		t.mu.Unlock()
 		wait := idle / 4
 		if wait < 10*time.Millisecond {
 			wait = 10 * time.Millisecond

@@ -64,7 +64,12 @@
 #                            (the same frozen ring: 50 Gets and a
 #                            five-segment ReadStream of the crashed
 #                            node's range all served by its replicas
-#                            with no retry round), then the ring tests
+#                            with no retry round), the dead-owner write
+#                            test (the same frozen ring: 50 Puts, 50
+#                            Removes and a four-chunk PutMany of the
+#                            range go to the live successor with no
+#                            failed walk; 50 Gets then cost <= 2 RPCs
+#                            each), then the ring tests
 #                            that need whole replica groups right after
 #                            a join, -count=20
 #   scripts/verify.sh trace  trace tier: the request-tracing tests under
@@ -94,8 +99,9 @@
 #                            mem ring; a figure to compare against the
 #                            parent commit, not a gate)
 #   scripts/verify.sh stream stream tier: the windowed-readahead pipeline
-#                            tests under -race (backpressure, adaptive
-#                            window, cancellation, the mid-stream
+#                            tests under -race (backpressure bounded by
+#                            the constant window, early-close waste,
+#                            cancellation, the mid-stream
 #                            node-kill e2e, the use-after-release e2e:
 #                            1 000 recycled ReadSegment segments beside
 #                            GetMany, Get and ReadFile reads whose kept
@@ -240,8 +246,8 @@ if [ "${1:-}" = "lint" ]; then
 fi
 
 if [ "${1:-}" = "ring" ]; then
-	echo "== ring tier: convergence by view changes alone, lookups and reads around a dead node, -race -count=20"
-	go test -race -count=20 -run '^(TestRingSettlesByEventsAlone|TestSettledRingRunsNoEventRounds|TestSuccessorNotifyIsNoPredecessor|TestLookupsRouteAroundDeadNode|TestReadsRouteAroundDeadOwner)$' ./internal/node/
+	echo "== ring tier: convergence by view changes alone, lookups, reads and writes around a dead node, -race -count=20"
+	go test -race -count=20 -run '^(TestRingSettlesByEventsAlone|TestSettledRingRunsNoEventRounds|TestSuccessorNotifyIsNoPredecessor|TestLookupsRouteAroundDeadNode|TestReadsRouteAroundDeadOwner|TestWritesRouteAroundDeadOwner)$' ./internal/node/
 	echo "== ring tier: tests that need whole replica groups after joins, -count=20"
 	go test -count=20 -run \
 		'^(TestDelayedRemove|TestWalkRingSkipsDeadMember|TestRestartedPrimaryRegainsItsBlocks|TestRejoinWithStaleSelfEntry)$' ./internal/node/
