@@ -245,8 +245,8 @@ func run() error {
 
 // runCat streams a file to stdout through the windowed-readahead read
 // path, so the first bytes print before the tail is fetched. With -v the
-// pipeline's stats (TTFB, sustained throughput, window trajectory) go to
-// stderr where they cannot corrupt piped output.
+// pipeline's stats (bytes, TTFB, sustained throughput, stalls and wasted
+// prefetch blocks) go to stderr where they cannot corrupt piped output.
 func runCat(ctx context.Context, vol *d2.Volume, path string, verbose bool) error {
 	r, err := vol.ReadStream(ctx, path)
 	if err != nil {

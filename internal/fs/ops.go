@@ -53,9 +53,9 @@ func (v *Volume) WriteFile(ctx context.Context, path string, data []byte) error 
 }
 
 func (v *Volume) writeFileLocked(ctx context.Context, comps []string, data []byte) error {
-	root := v.root
+	st := v.state.Load()
 	dirComps, name := comps[:len(comps)-1], comps[len(comps)-1]
-	chain, err := v.walk(ctx, root, dirComps, true)
+	chain, err := v.walk(ctx, st, dirComps, true)
 	if err != nil {
 		return err
 	}
@@ -91,13 +91,10 @@ func (v *Volume) writeFileLocked(ctx context.Context, comps []string, data []byt
 
 	var ino Inode
 	v.writeContent(cur, data, oldIno, &ino)
-	ver, hash, err := v.writeInode(cur, &ino, oldVer)
-	if err != nil {
-		return err
-	}
+	ver, hash := v.writeInode(cur, &ino, oldVer)
 	e := &parent.entries[idx]
 	e.Ver, e.Hash, e.Size = ver, hash, ino.Size
-	return v.commitChain(ctx, root, chain)
+	return v.commitChain(st, chain)
 }
 
 // ReadFile returns the file's full content.
@@ -119,19 +116,16 @@ func (v *Volume) ReadFile(ctx context.Context, path string) ([]byte, error) {
 // after the previous one's in the same directory is a directory scan and
 // reads the following files' content ahead (readAheadContent).
 func (v *Volume) readFile(ctx context.Context, path string, comps []string) ([]byte, error) {
-	root, err := v.currentRoot(ctx)
+	st, err := v.beginRead(ctx)
 	if err != nil {
 		return nil, err
 	}
-	v.mu.Lock()
-	defer v.mu.Unlock()
-	f, err := v.fileAt(ctx, root, path, comps)
+	defer v.endRead()
+	f, err := v.fileAt(ctx, st, path, comps)
 	if err != nil {
 		return nil, err
 	}
-	scanning := f.dir.shared == v.scan.dir && f.idx == v.scan.idx+1
-	v.scan.dir, v.scan.idx = f.dir.shared, f.idx
-	if scanning {
+	if v.scanned(f.dir.shared, f.idx) {
 		v.readAheadContent(ctx, &f)
 	}
 	data, err := v.readContent(ctx, f.cur, &f.ino)
@@ -151,10 +145,11 @@ type fileRef struct {
 	ino Inode
 }
 
-// fileAt walks to the file at comps (path names it in errors). An inode no
-// cache holds is fetched with the directory's readahead. v.mu is held.
-func (v *Volume) fileAt(ctx context.Context, root *RootBlock, path string, comps []string) (fileRef, error) {
-	chain, err := v.walk(ctx, root, comps[:len(comps)-1], false)
+// fileAt walks root state st to the file at comps (path names it in
+// errors). An inode no cache holds is fetched with the directory's
+// readahead.
+func (v *Volume) fileAt(ctx context.Context, st *rootState, path string, comps []string) (fileRef, error) {
+	chain, err := v.walk(ctx, st, comps[:len(comps)-1], false)
 	if err != nil {
 		return fileRef{}, err
 	}
@@ -190,9 +185,9 @@ func (v *Volume) Mkdir(ctx context.Context, path string) error {
 	}
 	v.mu.Lock()
 	defer v.mu.Unlock()
-	root := v.root
+	st := v.state.Load()
 	dirComps, name := comps[:len(comps)-1], comps[len(comps)-1]
-	chain, err := v.walk(ctx, root, dirComps, true)
+	chain, err := v.walk(ctx, st, dirComps, true)
 	if err != nil {
 		return err
 	}
@@ -210,13 +205,10 @@ func (v *Volume) Mkdir(ctx context.Context, path string) error {
 	cur := parent.cur.child(&parent.entries[idx], name)
 
 	ino := Inode{IsDir: true, NextSlot: 1}
-	ver, hash, err := v.writeInode(cur, &ino, 0)
-	if err != nil {
-		return err
-	}
+	ver, hash := v.writeInode(cur, &ino, 0)
 	parent.entries[idx].Ver = ver
 	parent.entries[idx].Hash = hash
-	return v.commitChain(ctx, root, chain)
+	return v.commitChain(st, chain)
 }
 
 // MkdirAll creates a directory and any missing parents.
@@ -233,13 +225,12 @@ func (v *Volume) MkdirAll(ctx context.Context, path string) error {
 
 // ReadDir lists a directory.
 func (v *Volume) ReadDir(ctx context.Context, path string) ([]FileInfo, error) {
-	root, err := v.currentRoot(ctx)
+	st, err := v.beginRead(ctx)
 	if err != nil {
 		return nil, err
 	}
-	v.mu.Lock()
-	defer v.mu.Unlock()
-	chain, err := v.walk(ctx, root, splitPath(path), false)
+	defer v.endRead()
+	chain, err := v.walk(ctx, st, splitPath(path), false)
 	if err != nil {
 		return nil, err
 	}
@@ -257,13 +248,12 @@ func (v *Volume) Stat(ctx context.Context, path string) (FileInfo, error) {
 	if len(comps) == 0 {
 		return FileInfo{Name: "/", IsDir: true}, nil
 	}
-	root, err := v.currentRoot(ctx)
+	st, err := v.beginRead(ctx)
 	if err != nil {
 		return FileInfo{}, err
 	}
-	v.mu.Lock()
-	defer v.mu.Unlock()
-	chain, err := v.walk(ctx, root, comps[:len(comps)-1], false)
+	defer v.endRead()
+	chain, err := v.walk(ctx, st, comps[:len(comps)-1], false)
 	if err != nil {
 		return FileInfo{}, err
 	}
@@ -289,8 +279,8 @@ func (v *Volume) Remove(ctx context.Context, path string) error {
 	}
 	v.mu.Lock()
 	defer v.mu.Unlock()
-	root := v.root
-	chain, err := v.walk(ctx, root, comps[:len(comps)-1], true)
+	st := v.state.Load()
+	chain, err := v.walk(ctx, st, comps[:len(comps)-1], true)
 	if err != nil {
 		return err
 	}
@@ -322,7 +312,7 @@ func (v *Volume) Remove(ctx context.Context, path string) error {
 		v.removeBlock(cur.blockKey(uint64(i+1), ver))
 	}
 	parent.entries = append(parent.entries[:idx], parent.entries[idx+1:]...)
-	return v.commitChain(ctx, root, chain)
+	return v.commitChain(st, chain)
 }
 
 // Rename moves a file or directory. The moved object's blocks keep their
@@ -339,12 +329,12 @@ func (v *Volume) Rename(ctx context.Context, oldPath, newPath string) error {
 	}
 	v.mu.Lock()
 	defer v.mu.Unlock()
-	root := v.root
+	st := v.state.Load()
 
 	// Validate the destination before touching the source, so a failed
 	// rename never unlinks anything.
 	newName := newComps[len(newComps)-1]
-	preChain, err := v.walk(ctx, root, newComps[:len(newComps)-1], false)
+	preChain, err := v.walk(ctx, st, newComps[:len(newComps)-1], false)
 	if err != nil {
 		return err
 	}
@@ -352,7 +342,7 @@ func (v *Volume) Rename(ctx context.Context, oldPath, newPath string) error {
 		return fmt.Errorf("%w: %s", ErrExist, newPath)
 	}
 
-	oldChain, err := v.walk(ctx, root, oldComps[:len(oldComps)-1], true)
+	oldChain, err := v.walk(ctx, st, oldComps[:len(oldComps)-1], true)
 	if err != nil {
 		return err
 	}
@@ -367,12 +357,14 @@ func (v *Volume) Rename(ctx context.Context, oldPath, newPath string) error {
 
 	// Remove from the old parent and commit that chain first.
 	oldParent.entries = append(oldParent.entries[:oldIdx], oldParent.entries[oldIdx+1:]...)
-	if err := v.commitChain(ctx, root, oldChain); err != nil {
+	if err := v.commitChain(st, oldChain); err != nil {
 		return err
 	}
 
-	// Insert into the new parent with the original key encoding frozen.
-	newChain, err := v.walk(ctx, root, newComps[:len(newComps)-1], true)
+	// Insert into the new parent with the original key encoding frozen,
+	// walking from the root the removal just published.
+	st = v.state.Load()
+	newChain, err := v.walk(ctx, st, newComps[:len(newComps)-1], true)
 	if err != nil {
 		return err
 	}
@@ -390,5 +382,5 @@ func (v *Volume) Rename(ctx context.Context, oldPath, newPath string) error {
 		OrigRemainder: remainder,
 	}
 	newParent.entries = append(newParent.entries, entry)
-	return v.commitChain(ctx, root, newChain)
+	return v.commitChain(st, newChain)
 }

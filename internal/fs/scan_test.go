@@ -121,7 +121,7 @@ func TestScanReadAheadCorruptSiblingContentFailsOnlyItsFile(t *testing.T) {
 	w := writeReadPathDir(t, svc, Options{})
 	const bad = 7
 	w.mu.Lock()
-	f, err := w.fileAt(ctx, w.root, "/d/f07", []string{"d", "f07"})
+	f, err := w.fileAt(ctx, w.state.Load(), "/d/f07", []string{"d", "f07"})
 	w.mu.Unlock()
 	if err != nil {
 		t.Fatal(err)
@@ -198,13 +198,12 @@ func TestCheckedInodeServesOnlyItsHash(t *testing.T) {
 	svc := newMemService()
 	writeReadPathDir(t, svc, Options{})
 	r := openReader(t, svc, Options{})
-	root, err := r.currentRoot(ctx)
+	st, err := r.beginRead(ctx)
 	if err != nil {
 		t.Fatal(err)
 	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	f, err := r.fileAt(ctx, root, "/d/f03", []string{"d", "f03"})
+	defer r.endRead()
+	f, err := r.fileAt(ctx, st, "/d/f03", []string{"d", "f03"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -308,7 +307,7 @@ func TestRootMemoNeverServesAnotherKey(t *testing.T) {
 	if checks.Load() != 1 {
 		t.Errorf("%d signature checks, want 1", checks.Load())
 	}
-	if m := memoizedRoot(good.rootKey(), v.pub, good.verified.Load().data); m != nil {
+	if m := memoizedRoot(good.rootKey(), v.pub, good.state.Load().data); m != nil {
 		t.Error("memo lookup under another key found an entry")
 	}
 }

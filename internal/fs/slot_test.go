@@ -27,10 +27,11 @@ func TestSlotBudgetNeverReusesLiveSlot(t *testing.T) {
 		t.Fatal(err)
 	}
 	v.mu.Lock()
-	chain, err := v.walk(ctx, v.root, []string{"d"}, true)
+	st := v.state.Load()
+	chain, err := v.walk(ctx, st, []string{"d"}, true)
 	if err == nil {
 		chain[len(chain)-1].ino.NextSlot = maxSlot
-		err = v.commitChain(ctx, v.root, chain)
+		err = v.commitChain(st, chain)
 	}
 	v.mu.Unlock()
 	if err != nil {

@@ -184,13 +184,12 @@ func (v *Volume) ReadStream(ctx context.Context, path string) (io.ReadCloser, er
 // resolveFile walks to the file at comps and returns its cursor and
 // verified inode.
 func (v *Volume) resolveFile(ctx context.Context, path string, comps []string) (pathCursor, Inode, error) {
-	root, err := v.currentRoot(ctx)
+	st, err := v.beginRead(ctx)
 	if err != nil {
 		return pathCursor{}, Inode{}, err
 	}
-	v.mu.Lock()
-	defer v.mu.Unlock()
-	f, err := v.fileAt(ctx, root, path, comps)
+	defer v.endRead()
+	f, err := v.fileAt(ctx, st, path, comps)
 	return f.cur, f.ino, err
 }
 
@@ -246,7 +245,7 @@ func (r *streamReader) fill(seg *streamSegment, start, end int) error {
 	if sp != nil {
 		sp.Annotate("first_block", start+1, "blocks", end-start)
 	}
-	err := r.v.fetchBlocks(ctx, r.cur, &r.ino, start, end, true, func(i int, data []byte) {
+	err := r.v.fetchSegment(ctx, r.cur, &r.ino, start, end, func(i int, data []byte) {
 		copy(seg.buf[(i-start)*BlockSize:], data)
 	})
 	// Segment byte count: full blocks except possibly the file's last.

@@ -196,9 +196,9 @@ func (w *streamWriter) commit() error {
 	v := w.v
 	v.mu.Lock()
 	defer v.mu.Unlock()
-	root := v.root
+	st := v.state.Load()
 	dirComps, name := w.comps[:len(w.comps)-1], w.comps[len(w.comps)-1]
-	chain, err := v.walk(w.ctx, root, dirComps, true)
+	chain, err := v.walk(w.ctx, st, dirComps, true)
 	if err != nil {
 		return err
 	}
@@ -211,10 +211,7 @@ func (w *streamWriter) commit() error {
 	if e.IsDir {
 		return fmt.Errorf("%w: %s", ErrIsDir, name)
 	}
-	ver, hash, err := v.writeInode(w.cur, &w.ino, e.Ver)
-	if err != nil {
-		return err
-	}
+	ver, hash := v.writeInode(w.cur, &w.ino, e.Ver)
 	e.Ver, e.Hash, e.Size = ver, hash, w.ino.Size
-	return v.commitChain(w.ctx, root, chain)
+	return v.commitChain(st, chain)
 }

@@ -90,7 +90,10 @@ func (o *Options) applyDefaults() {
 }
 
 // Volume is one D2-FS file-system volume: single writer, many readers
-// (§3). All methods are safe for concurrent use within the process.
+// (§3). All methods are safe for concurrent use within the process. Every
+// read walks one immutable root state (rootState). A read-only handle's
+// reads take no lock, so goroutines sharing one handle do not serialize;
+// a writable handle's reads and writes take turns under mu.
 type Volume struct {
 	svc   BlockService
 	volID keys.VolumeID
@@ -99,9 +102,15 @@ type Volume struct {
 	priv  ed25519.PrivateKey // nil for read-only volumes
 	opts  Options
 
-	// mu serializes namespace operations (single-writer volumes, §3).
-	mu   sync.Mutex
-	root *RootBlock // writer: authoritative copy
+	// mu is the writable handle's lock. It serializes namespace operations
+	// (single writer, §3) and the handle's own reads: a read of an older
+	// root could otherwise miss a never-synced block that a later write has
+	// just dropped from pending (removeBlock). A read-only handle, which has
+	// no pending blocks, never takes it.
+	mu sync.Mutex
+	// state is the root this handle reads: the writer's last commit, or the
+	// root a read-only handle last fetched and verified (fetchRoot).
+	state atomic.Pointer[rootState]
 
 	// syncMu serializes everything that sends this volume's blocks to the
 	// DHT — Sync rounds and WriteStream batches — so a round's root block
@@ -123,11 +132,8 @@ type Volume struct {
 	// rcacheBytes tracks the read cache's retained payload, enforced
 	// against opts.ReadCacheBytes by pruneCacheLocked.
 	rcacheBytes int64
-	// verified is the rootMemo entry of the last root fetchRoot returned.
-	verified atomic.Pointer[verifiedRoot]
-	// scan is the directory and entry position of the last ReadFile (under
-	// mu): a ReadFile of the entry after it is a directory scan (see
-	// readAheadContent).
+	// scan is the directory and entry position of the last ReadFile: a
+	// ReadFile of the entry after it is a directory scan (see scanned).
 	scan struct {
 		dir *dirMeta
 		idx int
@@ -200,24 +206,27 @@ type cachedBlock struct {
 	meta *dirMeta
 }
 
-// verifiedRoot is a root block that passed the signature check under pub:
-// a private copy of its bytes, the decoded block and, once a walk has read
-// it, the decoded root directory. Only dir is ever set after publication.
-type verifiedRoot struct {
+// rootState is one root of the volume: the signed root block, its encoded
+// bytes and its decoded root directory. It is never changed once published;
+// a new root is a new state. fetchRoot makes one from a root it verified
+// under pub; the writer's commits make one from a copy of the last
+// (publish).
+type rootState struct {
 	pub  ed25519.PublicKey
 	data []byte
 	root *RootBlock
-	dir  atomic.Pointer[dirMeta]
+	dir  *dirMeta
 }
 
 // rootMemo is the process-wide memo of verified roots, one entry per root
-// key, so every handle on a volume shares one check per distinct root. A
-// hit needs the same publisher key and byte-equal bytes; ed25519.Verify's
-// answer depends on nothing else, so the memo skips a repeated check and
-// never a fetch. It is cleared when it reaches rootMemoCap entries.
+// key, so every handle on a volume shares one check and one root-directory
+// decode per distinct root. A hit needs the same publisher key and
+// byte-equal bytes; ed25519.Verify's answer depends on nothing else, so the
+// memo skips a repeated check and never a fetch. It is cleared when it
+// reaches rootMemoCap entries.
 var rootMemo struct {
 	sync.Mutex
-	m map[keys.Key]*verifiedRoot
+	m map[keys.Key]*rootState
 }
 
 const rootMemoCap = 1024
@@ -227,7 +236,7 @@ var verifySignature = ed25519.Verify
 
 // memoizedRoot returns the memo entry for root key k if it was verified
 // under pub from bytes equal to data.
-func memoizedRoot(k keys.Key, pub ed25519.PublicKey, data []byte) *verifiedRoot {
+func memoizedRoot(k keys.Key, pub ed25519.PublicKey, data []byte) *rootState {
 	rootMemo.Lock()
 	m := rootMemo.m[k]
 	rootMemo.Unlock()
@@ -238,11 +247,11 @@ func memoizedRoot(k keys.Key, pub ed25519.PublicKey, data []byte) *verifiedRoot 
 }
 
 // memoizeRoot records m as root key k's verified root.
-func memoizeRoot(k keys.Key, m *verifiedRoot) {
+func memoizeRoot(k keys.Key, m *rootState) {
 	rootMemo.Lock()
 	defer rootMemo.Unlock()
 	if rootMemo.m == nil || len(rootMemo.m) >= rootMemoCap {
-		rootMemo.m = make(map[keys.Key]*verifiedRoot)
+		rootMemo.m = make(map[keys.Key]*rootState)
 	}
 	rootMemo.m[k] = m
 }
@@ -306,16 +315,15 @@ func (v *Volume) rootKey() keys.Key {
 func Create(ctx context.Context, svc BlockService, name string, priv ed25519.PrivateKey, opts Options) (*Volume, error) {
 	pub := priv.Public().(ed25519.PublicKey)
 	v := newVolume(svc, name, pub, priv, opts)
-	v.root = &RootBlock{
+	data, err := v.publish(&RootBlock{
 		Name:      name,
 		PublicKey: pub,
 		Version:   1,
 		Root:      Inode{IsDir: true, NextSlot: 1},
-	}
-	if err := v.signRoot(); err != nil {
+	}, nil)
+	if err != nil {
 		return nil, err
 	}
-	data := encodeRoot(v.root)
 	if err := svc.Put(ctx, v.rootKey(), data); err != nil {
 		return nil, fmt.Errorf("fs: create volume %q: %w", name, err)
 	}
@@ -327,15 +335,8 @@ func Create(ctx context.Context, svc BlockService, name string, priv ed25519.Pri
 // access; the root signature is verified against pub.
 func Open(ctx context.Context, svc BlockService, name string, pub ed25519.PublicKey, priv ed25519.PrivateKey, opts Options) (*Volume, error) {
 	v := newVolume(svc, name, pub, priv, opts)
-	root, err := v.fetchRoot(ctx)
-	if err != nil {
+	if _, err := v.fetchRoot(ctx); err != nil {
 		return nil, err
-	}
-	if priv != nil {
-		// The writer updates its root in place; the verified one stays
-		// as fetched.
-		own := *root
-		v.root = &own
 	}
 	v.startFlusher()
 	return v, nil
@@ -397,34 +398,40 @@ func (v *Volume) Close(ctx context.Context) error {
 	return v.Sync(ctx)
 }
 
-// signRoot re-signs the root block (writer only).
-func (v *Volume) signRoot() error {
-	payload, err := v.root.signablePayload()
+// publish signs root, whose root directory holds entries, makes it the
+// handle's state and returns its encoded bytes (writer only). root is the
+// writer's own new block: a published one is never written again.
+func (v *Volume) publish(root *RootBlock, entries []DirEntry) ([]byte, error) {
+	payload, err := root.signablePayload()
 	if err != nil {
-		return err
+		return nil, err
 	}
-	v.root.Signature = ed25519.Sign(v.priv, payload)
-	return nil
+	root.Signature = ed25519.Sign(v.priv, payload)
+	data := encodeRoot(root)
+	v.state.Store(&rootState{pub: v.pub, data: data, root: root, dir: newDirMeta([32]byte{}, root.Root, entries)})
+	return data, nil
 }
 
-// fetchRoot reads the root block and verifies it against v.pub. Bytes equal
-// to a root this process already verified under v.pub return that root
-// again (the handle's last one, else rootMemo's): the same bytes carry the
-// same signature, so the decode and the check run once per distinct root,
-// not once per call or per handle. Any other bytes are decoded and checked
-// in full. The comparison is by content, against a private copy, so a
-// block changed in place under a cached slice is checked again too.
-func (v *Volume) fetchRoot(ctx context.Context) (*RootBlock, error) {
+// fetchRoot reads the root block, verifies it against v.pub, decodes its
+// root directory and makes it the handle's state: the one place a handle
+// adopts a root from the ring. Bytes equal to a root this process already
+// verified under v.pub return that state again (the handle's last one,
+// else rootMemo's): the same bytes carry the same signature, so the decode
+// and the check run once per distinct root, not once per call or per
+// handle. Any other bytes are decoded and checked in full. The comparison
+// is by content, against a private copy, so a block changed in place under
+// a cached slice is checked again too.
+func (v *Volume) fetchRoot(ctx context.Context) (*rootState, error) {
 	k := v.rootKey()
 	data, err := v.readBlock(ctx, k)
 	if err != nil {
 		return nil, fmt.Errorf("fs: open volume %q: %w", v.name, err)
 	}
-	if last := v.verified.Load(); last != nil && bytes.Equal(last.data, data) {
-		return last.root, nil
+	if last := v.state.Load(); last != nil && bytes.Equal(last.data, data) {
+		return last, nil
 	}
-	m := memoizedRoot(k, v.pub, data)
-	if m == nil {
+	st := memoizedRoot(k, v.pub, data)
+	if st == nil {
 		root, err := decodeRoot(data)
 		if err != nil {
 			return nil, err
@@ -436,22 +443,34 @@ func (v *Volume) fetchRoot(ctx context.Context) (*RootBlock, error) {
 		if !verifySignature(v.pub, payload, root.Signature) {
 			return nil, ErrBadSig
 		}
-		m = &verifiedRoot{pub: bytes.Clone(v.pub), data: bytes.Clone(data), root: &root}
-		memoizeRoot(k, m)
+		entries, err := v.loadEntries(ctx, newCursor(v.volID), &root.Root)
+		if err != nil {
+			return nil, err
+		}
+		st = &rootState{pub: bytes.Clone(v.pub), data: bytes.Clone(data), root: &root, dir: newDirMeta([32]byte{}, root.Root, entries)}
+		memoizeRoot(k, st)
 	}
-	v.verified.Store(m)
-	return m.root, nil
+	v.state.Store(st)
+	return st, nil
 }
 
-// currentRoot returns the writer's root or a freshly fetched one.
-func (v *Volume) currentRoot(ctx context.Context) (*RootBlock, error) {
-	v.mu.Lock()
-	r := v.root
-	v.mu.Unlock()
-	if r != nil {
-		return r, nil
+// beginRead starts a read and returns the root it walks. A writable handle
+// takes v.mu and reads its own last commit; a read-only handle takes no
+// lock and reads the root in the ring (fetchRoot). A read that began
+// without error ends with endRead.
+func (v *Volume) beginRead(ctx context.Context) (*rootState, error) {
+	if v.priv == nil {
+		return v.fetchRoot(ctx)
 	}
-	return v.fetchRoot(ctx)
+	v.mu.Lock()
+	return v.state.Load(), nil
+}
+
+// endRead ends a read beginRead started.
+func (v *Volume) endRead() {
+	if v.priv != nil {
+		v.mu.Unlock()
+	}
 }
 
 // --- block IO with write-back and read caching ---
@@ -467,10 +486,15 @@ func (v *Volume) readBlock(ctx context.Context, k keys.Key) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	v.metrics.blocksRead.Inc()
-	v.metrics.bytesRead.Add(uint64(len(data)))
+	v.countFetched(data)
 	v.cacheRead(k, data)
 	return data, nil
+}
+
+// countFetched counts a block fetched from the DHT.
+func (v *Volume) countFetched(data []byte) {
+	v.metrics.blocksRead.Inc()
+	v.metrics.bytesRead.Add(uint64(len(data)))
 }
 
 // cachedRead checks pending writes and the read cache for a block.
@@ -793,20 +817,14 @@ func (s *step) find(name string) int {
 	return -1
 }
 
-// walk resolves the directory chain for the given components, loading
-// entries at every level. It returns the chain of directories; comps must
-// all be directories. The entries of a read walk are the shared decoded
-// directories; write asks for private copies the caller may change. v.mu
-// is held: the exported methods take it to serialize against the single
-// writer in this process.
-func (v *Volume) walk(ctx context.Context, root *RootBlock, comps []string, write bool) ([]step, error) {
-	cur := newCursor(v.volID)
-	dir, err := v.rootDir(ctx, cur, root)
-	if err != nil {
-		return nil, err
-	}
+// walk resolves the directory chain for the given components from root
+// state st, loading entries at every level. It returns the chain of
+// directories; comps must all be directories. The entries of a read walk
+// are the shared decoded directories; write asks for private copies the
+// caller may change.
+func (v *Volume) walk(ctx context.Context, st *rootState, comps []string, write bool) ([]step, error) {
 	chain := make([]step, 1, len(comps)+1)
-	chain[0] = step{cur: cur, ino: root.Root, entries: dir.entries, entryIdx: -1, shared: dir}
+	chain[0] = step{cur: newCursor(v.volID), ino: st.root.Root, entries: st.dir.entries, entryIdx: -1, shared: st.dir}
 	for _, name := range comps {
 		last := &chain[len(chain)-1]
 		idx := last.find(name)
@@ -832,30 +850,6 @@ func (v *Volume) walk(ctx context.Context, root *RootBlock, comps []string, writ
 		}
 	}
 	return chain, nil
-}
-
-// rootDir returns the decoded root directory. A reader's verified root
-// keeps it, so it is decoded once per distinct root in the process; the
-// writer's root changes with every commit and is decoded per walk.
-func (v *Volume) rootDir(ctx context.Context, cur pathCursor, root *RootBlock) (*dirMeta, error) {
-	memo := v.verified.Load()
-	if memo != nil && memo.root != root {
-		memo = nil
-	}
-	if memo != nil {
-		if dir := memo.dir.Load(); dir != nil {
-			return dir, nil
-		}
-	}
-	entries, err := v.loadEntries(ctx, cur, &root.Root)
-	if err != nil {
-		return nil, err
-	}
-	dir := newDirMeta([32]byte{}, root.Root, entries)
-	if memo != nil {
-		memo.dir.Store(dir)
-	}
-	return dir, nil
 }
 
 // loadDir returns the decoded directory whose inode block e names. The
@@ -964,13 +958,22 @@ func (v *Volume) readAhead(ctx context.Context, dir *step, idx int, k keys.Key) 
 	}
 }
 
-// readAheadContent serves a directory scan, a ReadFile of the entry after
-// the previous ReadFile's (v.mu is held). When the file's content misses
-// the caches, its missing blocks go out in one GetMany with the content
-// blocks of the following file entries, whole files only, up to
-// SegmentBlocks keys in all. A following entry counts only if its inode is
-// cached and matches its entry's hash; the scan stops at the first one that
-// does not. Those inodes are checked and decoded here, once (see
+// scanned records entry idx of dir as the last ReadFile's and reports
+// whether it is the entry after the previous one's: a directory scan.
+func (v *Volume) scanned(dir *dirMeta, idx int) bool {
+	v.cmu.Lock()
+	defer v.cmu.Unlock()
+	next := dir == v.scan.dir && idx == v.scan.idx+1
+	v.scan.dir, v.scan.idx = dir, idx
+	return next
+}
+
+// readAheadContent serves a directory scan (see scanned). When the file's
+// content misses the caches, its missing blocks go out in one GetMany with
+// the content blocks of the following file entries, whole files only, up
+// to SegmentBlocks keys in all. A following entry counts only if its inode
+// is cached and matches its entry's hash; the scan stops at the first one
+// that does not. Those inodes are checked and decoded here, once (see
 // cachedInode). The content blocks enter the cache unverified (see
 // prefetch): fetchBlocks checks each when a read uses it. ReadStream never
 // comes here, so a stream's open costs what it did.
@@ -1023,8 +1026,7 @@ func (v *Volume) prefetch(ctx context.Context, ks []keys.Key) {
 	}
 	for _, k := range ks {
 		if data, ok := got[k]; ok {
-			v.metrics.blocksRead.Inc()
-			v.metrics.bytesRead.Add(uint64(len(data)))
+			v.countFetched(data)
 			v.cacheRead(k, data)
 		}
 	}
@@ -1045,7 +1047,7 @@ func (v *Volume) readContent(ctx context.Context, cur pathCursor, ino *Inode) ([
 		sp.Annotate("blocks", len(ino.BlockVers), "bytes", ino.Size)
 	}
 	blks := make([][]byte, len(ino.BlockVers))
-	err := v.fetchBlocks(ctx, cur, ino, 0, len(blks), false, func(i int, data []byte) { blks[i] = data })
+	err := v.fetchBlocks(ctx, cur, ino, func(i int, data []byte) { blks[i] = data })
 	sp.EndErr(err)
 	if err != nil {
 		return nil, err
@@ -1057,59 +1059,28 @@ func (v *Volume) readContent(ctx context.Context, cur pathCursor, ino *Inode) ([
 	return out, nil
 }
 
-// fetchBlocks reads content blocks [start, end) of a file — the one block
-// fetch under whole-file reads and stream segments. Each block is checked
-// against the inode's hash and handed to sink with its block index:
-// first the blocks the write-back window or the read cache holds (read-
-// your-writes), then the rest — a single block with one Get, more with one
-// GetMany. A file's blocks form one contiguous key run (§4), so the batch
-// usually costs one RPC per owner. A hole in a batch answer is final: the
-// service has already walked the replicas and retried.
-//
-// stream marks a one-pass read: it takes readSegment, with its longer
-// patience for reads racing churn, and fetched blocks do NOT enter the
-// read cache — a multi-GB stream must not evict the hot metadata working
-// set (§3's cache exists for repeat reads, not one-pass scans). A stream's
-// sink must copy what it keeps: a fetched block's bytes are valid only
-// during its sink call.
-func (v *Volume) fetchBlocks(ctx context.Context, cur pathCursor, ino *Inode, start, end int, stream bool, sink func(i int, data []byte)) error {
-	deliver := func(i int, data []byte) error {
-		if contentHash(data) != ino.BlockHashes[i] {
-			return fmt.Errorf("%w: block %d", ErrIntegrity, i+1)
-		}
-		sink(i, data)
-		return nil
-	}
-	var (
-		need []keys.Key
-		pos  []int // block index (file-wide) per needed key
-	)
-	for i := start; i < end; i++ {
-		k := cur.blockKey(uint64(i+1), ino.BlockVers[i])
-		data, ok := v.cachedRead(k)
-		if !ok {
-			need = append(need, k)
-			pos = append(pos, i)
-			continue
-		}
-		v.metrics.cacheHits.Inc()
-		if err := deliver(i, data); err != nil {
-			return err
-		}
-	}
-	if len(need) == 0 {
-		return nil
+// fetchBlocks reads all of a file's content blocks for a whole-file read.
+// Each block is checked against the inode's hash and handed to sink with
+// its block index: first the blocks the caches hold (cachedBlocks), then
+// the rest — a single block with one Get, more with one GetMany — which
+// enter the read cache. A file's blocks form one contiguous key run (§4),
+// so the batch usually costs one RPC per owner. A hole in a batch answer is
+// final: the service has already walked the replicas and retried. Stream
+// segments take fetchSegment instead, so that sink, called only from here,
+// stays on the caller's stack.
+func (v *Volume) fetchBlocks(ctx context.Context, cur pathCursor, ino *Inode, sink func(i int, data []byte)) error {
+	need, pos, err := v.cachedBlocks(cur, ino, 0, len(ino.BlockVers), sink)
+	if err != nil || len(need) == 0 {
+		return err
 	}
 	fetched := func(j int, data []byte) error {
-		v.metrics.blocksRead.Inc()
-		v.metrics.bytesRead.Add(uint64(len(data)))
-		if !stream {
-			v.cacheRead(need[j], data)
+		v.countFetched(data)
+		v.cacheRead(need[j], data)
+		if err := checkBlock(ino, pos[j], data); err != nil {
+			return err
 		}
-		return deliver(pos[j], data)
-	}
-	if stream {
-		return v.fetchSegment(ctx, need, pos, fetched)
+		sink(pos[j], data)
+		return nil
 	}
 	if len(need) == 1 {
 		data, err := v.svc.Get(ctx, need[0])
@@ -1134,20 +1105,45 @@ func (v *Volume) fetchBlocks(ctx context.Context, cur pathCursor, ino *Inode, st
 	return nil
 }
 
-// fetchSegment is fetchBlocks' stream fetch: need goes out as one segment
-// read, each block that comes back goes to fetched as it arrives, and the
-// read then fails at the first block, in file order, that was missing or
-// failed its check.
-func (v *Volume) fetchSegment(ctx context.Context, need []keys.Key, pos []int, fetched func(j int, data []byte) error) error {
+// fetchSegment reads content blocks [start, end) of a file for a stream
+// segment: the cached ones as fetchBlocks does, the rest as one segment
+// read — the service's ReadSegment or, for a service without one,
+// GetSegment, whose answer goes through the same sink in key order — with
+// its longer patience for reads racing churn. Fetched blocks do NOT enter
+// the read cache — a multi-GB stream must not evict the hot metadata
+// working set (§3's cache exists for repeat reads, not one-pass scans) —
+// and their bytes are valid only during their sink call, so sink must copy
+// what it keeps. The read fails at the first block, in file order, that
+// was missing or failed its check.
+func (v *Volume) fetchSegment(ctx context.Context, cur pathCursor, ino *Inode, start, end int, sink func(i int, data []byte)) error {
+	need, pos, err := v.cachedBlocks(cur, ino, start, end, sink)
+	if err != nil || len(need) == 0 {
+		return err
+	}
 	got := make([]bool, len(need))
 	errs := make([]error, len(need))
-	err := v.readSegment(ctx, need, func(k keys.Key, data []byte) {
+	fetched := func(k keys.Key, data []byte) {
 		// A segment is at most SegmentBlocks keys: a scan finds k sooner
 		// than a map is built.
 		if j := slices.Index(need, k); j >= 0 {
-			got[j], errs[j] = true, fetched(j, data)
+			got[j] = true
+			v.countFetched(data)
+			if errs[j] = checkBlock(ino, pos[j], data); errs[j] == nil {
+				sink(pos[j], data)
+			}
 		}
-	})
+	}
+	if sr, ok := v.svc.(SegmentReader); ok {
+		err = sr.ReadSegment(ctx, need, fetched)
+	} else {
+		var answer map[keys.Key][]byte
+		answer, err = v.svc.GetSegment(ctx, need)
+		for _, k := range need {
+			if data, ok := answer[k]; ok {
+				fetched(k, data)
+			}
+		}
+	}
 	if err != nil {
 		return err
 	}
@@ -1162,21 +1158,32 @@ func (v *Volume) fetchSegment(ctx context.Context, need []keys.Key, pos []int, f
 	return nil
 }
 
-// readSegment reads one stream segment through the service's ReadSegment
-// or, for a service without one, through GetSegment, whose answer goes to
-// sink in key order.
-func (v *Volume) readSegment(ctx context.Context, ks []keys.Key, sink func(keys.Key, []byte)) error {
-	if sr, ok := v.svc.(SegmentReader); ok {
-		return sr.ReadSegment(ctx, ks, sink)
-	}
-	got, err := v.svc.GetSegment(ctx, ks)
-	if err != nil {
-		return err
-	}
-	for _, k := range ks {
-		if data, ok := got[k]; ok {
-			sink(k, data)
+// cachedBlocks hands sink the content blocks [start, end) of a file that
+// the write-back window or the read cache holds (read-your-writes), each
+// checked against the inode's hash, and returns the keys of the others
+// with their block indexes.
+func (v *Volume) cachedBlocks(cur pathCursor, ino *Inode, start, end int, sink func(i int, data []byte)) (need []keys.Key, pos []int, err error) {
+	for i := start; i < end; i++ {
+		k := cur.blockKey(uint64(i+1), ino.BlockVers[i])
+		data, ok := v.cachedRead(k)
+		if !ok {
+			need = append(need, k)
+			pos = append(pos, i)
+			continue
 		}
+		v.metrics.cacheHits.Inc()
+		if err := checkBlock(ino, i, data); err != nil {
+			return nil, nil, err
+		}
+		sink(i, data)
+	}
+	return need, pos, nil
+}
+
+// checkBlock checks content block i of a file against its inode's hash.
+func checkBlock(ino *Inode, i int, data []byte) error {
+	if contentHash(data) != ino.BlockHashes[i] {
+		return fmt.Errorf("%w: block %d", ErrIntegrity, i+1)
 	}
 	return nil
 }
@@ -1232,7 +1239,7 @@ func (v *Volume) writeContent(cur pathCursor, data []byte, old *Inode, ino *Inod
 // writeInode serializes an inode, queues the block write, removes the old
 // version, and returns the new version hash and content hash. v.mu is
 // held.
-func (v *Volume) writeInode(cur pathCursor, ino *Inode, oldVer uint32) (uint32, [32]byte, error) {
+func (v *Volume) writeInode(cur pathCursor, ino *Inode, oldVer uint32) (uint32, [32]byte) {
 	data := encodeInode(ino)
 	h := contentHash(data)
 	ver := versionHash(h)
@@ -1240,25 +1247,23 @@ func (v *Volume) writeInode(cur pathCursor, ino *Inode, oldVer uint32) (uint32, 
 		v.removeBlock(cur.blockKey(0, oldVer))
 	}
 	v.writeBlock(cur.blockKey(0, ver), data, ino.IsDir)
-	return ver, h, nil
+	return ver, h
 }
 
-// commitChain writes the modified directory chain bottom-up: each dir's
-// entries are re-encoded, its inode rewritten, and its parent's entry
-// updated; the root block is finally re-signed and written in place (§3:
-// every write updates all metadata blocks along the path to the root).
-// v.mu is held.
-func (v *Volume) commitChain(ctx context.Context, root *RootBlock, chain []step) error {
+// commitChain writes the modified directory chain, walked from root state
+// st, bottom-up: each dir's entries are re-encoded, its inode rewritten,
+// and its parent's entry updated; finally a copy of st's root block takes
+// the new root directory and the next version and is signed, published and
+// written in place of the root key (§3: every write updates all metadata
+// blocks along the path to the root). v.mu is held.
+func (v *Volume) commitChain(st *rootState, chain []step) error {
 	for i := len(chain) - 1; i >= 1; i-- {
 		s := &chain[i]
 		content := encodeEntries(s.entries)
 		oldIno := s.ino
 		v.writeContent(s.cur, content, &oldIno, &s.ino)
 		oldVer := chain[i-1].entries[s.entryIdx].Ver
-		ver, hash, err := v.writeInode(s.cur, &s.ino, oldVer)
-		if err != nil {
-			return err
-		}
+		ver, hash := v.writeInode(s.cur, &s.ino, oldVer)
 		// The next walk starts from what was just written rather than
 		// decoding it again; s.entries is this walk's own copy and is
 		// final from here on.
@@ -1270,14 +1275,14 @@ func (v *Volume) commitChain(ctx context.Context, root *RootBlock, chain []step)
 	}
 	// Root directory: entries embed in the root block's inode content.
 	rootStep := &chain[0]
-	content := encodeEntries(rootStep.entries)
-	oldRoot := root.Root
-	v.writeContent(rootStep.cur, content, &oldRoot, &rootStep.ino)
+	v.writeContent(rootStep.cur, encodeEntries(rootStep.entries), &st.root.Root, &rootStep.ino)
+	root := *st.root
 	root.Root = rootStep.ino
 	root.Version++
-	if err := v.signRoot(); err != nil {
+	data, err := v.publish(&root, rootStep.entries)
+	if err != nil {
 		return err
 	}
-	v.writeBlock(v.rootKey(), encodeRoot(root), true)
+	v.writeBlock(v.rootKey(), data, true)
 	return nil
 }

@@ -21,6 +21,7 @@ type nodeMetrics struct {
 
 	multiPutBlocks *obs.Histogram // blocks per MultiPut served (batch size)
 	forwardErrors  *obs.Counter   // replica forwards (put, multi_put, remove) that failed
+	shortWrites    *obs.Counter   // replicated writes sent to fewer than r-1 successors
 	repairPushes   *obs.Counter   // blocks pushed to successors by repair
 	replicaDeficit *obs.Gauge     // replica slots the last repair round left unfilled
 	handoffs       *obs.Counter   // blocks handed to their primary and dropped
@@ -50,6 +51,7 @@ func newNodeMetrics(reg *obs.Registry, n *Node) *nodeMetrics {
 		ptrResolved:    reg.Counter("d2_node_ptr_resolved_total"),
 		multiPutBlocks: reg.Histogram("d2_node_multiput_blocks", obs.CountBuckets),
 		forwardErrors:  reg.Counter("d2_node_replica_forward_errors_total"),
+		shortWrites:    reg.Counter("d2_node_replica_short_writes_total"),
 		repairPushes:   reg.Counter("d2_node_repair_pushes_total"),
 		replicaDeficit: reg.Gauge("d2_node_replica_deficit"),
 		handoffs:       reg.Counter("d2_node_handoffs_total"),

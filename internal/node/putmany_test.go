@@ -297,6 +297,43 @@ func TestMultiPutAcksWithoutSuccessors(t *testing.T) {
 	}
 }
 
+// TestShortReplicaGroupIsCounted: with r = 3 a replicated write needs two
+// successors. On a 2-node ring every client Put reaches only one and is
+// counted as short; on a settled 4-node ring none is.
+func TestShortReplicaGroupIsCounted(t *testing.T) {
+	for _, size := range []int{2, 4} {
+		t.Run(fmt.Sprintf("nodes=%d", size), func(t *testing.T) {
+			net := transport.NewMemNetwork(0)
+			nodes := startRing(t, net, size, func(_ int, c *Config) {
+				c.RepairInterval = time.Hour // no repair pushes between the two scrapes
+			})
+			defer closeAll(t, nodes)
+			c := newClient(t, net, nodes)
+			defer c.Close()
+			short := func() (n uint64) {
+				for _, nd := range nodes {
+					n += nd.Metrics().Snapshot().Counters["d2_node_replica_short_writes_total"]
+				}
+				return n
+			}
+			const puts = 20
+			before := short()
+			for i := 0; i < puts; i++ {
+				if err := c.Put(context.Background(), keys.HashString(fmt.Sprintf("short-%d", i)), []byte("x")); err != nil {
+					t.Fatal(err)
+				}
+			}
+			want := uint64(0)
+			if size < testConfig(0).Replicas {
+				want = puts
+			}
+			if got := short() - before; got != want {
+				t.Fatalf("d2_node_replica_short_writes_total grew by %d over %d Puts, want %d", got, puts, want)
+			}
+		})
+	}
+}
+
 // failingEngine is an engine whose batch path reports a disk failure.
 type failingEngine struct {
 	store.Engine

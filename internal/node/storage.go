@@ -181,16 +181,22 @@ func (n *Node) replicaTargets() []transport.PeerInfo {
 // them have finished: the three fsyncs of a replicated write overlap
 // instead of queueing. Forwards are best effort: a failure is counted in
 // d2_node_replica_forward_errors_total and logged with the peer's
-// address, and repair restores the copy. ctx carries the caller's trace
-// position so replica writes appear as children of the primary's handler
-// span (it never carries cancellation — handlers run under
-// background-derived contexts).
+// address, and repair restores the copy. A write whose replica group is
+// short — fewer than r-1 targets, as on a ring smaller than r or while a
+// successor list refills — is counted in
+// d2_node_replica_short_writes_total, with no event: on a small ring every
+// write would log one. ctx carries the caller's trace position so replica
+// writes appear as children of the primary's handler span (it never
+// carries cancellation — handlers run under background-derived contexts).
 func (n *Node) replicate(ctx context.Context, fwd transport.Message, local func()) {
 	if fwd == nil {
 		local()
 		return
 	}
 	targets := n.replicaTargets()
+	if len(targets) < n.cfg.Replicas-1 {
+		n.metrics.shortWrites.Inc()
+	}
 	ctx, cancel := context.WithTimeout(ctx, 10*time.Second)
 	defer cancel()
 	var wg sync.WaitGroup

@@ -163,17 +163,25 @@
 #   scripts/verify.sh fs     fs tier: the fs package's tests under -race
 #                            (the verified-root memo, shared decoded
 #                            directories, directory-readahead and scan-
-#                            readahead tests among them), then the cold-
-#                            scan gate — a fresh handle on a counting
-#                            service lists a directory and reads its 16
-#                            files in order; more than fs_cold_calls
-#                            service calls (root Get, directory Get, one
-#                            inode GetMany, at most two content GetManys)
-#                            fail the tier — then BenchmarkReadFileWarm — a
-#                            ReadFile on a handle whose blocks are all
-#                            cached, fs self time alone — printing its
-#                            ns/op and allocs/op; allocs/op above
-#                            fs_warm_allocs fails the tier
+#                            readahead tests among them), then
+#                            TestSharedReaderHandle under -race -count=20
+#                            (8 goroutines on one read-only handle while a
+#                            writer handle saves and syncs new versions),
+#                            then the cold-scan gate — a fresh handle on a
+#                            counting service lists a directory and reads
+#                            its 16 files in order; more than
+#                            fs_cold_calls service calls (root Get,
+#                            directory Get, one inode GetMany, at most two
+#                            content GetManys) fail the tier — then
+#                            BenchmarkReadFileWarm — a ReadFile on a handle
+#                            whose blocks are all cached, fs self time
+#                            alone — printing its ns/op and allocs/op;
+#                            allocs/op above fs_warm_allocs fails the tier
+#                            — then BenchmarkReadFileParallel — 8 goroutines
+#                            against one on one read-only handle, 200 us
+#                            per service call; a speedup below
+#                            fs_parallel_speedup fails the tier (a handle
+#                            whose reads serialize reads about 1.0)
 set -eu
 cd "$(dirname "$0")/.."
 
@@ -419,15 +427,20 @@ if [ "${1:-}" = "sim" ]; then
 fi
 
 if [ "${1:-}" = "fs" ]; then
-	# Measured value of the warm read: root memo check, walk over shared
-	# decoded directories, one inode check and decode, two content-block
-	# checks and the assembled result.
-	fs_warm_allocs=8
+	# Measured value of the warm read: the path split, the walk's chain,
+	# the directory's and the file's key cursors, the block list and the
+	# assembled result.
+	fs_warm_allocs=6
 	# A cold directory scan: root Get, directory Get, one inode GetMany and
 	# at most two content GetManys.
 	fs_cold_calls=5
+	# 8 goroutines on one read-only handle against one (7.5–7.9 measured
+	# on 2 vCPUs; 1.0 when reads take the handle's lock).
+	fs_parallel_speedup=6
 	echo "== fs tier: fs tests under -race"
 	go test -race ./internal/fs/
+	echo "== fs tier: one read-only handle shared with a writer, -race -count=20"
+	go test -race -count=20 -run '^TestSharedReaderHandle$' ./internal/fs/
 	echo "== fs tier: cold directory scan gate (want <= $fs_cold_calls service calls)"
 	capture go test -run '^TestColdScanServiceCalls$' -v ./internal/fs/
 	echo "$out" | awk -v max="$fs_cold_calls" '
@@ -446,6 +459,17 @@ if [ "${1:-}" = "fs" ]; then
 		END {
 			if (allocs == "" || allocs + 0 > max + 0) {
 				print "fs tier: warm ReadFile made " allocs " allocs/op (gate " max ")" > "/dev/stderr"
+				exit 1
+			}
+		}'
+	echo "== fs tier: shared read-only handle gate (want >= ${fs_parallel_speedup}x one goroutine)"
+	capture go test -run '^$' -bench 'BenchmarkReadFileParallel' -benchtime 3x \
+		./internal/fs/
+	echo "$out" | awk -v min="$fs_parallel_speedup" '
+		/BenchmarkReadFileParallel/ { for (i = 2; i <= NF; i++) if ($i == "speedup") speedup = $(i-1) }
+		END {
+			if (speedup == "" || speedup + 0 < min + 0) {
+				print "fs tier: 8 goroutines on one read-only handle ran " speedup "x one (gate " min ")" > "/dev/stderr"
 				exit 1
 			}
 		}'
