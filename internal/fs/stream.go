@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"io"
+	"slices"
 	"sync"
 	"time"
 
@@ -79,23 +80,25 @@ type StatStream interface {
 	Stats() StreamStats
 }
 
-// streamSegment is one in-flight prefetch unit. The fetcher fills buf
-// and closes done; the consumer copies out of buf and recycles it.
+// streamSegment is one window entry: content blocks [start, end) fetched
+// into a pooled buffer. The fetcher fills buf and closes done; the
+// consumer copies out of buf and recycles it.
 type streamSegment struct {
-	buf    []byte // pooled, cap SegmentBytes
-	n      int    // valid bytes in buf
-	blocks int    // content blocks covered
-	head   bool   // fetched inline by the first Read, outside the window
-	err    error
-	done   chan struct{}
+	buf        []byte // pooled, cap SegmentBytes
+	n          int    // valid bytes in buf
+	start, end int    // content blocks covered
+	err        error
+	done       chan struct{}
 }
 
-// streamReader streams a file's content blocks through a windowed
-// prefetch pipeline: a prefetcher walks the inode's contiguous content
-// key range issuing up to streamWindow segment fetches ahead of the read
-// cursor, with in-order reassembly and backpressure (tokens return only
-// when the consumer finishes a segment, so a stalled consumer freezes
-// the pipeline with at most streamWindow segments of memory held).
+// streamReader streams a file through a window of segment fetches that
+// the consumer keeps full itself: walking the inode's contiguous content
+// key range, it issues fetches ahead of the read cursor until
+// streamWindow segments are in flight or the file is covered, and issues
+// another only when it finishes one. That is the backpressure: a stalled
+// consumer freezes the stream with at most streamWindow segments of
+// memory held. An empty or inline file is one segment that needs no
+// fetch.
 type streamReader struct {
 	v      *Volume
 	ctx    context.Context
@@ -103,26 +106,23 @@ type streamReader struct {
 	cur    pathCursor
 	ino    Inode
 	sp     *tracing.ActiveSpan
-
-	segCh  chan *streamSegment
-	tokens chan struct{}
-	wg     sync.WaitGroup
+	wg     sync.WaitGroup // segment fetches
 
 	// Consumer state, guarded by rmu (Read/Stats/Close may race; Close
 	// first cancels ctx so a blocked Read wakes before cleanup).
-	rmu        sync.Mutex
-	headBlocks int  // head segment size, fetched inline by the first Read
-	started    bool // prefetch pipeline launched (by the first Read)
-	seg        *streamSegment
-	segOff     int
-	opened     time.Time
-	ttfb       time.Duration
-	bytes      int64
-	elapsed    time.Duration
-	stalls     int
-	waste      int
-	closed     bool
-	err        error
+	rmu     sync.Mutex
+	window  []*streamSegment // issued and not yet consumed, in file order
+	next    int              // first content block not yet issued
+	issued  int              // segments issued; indexes streamRamp
+	segOff  int              // bytes of window[0] already read
+	opened  time.Time
+	ttfb    time.Duration
+	bytes   int64
+	elapsed time.Duration
+	stalls  int
+	waste   int
+	closed  bool
+	err     error
 }
 
 // ReadStream opens path for sequential streaming. The returned reader
@@ -147,11 +147,6 @@ func (v *Volume) ReadStream(ctx context.Context, path string) (io.ReadCloser, er
 		return nil, err
 	}
 	v.metrics.streamOpens.Inc()
-	if len(ino.BlockVers) == 0 {
-		// Empty or inline content: no pipeline needed.
-		sp.End()
-		return &inlineStream{data: ino.Inline, opened: time.Now(), v: v}, nil
-	}
 	sctx, cancel := context.WithCancel(sctx)
 	r := &streamReader{
 		v:      v,
@@ -160,24 +155,22 @@ func (v *Volume) ReadStream(ctx context.Context, path string) (io.ReadCloser, er
 		cur:    cur,
 		ino:    ino,
 		sp:     sp,
-		segCh:  make(chan *streamSegment, streamWindow),
-		tokens: make(chan struct{}, streamWindow),
+		window: make([]*streamSegment, 0, streamWindow+1),
 		opened: time.Now(),
 	}
-	// The first ramp segment is fetched synchronously by the first Read:
-	// goroutine handoffs would sit directly on the first byte's critical
-	// path, and a single-block fetch is cheaper inline than pipelined.
-	r.headBlocks = streamRamp[0]
-	if r.headBlocks > len(ino.BlockVers) {
-		r.headBlocks = len(ino.BlockVers)
+	if len(ino.BlockVers) == 0 {
+		// Copy the content: ino.Inline may alias a cached block, and only
+		// the pool's own buffers may go back to segBufPool.
+		seg := &streamSegment{buf: segBufPool.Get().([]byte), done: make(chan struct{})}
+		seg.n = copy(seg.buf, ino.Inline)
+		close(seg.done)
+		r.window = append(r.window, seg)
+		return r, nil
 	}
 	v.metrics.streamWindow.Observe(streamWindow)
-	for i := 0; i < streamWindow; i++ {
-		r.tokens <- struct{}{}
-	}
-	// The prefetcher starts from the first Read (after the inline head
-	// fetch): window segments issued at open would compete with the head
-	// block for the wire and push TTFB toward a full-segment latency.
+	// Fetches start with the first Read: segments issued at open would
+	// compete with the head block for the wire and push TTFB toward a
+	// full-segment latency.
 	return r, nil
 }
 
@@ -193,72 +186,65 @@ func (v *Volume) resolveFile(ctx context.Context, path string, comps []string) (
 	return f.cur, f.ino, err
 }
 
-// prefetch is the pipeline driver: it walks segments in order, acquiring
-// one window token per issue (tokens return when the consumer finishes a
-// segment — that is the backpressure), spawns the fetch, and queues the
-// segment for in-order consumption. segCh's capacity is streamWindow,
-// and at most that many tokens exist, so the send never blocks.
-func (r *streamReader) prefetch() {
-	defer r.wg.Done()
-	defer close(r.segCh)
-	nblocks := len(r.ino.BlockVers)
-	// Segment 0 (the ramp head) is the first Read's inline fetch; the
-	// pipeline covers everything after it.
-	for start, idx := r.headBlocks, 1; start < nblocks; idx++ {
-		select {
-		case <-r.ctx.Done():
-			return
-		case <-r.tokens:
-		}
-		blocks := SegmentBlocks
-		if idx < len(streamRamp) {
-			blocks = streamRamp[idx]
-		}
-		end := start + blocks
-		if end > nblocks {
-			end = nblocks
-		}
-		seg := &streamSegment{
-			buf:    segBufPool.Get().([]byte),
-			blocks: end - start,
-			done:   make(chan struct{}),
-		}
-		r.v.metrics.streamSegments.Inc()
+// issue appends the next segment, sized by streamRamp, to the window.
+func (r *streamReader) issue() *streamSegment {
+	blocks := SegmentBlocks
+	if r.issued < len(streamRamp) {
+		blocks = streamRamp[r.issued]
+	}
+	seg := &streamSegment{
+		buf:   segBufPool.Get().([]byte),
+		start: r.next,
+		end:   min(r.next+blocks, len(r.ino.BlockVers)),
+		done:  make(chan struct{}),
+	}
+	r.next = seg.end
+	r.issued++
+	r.window = append(r.window, seg)
+	r.v.metrics.streamSegments.Inc()
+	return seg
+}
+
+// refill issues segment fetches until streamWindow segments are in the
+// window or the file is covered. The head the first Read fetched holds
+// no slot: while it is still in the window (no segment has left it), the
+// window holds one segment more.
+func (r *streamReader) refill() {
+	slots := streamWindow
+	if len(r.window) == r.issued {
+		slots++
+	}
+	for len(r.window) < slots && r.next < len(r.ino.BlockVers) {
+		seg := r.issue()
 		r.wg.Add(1)
-		go r.fetchSegment(seg, start, end)
-		r.segCh <- seg
-		start = end
+		go func() {
+			defer r.wg.Done()
+			r.fetch(seg)
+		}()
 	}
 }
 
-// fetchSegment fills one window segment for the prefetcher.
-func (r *streamReader) fetchSegment(seg *streamSegment, start, end int) {
-	defer r.wg.Done()
+// fetch fills seg with its content blocks, in order, traced as a
+// stream.segment child of the stream's span, and marks it done.
+func (r *streamReader) fetch(seg *streamSegment) {
 	defer close(seg.done)
-	seg.err = r.fill(seg, start, end)
-}
-
-// fill fetches content blocks [start, end) into seg.buf, in order, traced
-// as a stream.segment child of the stream's span.
-func (r *streamReader) fill(seg *streamSegment, start, end int) error {
 	ctx, sp := tracing.ChildSpan(r.ctx, "stream.segment")
 	if sp != nil {
-		sp.Annotate("first_block", start+1, "blocks", end-start)
+		sp.Annotate("first_block", seg.start+1, "blocks", seg.end-seg.start)
 	}
-	err := r.v.fetchSegment(ctx, r.cur, &r.ino, start, end, func(i int, data []byte) {
-		copy(seg.buf[(i-start)*BlockSize:], data)
+	seg.err = r.v.fetchSegment(ctx, r.cur, &r.ino, seg.start, seg.end, func(i int, data []byte) {
+		copy(seg.buf[(i-seg.start)*BlockSize:], data)
 	})
 	// Segment byte count: full blocks except possibly the file's last.
-	seg.n = (end - start) * BlockSize
-	if end == len(r.ino.BlockVers) {
-		seg.n = int(r.ino.Size) - start*BlockSize
+	seg.n = (seg.end - seg.start) * BlockSize
+	if seg.end == len(r.ino.BlockVers) {
+		seg.n = int(r.ino.Size) - seg.start*BlockSize
 	}
-	sp.EndErr(err)
-	return err
+	sp.EndErr(seg.err)
 }
 
 // Read hands out the next in-order bytes, waiting on the front segment
-// when the pipeline runs behind.
+// when its fetch runs behind the consumer.
 func (r *streamReader) Read(p []byte) (int, error) {
 	r.rmu.Lock()
 	defer r.rmu.Unlock()
@@ -268,80 +254,38 @@ func (r *streamReader) Read(p []byte) (int, error) {
 	if r.closed {
 		return 0, fmt.Errorf("fs: stream: read after Close")
 	}
-	if r.headBlocks > 0 && r.seg == nil && r.bytes == 0 {
-		// First Read: fetch the ramp head synchronously — no pipeline
-		// handoff between the caller and its first byte.
-		seg := &streamSegment{
-			buf:    segBufPool.Get().([]byte),
-			blocks: r.headBlocks,
-			head:   true,
-			done:   make(chan struct{}),
+	if r.issued == 0 && len(r.ino.BlockVers) > 0 {
+		// First Read: fetch the 1-block ramp head synchronously — no
+		// goroutine handoff between the caller and its first byte — then
+		// fill the window behind it.
+		head := r.issue()
+		r.fetch(head)
+		if head.err == nil {
+			r.refill()
 		}
-		close(seg.done)
-		r.v.metrics.streamSegments.Inc()
-		if err := r.fill(seg, 0, r.headBlocks); err != nil {
-			r.recycleLocked(seg)
-			return 0, r.fail(err)
-		}
-		r.seg, r.segOff = seg, 0
-		r.started = true
-		r.wg.Add(1)
-		go r.prefetch()
 	}
-	for r.seg == nil || r.segOff == r.seg.n {
-		if r.seg != nil {
-			wasHead := r.seg.head
-			r.recycleLocked(r.seg)
-			r.seg = nil
-			if !wasHead {
-				// Give the consumed segment's window slot back; the head
-				// segment holds none. At most streamWindow tokens exist,
-				// so the send never blocks.
-				r.tokens <- struct{}{}
-			}
-		}
-		var (
-			seg *streamSegment
-			ok  bool
-		)
-		select {
-		case seg, ok = <-r.segCh:
-		case <-r.ctx.Done():
-			return 0, r.fail(r.ctx.Err())
-		}
-		if !ok {
-			if err := r.ctx.Err(); err != nil {
-				return 0, r.fail(err)
-			}
+	var seg *streamSegment
+	for {
+		if len(r.window) == 0 {
 			r.elapsed = time.Since(r.opened)
 			r.err = io.EOF
 			r.finishMetrics()
 			return 0, io.EOF
 		}
-		select {
-		case <-seg.done:
-		default:
-			// The pipeline is behind the consumer: count the stall.
-			r.stalls++
-			r.v.metrics.streamStalls.Inc()
-			select {
-			case <-seg.done:
-			case <-r.ctx.Done():
-				// The segment buffer is still owned by the fetcher until
-				// done closes; park it on r.seg so Close (which waits for
-				// every fetcher first) can recycle it.
-				r.seg, r.segOff = seg, 0
-				return 0, r.fail(r.ctx.Err())
-			}
-		}
-		if seg.err != nil {
-			err := seg.err
-			r.recycleLocked(seg)
+		seg = r.window[0]
+		if err := r.wait(seg); err != nil {
 			return 0, r.fail(err)
 		}
-		r.seg, r.segOff = seg, 0
+		if r.segOff < seg.n {
+			break
+		}
+		// The consumer finished seg: recycle it and use its slot.
+		r.window = slices.Delete(r.window, 0, 1)
+		segBufPool.Put(seg.buf)
+		r.segOff = 0
+		r.refill()
 	}
-	n := copy(p, r.seg.buf[r.segOff:r.seg.n])
+	n := copy(p, seg.buf[r.segOff:seg.n])
 	r.segOff += n
 	if r.bytes == 0 && n > 0 {
 		r.ttfb = time.Since(r.opened)
@@ -353,11 +297,22 @@ func (r *streamReader) Read(p []byte) (int, error) {
 	return n, nil
 }
 
-// recycleLocked returns a segment's buffer to the pool.
-func (r *streamReader) recycleLocked(seg *streamSegment) {
-	if seg.buf != nil {
-		segBufPool.Put(seg.buf[:SegmentBytes])
-		seg.buf = nil
+// wait blocks until seg's fetch is done, counting a stall when the
+// consumer got there first, and returns the fetch's error. A segment
+// whose wait the cancel cut short stays in the window for Close.
+func (r *streamReader) wait(seg *streamSegment) error {
+	select {
+	case <-seg.done:
+		return seg.err
+	default:
+	}
+	r.stalls++
+	r.v.metrics.streamStalls.Inc()
+	select {
+	case <-seg.done:
+		return seg.err
+	case <-r.ctx.Done():
+		return r.ctx.Err()
 	}
 }
 
@@ -370,9 +325,9 @@ func (r *streamReader) fail(err error) error {
 	return r.err
 }
 
-// Close cancels the pipeline, waits for every goroutine, recycles all
-// pooled segment buffers, and records the stream's metrics. Safe to call
-// more than once and concurrently with a blocked Read.
+// Close cancels the stream, waits for its fetches, recycles every
+// segment left in the window, and records the stream's metrics. Safe to
+// call more than once and concurrently with a blocked Read.
 func (r *streamReader) Close() error {
 	r.cancel()
 	r.rmu.Lock()
@@ -381,29 +336,20 @@ func (r *streamReader) Close() error {
 		return nil
 	}
 	r.closed = true
-	// Reads check closed at entry, so started is final once we hold the
-	// lock — and if the first Read never ran, nothing closes segCh and
-	// there is no pipeline to drain.
-	started := r.started
 	r.rmu.Unlock()
+	// Reads now return at entry, so no refill adds to wg while we wait.
 	r.wg.Wait()
 	r.rmu.Lock()
 	defer r.rmu.Unlock()
-	if started {
-		// Drain abandoned segments: fetchers have all returned, so every
-		// segment's done channel is closed and its buffer is ours.
-		for seg := range r.segCh {
-			<-seg.done
-			if seg.err == nil {
-				r.waste += seg.blocks
-			}
-			r.recycleLocked(seg)
+	for i, seg := range r.window {
+		// Every fetch has returned, so each buffer is ours. A fetched
+		// segment no byte of which was read is waste.
+		if seg.err == nil && (i > 0 || r.segOff == 0) {
+			r.waste += seg.end - seg.start
 		}
+		segBufPool.Put(seg.buf)
 	}
-	if r.seg != nil {
-		r.recycleLocked(r.seg)
-		r.seg = nil
-	}
+	r.window = nil
 	if r.elapsed == 0 {
 		r.elapsed = time.Since(r.opened)
 	}
@@ -439,40 +385,5 @@ func (r *streamReader) Stats() StreamStats {
 		Elapsed:      r.elapsed,
 		Stalls:       r.stalls,
 		WastedBlocks: r.waste,
-	}
-}
-
-// inlineStream serves empty and inline files (content already in the
-// metadata block) through the same StatStream interface.
-type inlineStream struct {
-	v      *Volume
-	data   []byte
-	off    int
-	opened time.Time
-	ttfb   time.Duration
-	closed bool
-}
-
-func (s *inlineStream) Read(p []byte) (int, error) {
-	if s.off >= len(s.data) {
-		return 0, io.EOF
-	}
-	n := copy(p, s.data[s.off:])
-	if s.off == 0 && n > 0 {
-		s.ttfb = time.Since(s.opened)
-		s.v.metrics.streamTTFB.Observe(int64(s.ttfb))
-		s.v.metrics.streamBytes.Add(uint64(len(s.data)))
-	}
-	s.off += n
-	return n, nil
-}
-
-func (s *inlineStream) Close() error { s.closed = true; return nil }
-
-func (s *inlineStream) Stats() StreamStats {
-	return StreamStats{
-		TTFB:    s.ttfb,
-		Bytes:   int64(s.off),
-		Elapsed: time.Since(s.opened),
 	}
 }

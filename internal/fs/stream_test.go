@@ -29,6 +29,9 @@ type batchMemService struct {
 	served    int // blocks returned via GetMany
 	// contentGets counts single-key Gets of content blocks.
 	contentGets int
+	// segInflight counts GetSegment calls running; segPeak is its high
+	// water mark.
+	segInflight, segPeak int
 }
 
 func newBatchMemService() *batchMemService {
@@ -72,6 +75,15 @@ func (s *batchMemService) GetMany(ctx context.Context, ks []keys.Key) (map[keys.
 }
 
 func (s *batchMemService) GetSegment(ctx context.Context, ks []keys.Key) (map[keys.Key][]byte, error) {
+	s.mu.Lock()
+	s.segInflight++
+	s.segPeak = max(s.segPeak, s.segInflight)
+	s.mu.Unlock()
+	defer func() {
+		s.mu.Lock()
+		s.segInflight--
+		s.mu.Unlock()
+	}()
 	return s.GetMany(ctx, ks)
 }
 
@@ -143,6 +155,145 @@ func TestStreamRoundTripSizes(t *testing.T) {
 				t.Errorf("Stats.TTFB = %v, want > 0", st.TTFB)
 			}
 		})
+	}
+}
+
+// TestStreamContract: every stream, inline or pipelined, keeps the same
+// contract: Read after Close fails, Stats may race Read, Elapsed stops at
+// EOF, and the bytes counter counts only the bytes a Read delivered.
+func TestStreamContract(t *testing.T) {
+	v, _ := newStreamVolume(t)
+	ctx := context.Background()
+	sizes := []int{0, 100, InlineMax, InlineMax + 1, 3 * BlockSize, 40 * SegmentBytes}
+	for _, n := range sizes {
+		t.Run(fmt.Sprintf("size=%d", n), func(t *testing.T) {
+			path := fmt.Sprintf("/contract%d", n)
+			if err := v.WriteFile(ctx, path, randBytes(n)); err != nil {
+				t.Fatal(err)
+			}
+			r, err := v.ReadStream(ctx, path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			before := v.metrics.streamBytes.Value()
+			got, err := r.Read(make([]byte, 10))
+			if err != nil && err != io.EOF {
+				t.Fatalf("partial Read: %v", err)
+			}
+			if counted := v.metrics.streamBytes.Value() - before; counted != uint64(got) {
+				t.Errorf("d2_stream_bytes_total grew by %d for a Read of %d bytes", counted, got)
+			}
+			if st := r.(StatStream).Stats(); st.Bytes != int64(got) {
+				t.Errorf("Stats.Bytes = %d after a Read of %d bytes", st.Bytes, got)
+			}
+			if err := r.Close(); err != nil {
+				t.Fatal(err)
+			}
+			if m, err := r.Read(make([]byte, 10)); err == nil {
+				t.Errorf("Read after Close = (%d, nil), want an error", m)
+			}
+
+			r, err = v.ReadStream(ctx, path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer r.Close()
+			started, stop := make(chan struct{}), make(chan struct{})
+			var wg sync.WaitGroup
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				close(started)
+				for {
+					r.(StatStream).Stats() // at least once, unordered with Read
+					select {
+					case <-stop:
+						return
+					default:
+						runtime.Gosched()
+					}
+				}
+			}()
+			<-started
+			read, err := io.Copy(io.Discard, r)
+			close(stop)
+			wg.Wait()
+			if err != nil || read != int64(n) {
+				t.Fatalf("read %d bytes, err %v; want %d", read, err, n)
+			}
+			atEOF := r.(StatStream).Stats().Elapsed
+			time.Sleep(2 * time.Millisecond)
+			if _, err := r.Read(make([]byte, 1)); err != io.EOF {
+				t.Errorf("Read after EOF: %v, want io.EOF", err)
+			}
+			if later := r.(StatStream).Stats().Elapsed; later != atEOF {
+				t.Errorf("Elapsed moved after EOF: %v -> %v", atEOF, later)
+			}
+		})
+	}
+}
+
+// TestStreamWindowBoundsInflightFetches: at most streamWindow segment
+// fetches run at once, at least two do (the window pipelines), and Close
+// mid-stream leaves none running.
+func TestStreamWindowBoundsInflightFetches(t *testing.T) {
+	v, svc := newStreamVolume(t)
+	ctx := context.Background()
+	want := randBytes(40 * SegmentBytes)
+	if err := v.WriteFile(ctx, "/window.bin", want); err != nil {
+		t.Fatal(err)
+	}
+	if err := v.Sync(ctx); err != nil {
+		t.Fatal(err)
+	}
+	v.dropReadCacheForTest()
+	svc.mu.Lock()
+	svc.delay = time.Millisecond
+	svc.mu.Unlock()
+	r, err := v.ReadStream(ctx, "/window.bin")
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := io.ReadAll(r)
+	if err != nil || !bytes.Equal(got, want) {
+		t.Fatalf("stream read: %v (got %d bytes)", err, len(got))
+	}
+	if err := r.Close(); err != nil {
+		t.Fatal(err)
+	}
+	svc.mu.Lock()
+	peak := svc.segPeak
+	svc.mu.Unlock()
+	if peak > streamWindow || peak < 2 {
+		t.Errorf("peak concurrent GetSegment calls = %d, want 2..%d", peak, streamWindow)
+	}
+
+	before := runtime.NumGoroutine()
+	for i := 0; i < 5; i++ {
+		r, err := v.ReadStream(ctx, "/window.bin")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := io.ReadFull(r, make([]byte, 3*SegmentBytes)); err != nil {
+			t.Fatal(err)
+		}
+		if err := r.Close(); err != nil {
+			t.Fatal(err)
+		}
+		svc.mu.Lock()
+		running := svc.segInflight
+		svc.mu.Unlock()
+		if running != 0 {
+			t.Fatalf("%d segment fetches still running after Close", running)
+		}
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for runtime.NumGoroutine() > before+2 {
+		if time.Now().After(deadline) {
+			t.Fatalf("goroutines leaked: %d before, %d after mid-stream closes",
+				before, runtime.NumGoroutine())
+		}
+		time.Sleep(20 * time.Millisecond)
 	}
 }
 

@@ -98,11 +98,16 @@
 #                            read ladder's allocs/op (BenchmarkBatchedRead,
 #                            mem ring; a figure to compare against the
 #                            parent commit, not a gate)
-#   scripts/verify.sh stream stream tier: the windowed-readahead pipeline
-#                            tests under -race (backpressure bounded by
-#                            the constant window, early-close waste,
-#                            cancellation, the mid-stream
-#                            node-kill e2e, the use-after-release e2e:
+#   scripts/verify.sh stream stream tier: the internal/fs stream tests
+#                            under -race -count=10 (backpressure bounded
+#                            by the constant window, at most 8 and at
+#                            least 2 segment fetches in flight and none
+#                            left running after Close
+#                            (TestStreamWindowBoundsInflightFetches), one
+#                            contract for inline and pipelined streams
+#                            (TestStreamContract), early-close waste,
+#                            cancellation; about 20 s), then once under
+#                            -race the mid-stream node-kill e2e, the use-after-release e2e:
 #                            1 000 recycled ReadSegment segments beside
 #                            GetMany, Get and ReadFile reads whose kept
 #                            bytes must not change) and the client read
@@ -304,8 +309,11 @@ if [ "${1:-}" = "wire" ]; then
 fi
 
 if [ "${1:-}" = "stream" ]; then
-	echo "== stream tier: streaming pipeline tests under -race"
-	go test -race -run 'Stream|ReadSegment|ReadCacheByteCap|MissingKeysCostOneLadder|EveryOpSurvivesDeadCachedOwner' ./internal/fs/ ./internal/node/ .
+	stream_tests='Stream|ReadSegment|ReadCacheByteCap|MissingKeysCostOneLadder|EveryOpSurvivesDeadCachedOwner'
+	echo "== stream tier: fs stream tests under -race -count=10"
+	go test -race -count=10 -run "$stream_tests|TestStreamContract|TestStreamWindowBoundsInflightFetches" ./internal/fs/
+	echo "== stream tier: client and e2e stream tests under -race"
+	go test -race -run "$stream_tests" ./internal/node/ .
 	echo "== stream tier: consume-path alloc gate (want < 4 MB/op for an 8 MB stream)"
 	capture go test -run '^$' -bench 'BenchmarkStreamConsume' -benchmem \
 		./internal/fs/
